@@ -11,9 +11,9 @@ aggregate telemetry publish. Per-device cost amortizes to nanoseconds.
 RNG contract: a step draws two batches from the fleet's named stream —
 ``random(n)`` for churn, then ``random(n)`` for load — and numpy
 generators fill a batch in index order, so device *i* consumes exactly
-the draw a scalar per-device loop would give it.
-:meth:`DeviceFleet.step_reference` is that scalar loop; the equivalence
-test pins vectorized == reference, state for state and joule for joule.
+the draw a scalar per-device loop would give it. ``tests/test_fleet.py``
+keeps that scalar loop as a reference and pins vectorized == reference,
+state for state and joule for joule, bit for bit.
 
 Fleets are zone-determinism-safe by construction: every draw comes from
 the owning context's seed subtree and every publish goes to the owning
@@ -69,6 +69,8 @@ class DeviceFleet:
             [specs[i % len(specs)].idle_power_w for i in range(size)])
         self._busy_w = np.array(
             [specs[i % len(specs)].busy_power_w for i in range(size)])
+        #: Busy - idle power, the span a utilization sample scales.
+        self._span_w = self._busy_w - self._idle_w
         self._rng = self.ctx.numpy_rng(f"fleet.{zone}")
         # Fleet health counters, labelled by zone so the sharded
         # backends' aggregated registry keeps per-zone breakdowns. The
@@ -113,16 +115,6 @@ class DeviceFleet:
         u_load = self._rng.random(self.size)
         self._apply(dt_s, u_churn, u_load, publish)
 
-    def step_reference(self, dt_s: float, *, publish: bool = True) -> None:
-        """Scalar twin of :meth:`step`: per-device draws in index order.
-
-        Exists so tests can pin the vectorized path to the per-device
-        semantics — same stream, same draw order, same transitions.
-        """
-        u_churn = np.array([self._rng.random() for _ in range(self.size)])
-        u_load = np.array([self._rng.random() for _ in range(self.size)])
-        self._apply(dt_s, u_churn, u_load, publish)
-
     def _apply(self, dt_s: float, u_churn: np.ndarray,
                u_load: np.ndarray, publish: bool = True) -> None:
         p_fail = -math.expm1(-self.fail_rate_per_s * dt_s)
@@ -132,15 +124,15 @@ class DeviceFleet:
             # The whole zone is dark: draws are still consumed (the
             # stream position is part of the replay contract) but no
             # device runs or repairs until the outage lifts.
-            forced = int(was_up.sum())
+            forced = int(np.count_nonzero(was_up))
             self.forced_failures += forced
             self._bump(self._c_forced, forced)
             up = np.zeros(self.size, dtype=bool)
         else:
             fails = was_up & (u_churn < p_fail)
             repairs = ~was_up & (u_churn < p_repair)
-            n_fail = int(fails.sum())
-            n_repair = int(repairs.sum())
+            n_fail = int(np.count_nonzero(fails))
+            n_repair = int(np.count_nonzero(repairs))
             self.failures += n_fail
             self.repairs += n_repair
             self._bump(self._c_failures, n_fail)
@@ -148,11 +140,20 @@ class DeviceFleet:
             up = (was_up & ~fails) | repairs
         self._bump(self._c_steps, 1)
         self.up = up
-        self.utilization = np.where(up, u_load, 0.0)
-        self.energy_j += dt_s * np.where(
-            up, self._idle_w + self.utilization
-            * (self._busy_w - self._idle_w), 0.0)
-        self.downtime_s += dt_s * ~up
+        # Same bits as selecting with np.where into fresh arrays: only
+        # the down devices' entries change (zeroed, or dt_s added where
+        # dt_s * ~up added 0.0 to the others), and sums and products
+        # commute. u_load is this step's own draw, so it becomes the
+        # utilization array.
+        down = np.flatnonzero(~up)
+        u_load[down] = 0.0
+        self.utilization = u_load
+        power = u_load * self._span_w
+        power += self._idle_w
+        power[down] = 0.0
+        power *= dt_s
+        self.energy_j += power
+        self.downtime_s[down] += dt_s
         self.steps += 1
         self.elapsed_s += dt_s
         if not publish:
@@ -162,8 +163,9 @@ class DeviceFleet:
         self.ctx.publish(f"shard.fleet.telemetry.{self.zone}", {
             "zone": self.zone,
             "time_s": self.ctx.now,
-            "up": int(up.sum()),
-            "utilization": float(self.utilization.mean()),
+            "up": self.size - len(down),
+            # sum / n is what mean() computes, minus its wrapper.
+            "utilization": float(u_load.sum()) / self.size,
             "energy_j": float(self.energy_j.sum()),
             "failures": self.failures,
             "repairs": self.repairs,

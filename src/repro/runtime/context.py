@@ -68,10 +68,10 @@ class TracedEventBus(EventBus):
             "runtime.bus.publishes", "bus publishes by topic",
             label_key="topic") if metrics is not None else None
         #: Monotonic per-bus publish id, and the id of the publish
-        #: currently being delivered. Relay taps key their dedup and
-        #: suppression on these — unlike the trace sequence, a publish
-        #: id is stable for the whole delivery even when a handler
-        #: records spans or publishes nested messages mid-dispatch.
+        #: currently being delivered. Relay taps key their dedup on
+        #: these — unlike the trace sequence, a publish id is stable for
+        #: the whole delivery even when a handler records spans or
+        #: publishes nested messages mid-dispatch.
         self.pub_seq = 0
         self.current_pub = 0
 
@@ -91,6 +91,22 @@ class TracedEventBus(EventBus):
             return super().publish(topic, payload)
         finally:
             self.current_pub = prev
+
+    def publish_organic(self, topic: str,  # perf: hot
+                        payload: Any = None) -> int:
+        """Publish a message the epoch relay carried in from another
+        zone: recorded and counted exactly like :meth:`publish`, but
+        delivered past the relay taps, so it is never forwarded again.
+        It takes no publish id — only taps read those."""
+        stack = self._span_stack
+        self._trace.record(self._clock(), topic, payload,
+                           stack[-1].envelope if stack else None)
+        counter = self._publish_counter
+        if counter is not None:
+            counter.value += 1
+            labels = counter.labels
+            labels[topic] = labels.get(topic, 0) + 1
+        return super().publish_organic(topic, payload)
 
 
 class RuntimeContext:

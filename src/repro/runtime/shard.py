@@ -83,8 +83,7 @@ class ZoneRuntime:
     would against a standalone context.
     """
 
-    __slots__ = ("name", "rank", "shard", "ctx", "suppress_seq",
-                 "relay_scope")
+    __slots__ = ("name", "rank", "shard", "ctx", "relay_scope")
 
     def __init__(self, name: str, rank: int, shard: int,
                  ctx: RuntimeContext):
@@ -92,10 +91,6 @@ class ZoneRuntime:
         self.rank = rank
         self.shard = shard
         self.ctx = ctx
-        #: Bus publish id of an in-flight relay delivery on this zone;
-        #: relay taps skip that publish so a message is relayed once,
-        #: from its origin zone, never re-forwarded by a destination.
-        self.suppress_seq = -1
         #: Reusable ambient-stack entry for :func:`relay_deliver`.
         #: Deliveries on one zone never nest (they are DES callbacks,
         #: and further relays cross a barrier first) and nothing
@@ -112,10 +107,34 @@ class ZoneRuntime:
 # the two backends rests on there being ONE implementation of tap
 # buffering, relay delivery and barrier injection — do not fork copies.
 
-def make_relay_tap(src: ZoneRuntime, outbox: list, mark: list):
-    """Tap closure buffering *src*'s matching publishes for one
-    (src, dest) pair. ``mark`` holds the last relayed publish id so a
-    publish matching several tapped patterns is buffered once.
+def add_relay_tap(round_taps: dict, src: ZoneRuntime, pattern: str,
+                  outbox: list, mark: list) -> None:
+    """Buffer *src*'s publishes matching *pattern* into one (src, dest)
+    pair's *outbox*.
+
+    Taps fan out: one refresh round installs a single tap per (source
+    zone, pattern) — *round_taps* maps ``(src rank, pattern)`` to its
+    ``(outbox, mark)`` targets — and each pair the round adds for that
+    pattern joins its target list, so an origin publish costs one tap
+    call however many zones it reaches. A round installs its taps
+    back to back with no organic subscription between them, so how
+    they are grouped cannot move a tap relative to scenario handlers.
+    The subscription is flagged :attr:`~repro.core.events.Subscription.
+    tap`, which is how :func:`relay_deliver` (and the worker's pattern
+    report) tell it from scenario code."""
+    targets = round_taps.get((src.rank, pattern))
+    if targets is None:
+        targets = round_taps[(src.rank, pattern)] = []
+        sub = src.ctx.bus.subscribe(pattern, _fan_out_tap(src, targets))
+        sub.tap = True
+    targets.append((outbox, mark))
+
+
+def _fan_out_tap(src: ZoneRuntime, targets: list):
+    """Tap closure appending each matching publish to every target
+    outbox. A target's ``mark`` holds the pair's last relayed publish
+    id, so a publish matching several tapped patterns is buffered once
+    per pair.
 
     Alongside ``(send_s, topic, payload)`` the tap captures the open
     span context: bus delivery is synchronous, so the publisher's span
@@ -137,24 +156,27 @@ def make_relay_tap(src: ZoneRuntime, outbox: list, mark: list):
         # The bus publish id is unique per publish on this zone and —
         # unlike the trace sequence — stable for the whole delivery
         # even when an earlier handler records spans or publishes
-        # nested messages, so it both dedupes a publish matching
-        # several tapped patterns and identifies the relay's own
-        # delivery publish (suppress_seq) to stop re-forwarding.
+        # nested messages, so it dedupes a publish matching several
+        # tapped patterns.
         pub = bus.current_pub
-        if mark[0] == pub or src.suppress_seq == pub:
-            return
-        mark[0] = pub
-        if stack:
-            context = stack[-1].context
-            if context is last[0]:
-                shipped = last[1]
-            else:
-                shipped = (context.trace_id, context.span_id)
-                last[0] = context
-                last[1] = shipped
-        else:
-            shipped = None
-        outbox.append((sim.now, topic, payload, shipped))
+        msg = None
+        for outbox, mark in targets:
+            if mark[0] == pub:
+                continue
+            mark[0] = pub
+            if msg is None:
+                if stack:
+                    context = stack[-1].context
+                    if context is last[0]:
+                        shipped = last[1]
+                    else:
+                        shipped = (context.trace_id, context.span_id)
+                        last[0] = context
+                        last[1] = shipped
+                else:
+                    shipped = None
+                msg = (sim.now, topic, payload, shipped)
+            outbox.append(msg)
     return tap
 
 
@@ -170,7 +192,11 @@ _RELAY_SPAN_TEMPLATE = {
 
 def relay_deliver(dest: ZoneRuntime, topic: str, payload: Any,
                   span: tuple | None = None) -> None:
-    """Publish a relayed message on *dest*'s bus without re-forwarding.
+    """Publish a relayed message on *dest*'s bus without re-forwarding:
+    the publish is traced and counted as usual but reaches only organic
+    subscribers (:meth:`~repro.runtime.context.TracedEventBus.
+    publish_organic`), never a relay tap. Publishes its handlers make
+    are ordinary ones and relay on.
 
     When the buffered publish carried a span context, the delivery
     resumes it and opens a ``shard.relay.deliver`` child span around the
@@ -183,16 +209,14 @@ def relay_deliver(dest: ZoneRuntime, topic: str, payload: Any,
     bus = dest.ctx.bus
     tracer = dest.ctx.tracer
     if span is None or not tracer.enabled:
-        dest.suppress_seq = bus.pub_seq + 1
-        bus.publish(topic, payload)
-        dest.suppress_seq = -1
+        bus.publish_organic(topic, payload)
         return
     # Hand-inlined equivalent of
     #     with tracer.resume(SpanContext(span[0], span[1])):
     #         with tracer.start_span("shard.relay.deliver",
     #                                layer="runtime", topic=topic,
     #                                zone=dest.name):
-    #             <suppressed publish>
+    #             <organic publish>
     # — same RNG draw, same stack visibility, byte-identical obs.span
     # record (pinned by a test). This runs once per relayed message;
     # the generic context managers would cost more than the relay, and
@@ -210,9 +234,7 @@ def relay_deliver(dest: ZoneRuntime, topic: str, payload: Any,
     stack.append(scope)
     status = "ok"
     try:
-        dest.suppress_seq = bus.pub_seq + 1
-        bus.publish(topic, payload)
-        dest.suppress_seq = -1
+        bus.publish_organic(topic, payload)
     except BaseException:
         status = "error"
         raise
@@ -235,6 +257,12 @@ def relay_deliver(dest: ZoneRuntime, topic: str, payload: Any,
         trace._seq += 1
 
 
+def _relay_arrival(event: Any) -> None:
+    """The one callback of every relay arrival event: deliver the
+    ``(dest, topic, payload, span)`` message the event carries."""
+    relay_deliver(*event._value)
+
+
 def flush_zone_inbox(dest: ZoneRuntime, batches: Iterable[list],
                      latency: float, epoch: int, t_barrier: float,
                      record_barrier: bool) -> int:
@@ -242,7 +270,8 @@ def flush_zone_inbox(dest: ZoneRuntime, batches: Iterable[list],
     buffered message (batches already in source-rank order, messages in
     send order) as a DES event at its true arrival time, then publish
     the relay/barrier bookkeeping records. Returns messages injected."""
-    sim = dest.ctx.sim
+    timeout = dest.ctx.sim.timeout
+    now = dest.ctx.sim.now
     count = 0
     spans = 0
     for batch in batches:
@@ -251,11 +280,10 @@ def flush_zone_inbox(dest: ZoneRuntime, batches: Iterable[list],
             # one-ulp float shortfall when the sum rounds below
             # the epoch-grid boundary (same clamp on every shard
             # count — the grid is computed identically).
-            delay = send_s + latency - sim.now
-            arrival = sim.timeout(delay if delay > 0.0 else 0.0)
-            arrival.add_callback(
-                lambda _ev, _z=dest, _t=topic, _p=payload, _s=span:
-                relay_deliver(_z, _t, _p, _s))
+            delay = send_s + latency - now
+            timeout(delay if delay > 0.0 else 0.0,
+                    (dest, topic, payload, span)).callbacks.append(
+                        _relay_arrival)
             count += 1
             if span is not None:
                 spans += 1
@@ -478,14 +506,18 @@ class ShardedContext:
     # -- cross-zone relay --------------------------------------------------
 
     def _refresh_relays(self) -> None:
-        """(Re)install relay taps: for every pattern some zone subscribes
-        to, every *other* zone's bus gets a tap buffering matching
-        publishes for barrier delivery. Idempotent; re-run whenever a
-        subscription was added since the last barrier."""
+        """(Re)install relay taps: for every pattern on a zone's bus,
+        every *other* zone's bus gets a tap buffering matching publishes
+        for barrier delivery. The patterns include the taps already on
+        that bus, so a pattern one zone subscribes to spreads to every
+        zone within a round or two. Idempotent; re-run whenever a
+        subscription (a tap included) was added since the last
+        barrier."""
         watermark = sum(z.ctx.bus._order for z in self._zones)
         if watermark == self._sub_watermark:
             return
         self._sub_watermark = watermark
+        round_taps: dict[tuple[int, str], list] = {}
         for dest in self._zones:
             patterns: list[str] = []
             seen: set[str] = set()
@@ -500,23 +532,18 @@ class ShardedContext:
                 if pair not in self._outbox:
                     self._outbox[pair] = []
                     self._marks[pair] = [-1]
-                tap = None
                 for pattern in patterns:
                     key = (src.rank, dest.rank, pattern)
                     if key in self._tapped:
                         continue
-                    if tap is None:
-                        tap = self._make_tap(src, pair)
                     self._tapped.add(key)
-                    src.ctx.bus.subscribe(pattern, tap)
+                    add_relay_tap(round_taps, src, pattern,
+                                  self._outbox[pair], self._marks[pair])
         if self._tapped and self.lookahead_s == _INF:
             raise ConfigurationError(
                 "zones subscribe to each other's topics but no "
                 "cross-zone link latency is configured; pass "
                 "link_latency_s= so the epoch barrier has a lookahead")
-
-    def _make_tap(self, src: ZoneRuntime, pair: tuple[int, int]):
-        return make_relay_tap(src, self._outbox[pair], self._marks[pair])
 
     def _flush(self, epoch: int, t_barrier: float) -> list[int]:
         """Barrier: inject buffered cross-zone messages into their

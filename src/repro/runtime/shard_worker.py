@@ -32,7 +32,7 @@ coordinator (:class:`~repro.runtime.parallel.ParallelShardedContext`):
     the zone finalizers and return their results; exit.
 
 Determinism: the worker reuses the *same* tap/delivery/injection
-primitives as the sequential backend (``make_relay_tap``,
+primitives as the sequential backend (``add_relay_tap``,
 ``flush_zone_inbox`` — single implementation, see
 :mod:`repro.runtime.shard`), the zone seed subtree hangs off the zone
 name, and tap installation order only perturbs bus bookkeeping, never
@@ -53,8 +53,8 @@ from repro.runtime.context import RuntimeContext
 from repro.runtime.shard import (
     PARTITION_TOPIC,
     ZoneRuntime,
+    add_relay_tap,
     flush_zone_inbox,
-    make_relay_tap,
 )
 
 
@@ -119,13 +119,11 @@ class ShardWorkerHost:
                 self.state[zone.rank] = spec.builder(
                     zone.ctx, zone.name, spec.builder_args)
         # Relay plumbing, same shape as the sequential backend: one
-        # outbox/mark per (src, dest) pair, tap closures per refresh
-        # round. Tap subscriptions are tracked so organic pattern
-        # reports exclude them (the coordinator models tap-pattern
-        # propagation itself).
+        # outbox/mark per (src, dest) pair, fan-out taps per refresh
+        # round. Organic pattern reports skip tap subscriptions (the
+        # coordinator models tap-pattern propagation itself).
         self._outbox: dict[tuple[int, int], list] = {}
         self._marks: dict[tuple[int, int], list[int]] = {}
-        self._tap_subs: dict[int, set] = {z.rank: set() for z in self.zones}
         self._order_reported: dict[int, int] = \
             {z.rank: -1 for z in self.zones}
         self._injected = 0
@@ -147,11 +145,10 @@ class ShardWorkerHost:
             if order == self._order_reported[zone.rank]:
                 continue
             self._order_reported[zone.rank] = order
-            taps = self._tap_subs[zone.rank]
             patterns: list[str] = []
             seen: set[str] = set()
             for sub in zone.ctx.bus._subs:
-                if sub.active and sub not in taps \
+                if sub.active and not sub.tap \
                         and sub.pattern not in seen:
                     seen.add(sub.pattern)
                     patterns.append(sub.pattern)
@@ -160,22 +157,18 @@ class ShardWorkerHost:
 
     def install_taps(self, directives: list[tuple[int, int, str]]) -> None:
         """Subscribe coordinator-directed relay taps on local source
-        zones. One tap closure per (src, dest) pair per call — the same
-        sharing the sequential refresh gives one refresh round."""
-        round_taps: dict[tuple[int, int], Any] = {}
+        zones. One call is one refresh round: one fan-out tap per
+        (src, pattern), exactly the grouping the sequential refresh
+        gives a round."""
+        round_taps: dict[tuple[int, str], list] = {}
         for src_rank, dest_rank, pattern in directives:
             src = self.by_rank[src_rank]
             pair = (src_rank, dest_rank)
             if pair not in self._outbox:
                 self._outbox[pair] = []
                 self._marks[pair] = [-1]
-            tap = round_taps.get(pair)
-            if tap is None:
-                tap = make_relay_tap(src, self._outbox[pair],
-                                     self._marks[pair])
-                round_taps[pair] = tap
-            sub = src.ctx.bus.subscribe(pattern, tap)
-            self._tap_subs[src_rank].add(sub)
+            add_relay_tap(round_taps, src, pattern, self._outbox[pair],
+                          self._marks[pair])
             # Installing a tap bumps the bus order; that must not
             # masquerade as an organic subscription next barrier.
             self._order_reported[src_rank] = src.ctx.bus._order

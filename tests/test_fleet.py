@@ -2,12 +2,15 @@
 
 The load-bearing property is the RNG contract: :meth:`DeviceFleet.step`
 (one ``random(n)`` batch pair) must be state-for-state, joule-for-joule
-identical to :meth:`DeviceFleet.step_reference` (scalar per-device draws
-in index order) — that equivalence is what lets the 10k-device scenario
-replace per-object device churn without changing any replayed trace.
+identical to :func:`step_reference` (scalar per-device draws in index
+order, then the plain ``np.where`` arithmetic) — that equivalence is
+what lets the 10k-device scenario replace per-object device churn
+without changing any replayed trace. It is checked bit for bit: the
+step's in-place products must round exactly like the reference.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -24,39 +27,108 @@ def _fleet(seed: int, size: int = 16, **kwargs) -> DeviceFleet:
                        **kwargs)
 
 
+def step_reference(fleet: DeviceFleet, dt_s: float, *,
+                   publish: bool = True) -> None:
+    """Scalar twin of :meth:`DeviceFleet.step`: one draw per device in
+    index order from the fleet's stream, then the state update written
+    the straightforward way (``np.where`` selections into fresh arrays,
+    ``.sum()`` counts, ``dt_s * ~up`` downtime)."""
+    rng = fleet._rng
+    u_churn = np.array([rng.random() for _ in range(fleet.size)])
+    u_load = np.array([rng.random() for _ in range(fleet.size)])
+    p_fail = -math.expm1(-fleet.fail_rate_per_s * dt_s)
+    p_repair = -math.expm1(-fleet.repair_rate_per_s * dt_s)
+    was_up = fleet.up
+    if fleet.forced_outage:
+        forced = int(was_up.sum())
+        fleet.forced_failures += forced
+        fleet._bump(fleet._c_forced, forced)
+        up = np.zeros(fleet.size, dtype=bool)
+    else:
+        fails = was_up & (u_churn < p_fail)
+        repairs = ~was_up & (u_churn < p_repair)
+        n_fail = int(fails.sum())
+        n_repair = int(repairs.sum())
+        fleet.failures += n_fail
+        fleet.repairs += n_repair
+        fleet._bump(fleet._c_failures, n_fail)
+        fleet._bump(fleet._c_repairs, n_repair)
+        up = (was_up & ~fails) | repairs
+    fleet._bump(fleet._c_steps, 1)
+    fleet.up = up
+    fleet.utilization = np.where(up, u_load, 0.0)
+    fleet.energy_j += dt_s * np.where(
+        up, fleet._idle_w + fleet.utilization
+        * (fleet._busy_w - fleet._idle_w), 0.0)
+    fleet.downtime_s += dt_s * ~up
+    fleet.steps += 1
+    fleet.elapsed_s += dt_s
+    if not publish:
+        return
+    fleet.ctx.publish(f"shard.fleet.telemetry.{fleet.zone}", {
+        "zone": fleet.zone,
+        "time_s": fleet.ctx.now,
+        "up": int(up.sum()),
+        "utilization": float(fleet.utilization.mean()),
+        "energy_j": float(fleet.energy_j.sum()),
+        "failures": fleet.failures,
+        "repairs": fleet.repairs,
+    })
+
+
+def _assert_bit_equal(fast: DeviceFleet, slow: DeviceFleet) -> None:
+    """State arrays byte for byte (so +0.0 vs -0.0 or a last-bit
+    rounding difference fails), counters, metrics and the trace —
+    which holds every telemetry payload — equal."""
+    for name in ("up", "energy_j", "downtime_s", "utilization"):
+        a, b = getattr(fast, name), getattr(slow, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+    for name in ("failures", "repairs", "forced_failures", "steps",
+                 "elapsed_s"):
+        assert getattr(fast, name) == getattr(slow, name), name
+    assert fast.ctx.metrics.to_payload() == slow.ctx.metrics.to_payload()
+    assert fast.ctx.trace.to_jsonl() == slow.ctx.trace.to_jsonl()
+    assert fast.scorecard() == slow.scorecard()
+
+
 class TestVectorizedEqualsReference:
-    @settings(max_examples=25)
+    @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1),
            size=st.integers(min_value=1, max_value=40),
-           steps=st.integers(min_value=1, max_value=8))
-    def test_step_equals_step_reference(self, seed, size, steps):
+           plan=st.lists(st.tuples(st.sampled_from([0.5, 2.0, 5.0]),
+                                   st.booleans(), st.booleans()),
+                         min_size=1, max_size=8))
+    def test_step_equals_step_reference(self, seed, size, plan):
         """Same seed, same stream: the vectorized batch path and the
-        scalar per-device loop produce identical state and telemetry."""
+        scalar per-device loop produce bit-identical state, counters
+        and telemetry — through forced-outage steps and steps that
+        skip the publish."""
         fast = _fleet(seed, size, fail_rate_per_s=2e-2,
                       repair_rate_per_s=2e-1)
         slow = _fleet(seed, size, fail_rate_per_s=2e-2,
                       repair_rate_per_s=2e-1)
-        for _ in range(steps):
-            fast.step(5.0)
-            slow.step_reference(5.0)
-        assert np.array_equal(fast.up, slow.up)
-        assert np.array_equal(fast.energy_j, slow.energy_j)
-        assert np.array_equal(fast.downtime_s, slow.downtime_s)
-        assert np.array_equal(fast.utilization, slow.utilization)
-        assert fast.scorecard() == slow.scorecard()
+        for dt_s, forced, publish in plan:
+            fast.forced_outage = slow.forced_outage = forced
+            fast.step(dt_s, publish=publish)
+            step_reference(slow, dt_s, publish=publish)
+            _assert_bit_equal(fast, slow)
 
     def test_telemetry_streams_identical(self):
-        fast = _fleet(9, fail_rate_per_s=1e-2)
-        slow = _fleet(9, fail_rate_per_s=1e-2)
-        for _ in range(5):
-            fast.step(10.0)
-            slow.step_reference(10.0)
+        fast = _fleet(9, size=6250, fail_rate_per_s=1e-2)
+        slow = _fleet(9, size=6250, fail_rate_per_s=1e-2)
+        for step in range(6):
+            forced = step == 2
+            fast.forced_outage = slow.forced_outage = forced
+            fast.step(10.0, publish=step != 3)
+            step_reference(slow, 10.0, publish=step != 3)
         fast_tele = [rec.payload for rec in fast.ctx.trace
                      if rec.topic.startswith("shard.fleet.telemetry.")]
         slow_tele = [rec.payload for rec in slow.ctx.trace
                      if rec.topic.startswith("shard.fleet.telemetry.")]
         assert len(fast_tele) == 5
         assert fast_tele == slow_tele
+        _assert_bit_equal(fast, slow)
 
 
 class TestChurnAccounting:

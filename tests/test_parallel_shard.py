@@ -141,6 +141,74 @@ class TestParallelEqualsSequential:
         assert par_ctx.merged_records() is par_ctx.merged_records()
 
 
+def _build_chain_zone(ctx, zone: str, args) -> list:
+    """Relay chain: zone a publishes ``app.ping`` at t=1; zone b answers
+    every ping with an ``app.pong``; zone c listens for pongs. Returns
+    the zone's handler log of ``(receive time, topic)``."""
+    log: list = []
+    if zone == "a":
+        def sender():
+            yield ctx.sim.timeout(1.0)
+            ctx.publish("app.ping", {"n": 1})
+        ctx.sim.process(sender())
+    elif zone == "b":
+        def on_ping(topic, payload):
+            log.append((ctx.now, topic))
+            ctx.publish("app.pong", {"n": payload["n"]})
+        ctx.subscribe("app.ping", on_ping)
+    else:
+        ctx.subscribe("app.pong",
+                      lambda topic, payload: log.append((ctx.now, topic)))
+    return log
+
+
+def _finalize_chain_zone(log: list, zone: str, args) -> list:
+    return log
+
+
+class TestRelayChain:
+    """A handler that answers a relayed message with a publish of its
+    own: the relayed delivery must not be forwarded again, but the
+    answer is an ordinary publish and must relay on."""
+
+    LATENCY = 0.5
+
+    def test_answer_to_relayed_message_relays_once(self):
+        names = ["a", "b", "c"]
+        seq = ShardedContext(seed=3, zones=names, n_shards=3,
+                             link_latency_s=self.LATENCY)
+        seq_logs = {name: _build_chain_zone(seq.zone(name), name, None)
+                    for name in names}
+        seq.run(until=10.0)
+        with ParallelShardedContext(
+                seed=3, zones=names, workers=2,
+                link_latency_s=self.LATENCY,
+                zone_builder=_build_chain_zone,
+                zone_finalizer=_finalize_chain_zone) as par:
+            par.run(until=10.0)
+            par_logs = par.finalize()
+        for sharded, logs in ((seq, seq_logs), (par, par_logs)):
+            # b hears the ping exactly once, one latency after a sent it.
+            assert logs["b"] == [(1.0 + self.LATENCY, "app.ping")]
+            # c hears b's answer exactly once, one latency later.
+            t_b = logs["b"][0][0]
+            assert logs["c"] == [(t_b + self.LATENCY, "app.pong")]
+            assert logs["a"] == []
+            # Every message is recorded once per zone: its origin
+            # publish, then one relayed delivery in each other zone.
+            # Nothing comes back to its sender.
+            app = sorted((rec.topic, name, rec.time_s)
+                         for name, rec in sharded.merged_records()
+                         if rec.topic.startswith("app."))
+            assert app == [
+                ("app.ping", "a", 1.0), ("app.ping", "b", t_b),
+                ("app.ping", "c", t_b),
+                ("app.pong", "a", t_b + self.LATENCY),
+                ("app.pong", "b", t_b),
+                ("app.pong", "c", t_b + self.LATENCY)]
+        assert par.digest() == seq.digest()
+
+
 def _build_crashing_zone(ctx, zone: str, args: dict) -> dict:
     """The first zone hosts a process that kills its whole worker
     mid-epoch — simulating a hard crash (OOM-kill, segfault)."""

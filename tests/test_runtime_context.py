@@ -42,6 +42,32 @@ class TestRuntimeContext:
         assert ctx.bus.total_delivered == 0
         assert len(ctx.trace) == 1
 
+    def test_publish_organic_skips_relay_taps(self):
+        """The relayed-delivery path: traced and counted like publish,
+        delivered past the subscriptions flagged as relay taps, while
+        a handler's own publish reaches the taps as usual."""
+        ctx = RuntimeContext()
+        seen = []
+        tap = ctx.subscribe("a.**", lambda t, p: seen.append(("tap", t)))
+        tap.tap = True
+
+        def organic(topic, payload):
+            seen.append(("organic", topic))
+            ctx.publish("a.reply")
+
+        ctx.subscribe("a.b", organic)
+        assert ctx.bus.publish_organic("a.b", {"x": 1}) == 1
+        assert seen == [("organic", "a.b"), ("tap", "a.reply")]
+        assert [r.topic for r in ctx.trace] == ["a.b", "a.reply"]
+        publishes = ctx.metrics.to_payload()["runtime.bus.publishes"]
+        assert publishes["labels"] == {"a.b": 1, "a.reply": 1}
+        # A later subscription invalidates the tap-free dispatch cache.
+        ctx.subscribe("a.b", lambda t, p: seen.append(("late", t)))
+        seen.clear()
+        assert ctx.bus.publish_organic("a.b") == 2
+        assert seen == [("organic", "a.b"), ("tap", "a.reply"),
+                        ("late", "a.b")]
+
     def test_trace_stamped_with_sim_time(self):
         ctx = RuntimeContext()
 
