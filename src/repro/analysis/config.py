@@ -43,11 +43,6 @@ class AnalysisConfig:
     print_allowlist: list[str] = field(
         default_factory=lambda: ["analysis/cli.py", "obs/cli.py",
                                  "chaos/cli.py"])
-    # Call sites still permitted to use the deprecated context shims
-    # (ensure_context / as_simulator). Empty by default: new code goes
-    # through RuntimeContext.adopt; the shims survive only inside
-    # runtime/ itself (built-in) and tests.
-    context_shim_allowlist: list[str] = field(default_factory=list)
     # Call sites still permitted to use the deprecated
     # PlacementStrategy.place() entry point. Empty by default: new code
     # builds a PlacementRequest and calls solve(); tests keep calling
@@ -91,23 +86,6 @@ class AnalysisConfig:
         """
         rel = rel_path.replace("\\", "/")
         for entry in self.print_allowlist:
-            if entry.endswith("/"):
-                if f"/{entry.strip('/')}/" in f"/{rel}":
-                    return True
-            elif rel.endswith(entry):
-                return True
-        return False
-
-    def is_context_shim_allowed(self, rel_path: str) -> bool:
-        """May this file still call the deprecated context shims?
-
-        ``runtime/`` (where the shims live) and test trees are always
-        allowed; other entries use the print-allowlist semantics.
-        """
-        rel = rel_path.replace("\\", "/")
-        if "/runtime/" in f"/{rel}" or "/tests/" in f"/{rel}":
-            return True
-        for entry in self.context_shim_allowlist:
             if entry.endswith("/"):
                 if f"/{entry.strip('/')}/" in f"/{rel}":
                     return True
@@ -167,8 +145,6 @@ def load_config(root: str | Path | None = None) -> AnalysisConfig:
                       ("rng-allowlist", "rng_allowlist"),
                       ("runtime-allowlist", "runtime_allowlist"),
                       ("print-allowlist", "print_allowlist"),
-                      ("context-shim-allowlist",
-                       "context_shim_allowlist"),
                       ("place-api-allowlist", "place_api_allowlist"),
                       ("flow-paths", "flow_paths")):
         value = table.get(key)

@@ -132,10 +132,9 @@ TOPIC_CONTRACTS: tuple[TopicContract, ...] = (
     _c("chaos.breaker.state", required="breaker state time_s",
        description="circuit breaker transition"),
     # -- zone-sharded simulation --------------------------------------------
-    # Emitted identically by both shard backends (ShardedContext and the
-    # multiprocess ParallelShardedContext) — the merged-trace digest is
-    # byte-identical across them, so the contracts below are
-    # backend-agnostic.
+    # Emitted identically by both ShardedContext executors (in process
+    # and worker processes) — the merged-trace digest is byte-identical
+    # across them, so the contracts below are executor-agnostic.
     _c("shard.partition.assign",
        required="zone rank epoch_s lookahead_s time_s",
        description="zone joined the sharded run (rank order; shard/"

@@ -300,45 +300,6 @@ class PrintTelemetryRule(Rule):
                        "publish on the bus instead")
 
 
-# Canonical and re-exported names of the deprecated context shims:
-# RuntimeContext.adopt() replaced both.
-_CONTEXT_SHIMS = frozenset({
-    "repro.runtime.ensure_context",
-    "repro.runtime.as_simulator",
-    "repro.runtime.context.ensure_context",
-    "repro.runtime.context.as_simulator",
-})
-
-
-@register_rule
-class DeprecatedContextShimRule(Rule):
-    """``ensure_context``/``as_simulator`` are deprecated shims.
-
-    ``RuntimeContext.adopt()`` is the one context-injection surface;
-    the old helpers survive only for external callers (they warn) and
-    inside ``repro/runtime/`` itself. Any other in-repo call site is a
-    migration that was missed — flag it so the shims can eventually be
-    deleted. Stragglers with a reason to wait go on the
-    ``context-shim-allowlist``.
-    """
-
-    rule_id = "deprecated-context-shim"
-    description = ("call to deprecated ensure_context()/as_simulator() "
-                   "(use RuntimeContext.adopt)")
-    severity = Severity.ERROR
-    node_types = (ast.Call,)
-
-    def on_node(self, node: ast.Call, ctx: LintContext) -> None:
-        if ctx.config.is_context_shim_allowed(ctx.rel_path):
-            return
-        target = ctx.resolve_call_target(node.func)
-        if target in _CONTEXT_SHIMS:
-            shim = target.rsplit(".", 1)[-1]
-            ctx.report(self, node,
-                       f"deprecated context shim {shim}(); use "
-                       "RuntimeContext.adopt(obj) instead")
-
-
 @register_rule
 class DeprecatedPlaceApiRule(Rule):
     """``PlacementStrategy.place()`` is a deprecated shim over solve().

@@ -3,7 +3,7 @@
 This is the 10k-device / 8-zone proof scenario behind
 ``examples/continuum_scale.py`` and the ``sim.sharded.10k`` benchmark,
 and — via :meth:`ScaleConfig.metro_100k` — the 100k-device / 16-zone
-flagship the multiprocess backend targets. Each zone hosts one
+flagship the worker executor targets. Each zone hosts one
 :class:`~repro.continuum.fleet.DeviceFleet` (vectorized churn +
 telemetry), zone 0 aggregates every zone's fleet telemetry across shard
 boundaries, and one zone suffers a correlated outage mid-run — so a
@@ -14,16 +14,15 @@ merged-trace determinism contract at scale.
 ``run_scale_scenario(config)``; their merged traces must be
 byte-identical (``ScaleResult.digest``) and their scorecards equal —
 tests and the CI ``scale-smoke`` job pin both. ``run_scale_scenario(
-config, workers=N)`` runs the same scenario on the multiprocess
-:class:`~repro.runtime.parallel.ParallelShardedContext`; the digest
-contract extends across the process boundary (parallel == sequential ==
-single-shard, byte for byte).
+config, workers=N)`` runs the same scenario in N worker processes; the
+digest contract extends across the process boundary (workers ==
+in-process == single-shard, byte for byte).
 
 The zone build steps live in module-level functions
 (:func:`build_scale_zone` / :func:`finalize_scale_zone`) because worker
-processes re-run them per zone — and the sequential path calls the very
-same functions in zone-rank order, so both backends construct zones
-through one code path.
+processes re-run them per zone; the in-process executor calls the very
+same functions in zone-rank order, so both construct zones through one
+code path.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.continuum.fleet import DeviceFleet
-from repro.runtime.parallel import ParallelShardedContext
 from repro.runtime.shard import ShardedContext
 
 
@@ -43,8 +41,8 @@ class ScaleConfig:
     devices: int = 10_000
     zones: int = 8
     shards: int = 8
-    #: Worker processes for ``run_scale_scenario``: 0 runs the
-    #: sequential in-process backend, >= 1 the multiprocess backend.
+    #: Worker processes for ``run_scale_scenario``: 0 runs every shard
+    #: in process, N >= 1 runs N worker processes.
     workers: int = 0
     horizon_s: float = 1000.0
     seed: int = 0
@@ -88,8 +86,8 @@ class ScaleConfig:
 
 def build_scale_zone(ctx, zone: str, config: ScaleConfig) -> dict:
     """Construct one zone: its fleet, its outage, and — on zone 0 —
-    the cross-zone telemetry aggregator. Called per zone in rank order
-    by both backends (inside the worker process for the parallel one).
+    the cross-zone telemetry aggregator. Called per zone in rank order,
+    inside the zone's worker process when there are workers.
     """
     names = config.zone_names()
     index = names.index(zone)
@@ -142,13 +140,12 @@ def finalize_scale_zone(state: dict, zone: str,
 
 @dataclass
 class ScaleResult:
-    """A finished scale run: the (sequential or parallel) sharded
-    context, the per-zone scorecards and the zone-0 aggregate."""
+    """A finished scale run: the sharded context, the per-zone
+    scorecards and the zone-0 aggregate."""
 
-    sharded: Any
-    fleets: list[DeviceFleet]
+    sharded: ShardedContext
     aggregate: dict
-    zone_scorecards: list[dict] | None = None
+    zone_scorecards: list[dict]
 
     def digest(self) -> str:
         """SHA-256 of the merged trace (shard- and worker-count-
@@ -161,12 +158,10 @@ class ScaleResult:
         Equal — key for key, float for float — between a sharded run,
         its single-shard twin and a multiprocess run.
         """
-        zones = self.zone_scorecards if self.zone_scorecards is not None \
-            else [fleet.scorecard() for fleet in self.fleets]
         return {
-            "devices": sum(z["devices"] for z in zones),
+            "devices": sum(z["devices"] for z in self.zone_scorecards),
             "epochs": self.sharded.epoch,
-            "zones": zones,
+            "zones": self.zone_scorecards,
             "aggregator": self.aggregate,
         }
 
@@ -177,41 +172,22 @@ def run_scale_scenario(config: ScaleConfig = ScaleConfig(),
     """Build and run the scenario.
 
     *n_shards* overrides ``config.shards`` (pass 1 for the determinism
-    twin); *workers* overrides ``config.workers`` — 0 for the
-    sequential in-process backend, >= 1 for that many worker processes.
+    twin); *workers* overrides ``config.workers`` — 0 runs in process,
+    N >= 1 in that many worker processes.
     """
-    shards = config.shards if n_shards is None else n_shards
-    n_workers = config.workers if workers is None else workers
     names = config.zone_names()
-
-    if n_workers >= 1:
-        parallel = ParallelShardedContext(
-            seed=config.seed, zones=names, workers=n_workers,
+    with ShardedContext(
+            seed=config.seed, zones=names,
+            n_shards=config.shards if n_shards is None else n_shards,
+            workers=config.workers if workers is None else workers,
             link_latency_s=config.link_latency_s,
             barrier_record_every=config.barrier_record_every,
             trace_capacity=config.trace_capacity,
             zone_builder=build_scale_zone, zone_args=config,
-            zone_finalizer=finalize_scale_zone, profile=config.profile)
-        try:
-            parallel.run(until=config.horizon_s)
-            by_zone = parallel.finalize()
-        finally:
-            parallel.close()
-        return ScaleResult(
-            sharded=parallel, fleets=[],
-            aggregate=by_zone[names[0]]["aggregate"],
-            zone_scorecards=[by_zone[name]["scorecard"]
-                             for name in names])
-
-    sharded = ShardedContext(
-        seed=config.seed, zones=names, n_shards=shards,
-        link_latency_s=config.link_latency_s,
-        barrier_record_every=config.barrier_record_every,
-        trace_capacity=config.trace_capacity, profile=config.profile)
-    states = [build_scale_zone(sharded.zone(name), name, config)
-              for name in names]
-    sharded.run(until=config.horizon_s)
+            zone_finalizer=finalize_scale_zone,
+            profile=config.profile) as sharded:
+        sharded.run(until=config.horizon_s)
+        by_zone = sharded.finalize()
     return ScaleResult(
-        sharded=sharded,
-        fleets=[state["fleet"] for state in states],
-        aggregate=states[0]["aggregate"])
+        sharded=sharded, aggregate=by_zone[names[0]]["aggregate"],
+        zone_scorecards=[by_zone[name]["scorecard"] for name in names])

@@ -10,10 +10,10 @@ Subcommands, all reading the unified trace a run exports with
 - ``profile``   — DES profiler table + flamegraph-style aggregation
 - ``shards``    — sharded-run barrier/straggler profile
 
-Merged sharded exports (``ShardedContext.export_jsonl`` /
-``ParallelShardedContext.export_jsonl``) tag every row with its zone;
-``tree`` annotates each span node with it and ``--zone`` filters both
-``tree`` and ``timeline`` to one zone's slice of the run.
+Merged sharded exports (``ShardedContext.export_jsonl``, in process or
+with workers) tag every row with its zone; ``tree`` annotates each span
+node with it and ``--zone`` filters both ``tree`` and ``timeline`` to
+one zone's slice of the run.
 
 Everything is stdlib-only and renders from the file alone; no live
 runtime objects are needed, so traces can be inspected long after (or

@@ -19,7 +19,6 @@ exports — deterministic replay across every layer at once.
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.events import EventBus, Handler, Subscription
@@ -139,10 +138,6 @@ class RuntimeContext:
         :class:`~repro.continuum.simulator.Simulator` is wrapped in a
         fresh context on that clock (legacy injection style); ``None``
         yields a fresh context seeded with *seed*.
-
-        This replaces the PR-2 ``ensure_context``/``as_simulator`` dual
-        path; those helpers now delegate here and emit
-        ``DeprecationWarning``.
         """
         if isinstance(obj, cls):
             return obj
@@ -243,20 +238,3 @@ class RuntimeContext:
         return (f"RuntimeContext(seed={self.seed}, now={self.now}, "
                 f"trace={len(self.trace)} records)")
 
-
-def ensure_context(obj: Any = None, *, seed: int = 0) -> RuntimeContext:
-    """Deprecated: use :meth:`RuntimeContext.adopt` instead."""
-    warnings.warn(
-        "ensure_context() is deprecated; use RuntimeContext.adopt()",
-        DeprecationWarning, stacklevel=2)
-    return RuntimeContext.adopt(obj, seed=seed)
-
-
-def as_simulator(obj: Any) -> "Simulator":
-    """Deprecated: use ``RuntimeContext.adopt(obj).sim`` instead."""
-    warnings.warn(
-        "as_simulator() is deprecated; use RuntimeContext.adopt(obj).sim",
-        DeprecationWarning, stacklevel=2)
-    if isinstance(obj, RuntimeContext):
-        return obj.sim
-    return obj

@@ -1,74 +1,34 @@
-"""Multiprocess shard execution: one worker process per shard heap.
+"""Worker processes for ``ShardedContext(workers=N)``.
 
-:class:`ParallelShardedContext` is the parallel twin of
-:class:`~repro.runtime.shard.ShardedContext`: zones are grouped onto
-``workers`` shard heaps in contiguous rank blocks, but each heap lives
-in its own OS process (:mod:`repro.runtime.shard_worker`) and all
-shards advance *concurrently* between conservative epoch barriers. The
-coordinator drives the same epoch grid — ``barrier(k) = start +
-(k+1) * epoch_s`` — routes buffered cross-worker relay messages at each
-barrier, and replicates every zone's trace ring from per-epoch record
-batches the workers stream back, so the merged trace (and its SHA-256
-digest) is byte-identical to the sequential run.
-
-Why determinism survives the process boundary:
-
-* **Zones are the unit of determinism** (see :mod:`repro.runtime.shard`)
-  — a zone's seed subtree hangs off its *name*, its records carry
-  zone-local sequence numbers, and the worker count only regroups zones
-  onto heaps, which PR 7's shard-invariance property already proves
-  unobservable.
-* **Relay content is membership-pure.** The sequential backend
-  propagates tapped patterns transitively through its per-barrier
-  refresh (a tap subscription on a destination's bus is itself a
-  pattern the next refresh copies to sources). What a (src, dest) pair
-  buffers depends only on the *set* of tapped patterns — matching is
-  any-pattern with per-publish dedup — so the coordinator can model
-  that propagation centrally with sets (:class:`_RelayModel`,
-  rank-ordered destination passes, one pass per barrier exactly like
-  the sequential watermark) and ship tap directives to workers without
-  replaying subscription order.
-* **Injection order is reproduced, not approximated.** Workers flush
-  their local destination zones in rank order, merging source batches
-  in *global* rank order (local buffers and coordinator-routed remote
-  snapshots interleaved), through the same ``flush_zone_inbox``
-  primitive the sequential backend uses.
+Each worker process hosts one shard: a
+:class:`~repro.runtime.shard.ShardHost` with one ``Simulator`` heap and
+its contiguous rank block of zones. It serves the coordinator's
+commands (:func:`~repro.runtime.shard.serve`) off a duplex pipe, so all
+N heaps advance *concurrently* between conservative epoch barriers —
+with the same tap, delivery and injection code the in-process executor
+runs, which is what keeps the merged trace byte-identical.
 
 The coordinator never blocks forever on a dead worker: every receive
 polls the pipe with the process's liveness and a timeout, and a worker
-that dies (or reports a traceback) raises :class:`ShardWorkerError`
-after terminating the fleet.
+that dies, hangs or reports a traceback raises :class:`ShardWorkerError`
+after terminating the whole fleet.
 """
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing
 import time
-from collections import deque
-from pathlib import Path
-from typing import Any, Callable, Sequence
+import traceback
 
-from repro.core.errors import ConfigurationError, ReproError
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiler import ShardProfiler
-from repro.runtime.shard import (
-    EPOCH_BUCKETS,
-    SHARD_SCOPED_METRICS,
-    append_observability_jsonl,
-    render_merged_jsonl,
-)
-from repro.runtime.shard_worker import WorkerSpec, worker_main
-from repro.runtime.trace import TraceRecord
+from repro.core.errors import ReproError
+from repro.runtime.shard import ShardedContext, ShardHost, serve
 
-_INF = float("inf")
+#: Seconds the coordinator waits for one worker reply.
+WORKER_TIMEOUT_S = 600.0
 
-#: Message the sequential backend raises verbatim; kept identical so
-#: scenario code can catch one error for either backend.
-_NO_LOOKAHEAD_MSG = (
-    "zones subscribe to each other's topics but no "
-    "cross-zone link latency is configured; pass "
-    "link_latency_s= so the epoch barrier has a lookahead")
+#: The name the end-to-end benchmark imports; in-repo code constructs
+#: ``ShardedContext(workers=N)``.
+ParallelShardedContext = ShardedContext
 
 
 class ShardWorkerError(ReproError):
@@ -76,561 +36,129 @@ class ShardWorkerError(ReproError):
     unrecoverable and every sibling worker has been terminated."""
 
 
-class _RelayModel:
-    """Coordinator-side replica of the sequential tap-propagation state.
+class WorkerFleet:
+    """The coordinator's pipes to its worker processes, one per shard.
 
-    ``organic[rank]`` holds the patterns scenario code subscribed on a
-    zone's bus (reported by workers); ``tap_patterns[rank]`` the
-    patterns of relay taps installed *on* that zone's bus. A refresh
-    pass walks destinations in rank order — exactly one pass per
-    barrier, like the sequential subscription watermark — and, for
-    every destination pattern not yet tapped on a (src, dest) pair,
-    emits a directive and records the tap, which makes the pattern
-    visible to *later* destinations in the same pass (the sequential
-    backend's intra-pass transitivity).
+    *hosts* holds each worker's ``ShardHost`` ``(args, kwargs)``. The
+    builder and finalizer inside must be module-level callables:
+    workers fork where the platform allows (spawn elsewhere), and spawn
+    pickles them.
     """
 
-    def __init__(self, n_zones: int):
-        self.organic: list[set[str]] = [set() for _ in range(n_zones)]
-        self.tap_patterns: list[set[str]] = [set() for _ in range(n_zones)]
-        self.tapped: set[tuple[int, int, str]] = set()
-        self._dirty = True
-        self._rerun = False
-
-    def report(self, rank: int, patterns: Sequence[str]) -> None:
-        merged = self.organic[rank] | set(patterns)
-        if merged != self.organic[rank]:
-            self.organic[rank] = merged
-        self._dirty = True
-
-    def refresh(self) -> list[tuple[int, int, str]]:
-        """One propagation pass; returns new (src, dest, pattern) tap
-        directives. Re-arms itself when a pass installed taps, matching
-        the sequential watermark (tap subscriptions bump it too)."""
-        if not (self._dirty or self._rerun):
-            return []
-        self._dirty = False
-        directives: list[tuple[int, int, str]] = []
-        n = len(self.organic)
-        for dest in range(n):
-            # sorted() only fixes directive order (bus bookkeeping);
-            # relay content is membership-pure, so set iteration order
-            # can never be observable — this is belt and braces.
-            patterns = sorted(self.organic[dest]
-                              | self.tap_patterns[dest])
-            for src in range(n):
-                if src == dest:
-                    continue
-                for pattern in patterns:
-                    key = (src, dest, pattern)
-                    if key in self.tapped:
-                        continue
-                    self.tapped.add(key)
-                    self.tap_patterns[src].add(pattern)
-                    directives.append(key)
-        self._rerun = bool(directives)
-        return directives
-
-
-class _WorkerHandle:
-    __slots__ = ("worker_id", "proc", "conn", "local_ranks", "events",
-                 "injected")
-
-    def __init__(self, worker_id, proc, conn, local_ranks):
-        self.worker_id = worker_id
-        self.proc = proc
-        self.conn = conn
-        self.local_ranks = local_ranks
-        self.events = 0
-        self.injected = 0
-
-
-class ParallelShardedContext:
-    """Drives zone shards in worker processes under epoch barriers.
-
-    Because zones live in other processes, scenario code cannot poke a
-    zone's context directly: pass a module-level ``zone_builder(ctx,
-    zone_name, zone_args)`` that constructs each zone's processes and
-    subscriptions (called once per zone, in rank order, inside its
-    worker), and optionally a ``zone_finalizer(state, zone_name,
-    zone_args)`` whose picklable return value :meth:`finalize` collects
-    — scorecards, aggregates, delivery logs.
-
-    Use as a context manager (or call :meth:`close`) so worker
-    processes are reaped deterministically.
-    """
-
-    def __init__(self, seed: int = 0, zones: Sequence[str] = ("zone-00",),
-                 workers: int = 1, *, link_latency_s: float | None = None,
-                 epoch_s: float | None = None, start_time: float = 0.0,
-                 trace_capacity: int = 65536, barrier_record_every: int = 1,
-                 zone_builder: Callable | None = None,
-                 zone_args: Any = None,
-                 zone_finalizer: Callable | None = None,
-                 start_method: str | None = None,
-                 worker_timeout_s: float = 600.0,
-                 profile: bool = False):
-        names = list(zones)
-        if not names:
-            raise ConfigurationError("at least one zone is required")
-        if len(set(names)) != len(names):
-            raise ConfigurationError(f"duplicate zone names in {names}")
-        if link_latency_s is not None and link_latency_s <= 0:
-            raise ConfigurationError("cross-zone link latency must be > 0")
-        if epoch_s is not None and epoch_s <= 0:
-            raise ConfigurationError("epoch_s must be > 0")
-        if barrier_record_every < 1:
-            raise ConfigurationError("barrier_record_every must be >= 1")
-        if workers < 1:
-            raise ConfigurationError("workers must be >= 1")
-        self.seed = int(seed)
-        self.n_workers = max(1, min(int(workers), len(names)))
-        self.link_latency_s = link_latency_s
-        self.lookahead_s = link_latency_s if link_latency_s is not None \
-            else _INF
-        self.epoch_s = min(epoch_s, self.lookahead_s) \
-            if epoch_s is not None else self.lookahead_s
-        self._start = float(start_time)
-        self._now = self._start
-        self._epoch = 0
-        self._barrier_record_every = barrier_record_every
-        self._timeout_s = worker_timeout_s
-        self._names = names
-        self._closed = False
-        self._final: dict[str, Any] | None = None
-
-        n = len(names)
-        self._worker_of = [rank * self.n_workers // n for rank in range(n)]
-        # Per-zone trace-ring replicas: same capacity, same eviction as
-        # the worker-side rings — tuples (seq, time_s, topic, payload,
-        # span) streamed back per epoch.
-        self._streams: list[deque] = \
-            [deque(maxlen=trace_capacity) for _ in range(n)]
-        self._merge_watermark: tuple | None = None
-        self._merged: list[tuple[str, TraceRecord]] = []
-        self._jsonl: str | None = None
-        self._digest: str | None = None
-
-        self._model = _RelayModel(n)
-        self._pending_taps: list[tuple[int, int, str]] = []
-
-        self.metrics = MetricsRegistry()
-        self.metrics.gauge_callback(
-            "runtime.shard.epochs", lambda: float(self._epoch),
-            "completed epoch barriers")
-        self.metrics.gauge_callback(
-            "runtime.shard.workers",
-            lambda: float(sum(1 for w in self._workers
-                              if w.proc.is_alive())),
-            "live shard worker processes")
-        self._relay_messages = self.metrics.counter(
-            "runtime.shard.relay.messages",
-            "cross-zone messages injected at barriers",
-            label_key="worker")
-        self._relay_routed = self.metrics.counter(
-            "runtime.shard.relay.routed",
-            "cross-worker messages routed through the coordinator")
-        self._trace_batches = self.metrics.counter(
-            "runtime.shard.trace.batches",
-            "per-epoch record batches streamed back by workers")
-
-        # Per-zone metrics replicas: payload dicts kept current by the
-        # per-epoch deltas workers piggyback on their flush acks,
-        # applied in (epoch, zone rank) order. aggregate_metrics folds
-        # them exactly like the sequential backend folds live zone
-        # registries — byte-identical payloads for any worker count.
-        self._zone_metrics: list[dict] = [dict() for _ in range(n)]
-
-        #: Opt-in barrier/straggler profiling (unit: worker process).
-        #: Coordinator-side only — never observable in the merged trace.
-        self.profiler = ShardProfiler(self.n_workers, "parallel") \
-            if profile else None
-        if self.profiler is not None:
-            self._h_advance = self.metrics.histogram(
-                "runtime.shard.epoch.advance_seconds",
-                "per-shard wall time advancing to each epoch barrier",
-                buckets=EPOCH_BUCKETS)
-            self._h_wait = self.metrics.histogram(
-                "runtime.shard.epoch.wait_seconds",
-                "per-shard idle wall time at each epoch barrier",
-                buckets=EPOCH_BUCKETS)
-
-        epoch_payload = None if self.epoch_s == _INF else self.epoch_s
-        lookahead_payload = None if self.lookahead_s == _INF \
-            else self.lookahead_s
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        mp = multiprocessing.get_context(start_method)
-        self._workers: list[_WorkerHandle] = []
+    def __init__(self, hosts: list[tuple[tuple, dict]]):
+        methods = multiprocessing.get_all_start_methods()
+        mp = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn")
+        self._procs: list = []
+        self._conns: list = []
+        self._awaiting = "start-up"
         try:
-            for worker_id in range(self.n_workers):
-                local = tuple(rank for rank in range(n)
-                              if self._worker_of[rank] == worker_id)
-                spec = WorkerSpec(
-                    worker_id=worker_id, seed=self.seed,
-                    zones=tuple(names), local_ranks=local,
-                    start_time=self._start,
-                    trace_capacity=trace_capacity,
-                    link_latency_s=link_latency_s,
-                    epoch_payload=epoch_payload,
-                    lookahead_payload=lookahead_payload,
-                    builder=zone_builder, builder_args=zone_args,
-                    finalizer=zone_finalizer)
+            for index, (args, kwargs) in enumerate(hosts):
                 parent_conn, child_conn = mp.Pipe()
                 proc = mp.Process(
-                    target=worker_main, args=(child_conn, spec),
-                    name=f"repro-shard-{worker_id}", daemon=True)
+                    target=worker_main, args=(child_conn, args, kwargs),
+                    name=f"repro-shard-{index}", daemon=True)
                 proc.start()
                 child_conn.close()
-                self._workers.append(
-                    _WorkerHandle(worker_id, proc, parent_conn, local))
-            for handle in self._workers:
-                msg = self._recv(handle, "ready")
-                for rank, patterns in msg[1].items():
-                    self._model.report(rank, patterns)
-                self._apply_metrics(msg[2])
+                self._procs.append(proc)
+                self._conns.append(parent_conn)
         except BaseException:
-            self._abort()
+            self.abort()
             raise
 
-    # -- introspection -----------------------------------------------------
+    def exchange(self, messages: list[tuple] | None = None) -> list:
+        """Send one command per worker — all of them before any reply,
+        so the workers run concurrently — and return their replies in
+        worker order. Without *messages*, collect the start-up replies.
+        """
+        if messages is not None:
+            self._awaiting = messages[0][0]
+            for index, msg in enumerate(messages):
+                try:
+                    self._conns[index].send(msg)
+                except (BrokenPipeError, OSError) as exc:
+                    self._fail(f"pipe to shard worker {index} broke on "
+                               f"send: {exc}")
+        return [self._recv(index) for index in range(len(self._conns))]
 
-    @property
-    def zones(self) -> list[str]:
-        """Zone names in rank order."""
-        return list(self._names)
-
-    @property
-    def now(self) -> float:
-        """Barrier-synchronized simulated time."""
-        return self._now
-
-    @property
-    def epoch(self) -> int:
-        """Completed epoch count."""
-        return self._epoch
-
-    @property
-    def events_executed(self) -> int:
-        """Total DES events executed across every worker heap (as of
-        the last barrier/sync)."""
-        return sum(w.events for w in self._workers)
-
-    def worker_of(self, name: str) -> int:
-        """Worker process index hosting a zone (execution detail —
-        never observable in the merged trace)."""
+    def _recv(self, index: int):
+        conn, proc = self._conns[index], self._procs[index]
+        deadline = time.monotonic() + WORKER_TIMEOUT_S
         try:
-            return self._worker_of[self._names.index(name)]
-        except ValueError:
-            raise ConfigurationError(f"unknown zone {name!r}") from None
-
-    def zone(self, name: str):
-        raise ConfigurationError(
-            "zones live in worker processes; build them with "
-            "zone_builder(ctx, zone, args) and collect results with "
-            "zone_finalizer — ParallelShardedContext cannot hand out "
-            "a live RuntimeContext")
-
-    # -- worker protocol ---------------------------------------------------
-
-    def _recv(self, handle: _WorkerHandle, expect: str):
-        deadline = time.monotonic() + self._timeout_s
-        try:
-            while not handle.conn.poll(0.05):
-                if not handle.proc.is_alive():
+            while not conn.poll(0.05):
+                if not proc.is_alive():
                     # Drain a final message (an error report may have
                     # been flushed right before exit).
-                    if handle.conn.poll(0.2):
+                    if conn.poll(0.2):
                         break
-                    self._abort()
-                    raise ShardWorkerError(
-                        f"shard worker {handle.worker_id} (zones "
-                        f"{[self._names[r] for r in handle.local_ranks]}) "
-                        f"died with exit code {handle.proc.exitcode} "
-                        f"before the {expect!r} reply")
+                    self._fail(
+                        f"shard worker {index} died with exit code "
+                        f"{proc.exitcode} before the {self._awaiting!r} "
+                        "reply")
                 if time.monotonic() > deadline:
-                    self._abort()
-                    raise ShardWorkerError(
-                        f"shard worker {handle.worker_id} did not reply "
-                        f"within {self._timeout_s}s (awaiting {expect!r})")
-            msg = handle.conn.recv()
+                    self._fail(
+                        f"shard worker {index} did not reply within "
+                        f"{WORKER_TIMEOUT_S}s (awaiting "
+                        f"{self._awaiting!r})")
+            reply = conn.recv()
         except (EOFError, OSError) as exc:
-            self._abort()
-            raise ShardWorkerError(
-                f"pipe to shard worker {handle.worker_id} broke "
-                f"(awaiting {expect!r}): {exc}") from None
-        if msg[0] == "error":
-            self._abort()
-            raise ShardWorkerError(
-                f"shard worker {handle.worker_id} raised:\n{msg[1]}")
-        if msg[0] != expect:  # pragma: no cover - protocol guard
-            self._abort()
-            raise ShardWorkerError(
-                f"shard worker {handle.worker_id} sent {msg[0]!r}, "
-                f"expected {expect!r}")
-        return msg
+            self._fail(f"pipe to shard worker {index} broke (awaiting "
+                       f"{self._awaiting!r}): {exc}")
+        if isinstance(reply, str):  # a worker traceback
+            self._fail(f"shard worker {index} raised:\n{reply}")
+        return reply
 
-    def _send(self, handle: _WorkerHandle, message: tuple) -> None:
-        try:
-            handle.conn.send(message)
-        except (BrokenPipeError, OSError) as exc:
-            self._abort()
-            raise ShardWorkerError(
-                f"pipe to shard worker {handle.worker_id} broke on "
-                f"send: {exc}") from None
-
-    def _absorb_trace(self, batches) -> None:
-        for rank, records in batches:
-            self._streams[rank].extend(records)
-            self._trace_batches.inc()
-
-    def _absorb_stats(self, handle: _WorkerHandle, stats) -> int:
-        """Fold a worker's stats; returns messages injected since the
-        last absorb (the profiler's per-worker relay column)."""
-        injected = stats["injected"] - handle.injected
-        if injected:
-            self._relay_messages.inc(
-                injected, label=f"worker-{handle.worker_id}")
-        handle.injected = stats["injected"]
-        handle.events = stats["events"]
-        return injected
-
-    def _apply_metrics(self, report: dict[int, dict]) -> None:
-        """Apply one worker's per-zone metric deltas to the replicas."""
-        for rank, delta in report.items():
-            self._zone_metrics[rank].update(delta)
-
-    def _taps_for(self, handle: _WorkerHandle,
-                  directives) -> list[tuple[int, int, str]]:
-        local = set(handle.local_ranks)
-        return [d for d in directives if d[0] in local]
-
-    # -- execution ---------------------------------------------------------
-
-    def run(self, until: float) -> None:
-        """Advance every worker to *until* through the epoch-barrier
-        loop — same grid, same flush order, same records as the
-        sequential backend."""
-        if self._closed:
-            raise ConfigurationError("ParallelShardedContext is closed")
-        deadline = float(until)
-        if deadline == _INF:
-            raise ConfigurationError(
-                "ParallelShardedContext.run() needs a finite horizon")
-        if deadline < self._now:
-            raise ConfigurationError("run(until=...) lies in the past")
-        self._pending_taps.extend(self._model.refresh())
-        if self._model.tapped and self.lookahead_s == _INF:
-            self._abort()
-            raise ConfigurationError(_NO_LOOKAHEAD_MSG)
-        while self._now < deadline:
-            if self.epoch_s == _INF:
-                boundary = deadline
-            else:
-                boundary = self._start + (self._epoch + 1) * self.epoch_s
-            t_next = min(boundary, deadline)
-            for handle in self._workers:
-                self._send(handle, ("advance", t_next,
-                                    self._taps_for(handle,
-                                                   self._pending_taps)))
-            self._pending_taps = []
-            remote_for: list[dict] = [dict() for _ in self._workers]
-            advance_ns = [0] * self.n_workers
-            relay = [0] * self.n_workers
-            for handle in self._workers:
-                msg = self._recv(handle, "barrier")
-                _, remote_out, batches, stats = msg
-                for (src, dest), batch in remote_out.items():
-                    remote_for[self._worker_of[dest]][(src, dest)] = batch
-                    self._relay_routed.inc(len(batch))
-                self._absorb_trace(batches)
-                self._absorb_stats(handle, stats)
-                advance_ns[handle.worker_id] = stats["advance_ns"]
-            record = self._epoch % self._barrier_record_every == 0
-            for handle in self._workers:
-                self._send(handle, (
-                    "flush", self._epoch, t_next,
-                    remote_for[handle.worker_id], record))
-            # Post-flush pattern reports feed the relay model; new tap
-            # directives ride the next advance — the same point in the
-            # epoch the sequential backend refreshes its taps. Metric
-            # deltas ride the same ack, applied worker-by-worker with
-            # zones in rank order within each replica update.
-            for handle in self._workers:
-                msg = self._recv(handle, "flushed")
-                for rank, patterns in msg[1].items():
-                    self._model.report(rank, patterns)
-                self._apply_metrics(msg[2])
-                relay[handle.worker_id] = \
-                    self._absorb_stats(handle, msg[3])
-            self._pending_taps.extend(self._model.refresh())
-            if self.profiler is not None:
-                self.profiler.record_epoch(self._epoch, t_next,
-                                           advance_ns, relay)
-                row = self.profiler.epochs[-1]
-                for adv, wait in zip(row["advance_ns"], row["wait_ns"]):
-                    self._h_advance.observe(adv / 1e9)
-                    self._h_wait.observe(wait / 1e9)
-            if self._model.tapped and self.lookahead_s == _INF:
-                self._abort()
-                raise ConfigurationError(_NO_LOOKAHEAD_MSG)
-            self._now = t_next
-            if boundary <= deadline:
-                self._epoch += 1
-        # Pull the records the final flush produced so the merged trace
-        # is complete without waiting for finalize().
-        for handle in self._workers:
-            self._send(handle, ("sync",))
-        for handle in self._workers:
-            msg = self._recv(handle, "trace")
-            self._absorb_trace(msg[1])
-            self._absorb_stats(handle, msg[2])
-            self._apply_metrics(msg[3])
-
-    def finalize(self) -> dict[str, Any]:
-        """Collect every zone finalizer's result, keyed by zone name."""
-        if self._final is not None:
-            return self._final
-        if self._closed:
-            raise ConfigurationError(
-                "ParallelShardedContext is closed; finalize() before "
-                "close()")
-        results: dict[str, Any] = {}
-        for handle in self._workers:
-            self._send(handle, ("finalize",))
-        for handle in self._workers:
-            msg = self._recv(handle, "final")
-            results.update(msg[1])
-            self._absorb_trace(msg[2])
-            self._absorb_stats(handle, msg[3])
-            self._apply_metrics(msg[4])
-        self._final = results
-        return results
+    def _fail(self, message: str) -> None:
+        self.abort()
+        raise ShardWorkerError(message) from None
 
     def close(self) -> None:
-        """Shut the worker fleet down; the merged trace, digest and
-        finalize() results stay readable afterwards."""
-        if self._closed:
-            return
-        self._closed = True
-        for handle in self._workers:
+        """Ask every worker to exit, then reap them."""
+        for conn in self._conns:
             try:
-                handle.conn.send(("close",))
+                conn.send(("close",))
             except (BrokenPipeError, OSError):
                 pass
-        for handle in self._workers:
-            handle.proc.join(timeout=2.0)
-            if handle.proc.is_alive():  # pragma: no cover - slow exit
-                handle.proc.terminate()
-                handle.proc.join(timeout=2.0)
-            handle.conn.close()
+        for proc, conn in zip(self._procs, self._conns):
+            proc.join(timeout=2.0)
+            if proc.is_alive():  # pragma: no cover - slow exit
+                proc.terminate()
+                proc.join(timeout=2.0)
+            conn.close()
 
-    def _abort(self) -> None:
+    def abort(self) -> None:
         """Terminate every worker after a failure; idempotent."""
-        self._closed = True
-        for handle in self._workers:
-            if handle.proc.is_alive():
-                handle.proc.terminate()
-        for handle in self._workers:
-            handle.proc.join(timeout=2.0)
-            try:
-                handle.conn.close()
-            except OSError:  # pragma: no cover
-                pass
+        for proc in self._procs:
+            if proc.is_alive():
+                proc.terminate()
+        for proc, conn in zip(self._procs, self._conns):
+            proc.join(timeout=2.0)
+            conn.close()
 
-    def __enter__(self) -> "ParallelShardedContext":
-        return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+def worker_main(conn, args: tuple, kwargs: dict) -> None:
+    """Worker process entry point: build the host, reply flush-shaped
+    (no injections; build-time patterns, records and metrics), then
+    serve commands until ``close``.
 
-    # -- merged trace ------------------------------------------------------
-
-    def _trace_watermark(self) -> tuple:
-        return tuple((len(s), s[-1][0] if s else -1)
-                     for s in self._streams)
-
-    def merged_records(self) -> list[tuple[str, TraceRecord]]:
-        """Every zone's retained records as one globally ordered stream
-        — same ``(time_s, zone_rank, zone_seq)`` order, same record
-        shape as the sequential backend. Memoized; treat as read-only."""
-        watermark = self._trace_watermark()
-        if watermark != self._merge_watermark:
-            keyed = [(time_s, rank, seq, topic, payload, span)
-                     for rank, stream in enumerate(self._streams)
-                     for seq, time_s, topic, payload, span in stream]
-            keyed.sort(key=lambda item: (item[0], item[1], item[2]))
-            self._merged = [
-                (self._names[rank],
-                 TraceRecord(seq=seq, time_s=time_s, topic=topic,
-                             payload=payload, span=span))
-                for time_s, rank, seq, topic, payload, span in keyed]
-            self._jsonl = None
-            self._digest = None
-            self._merge_watermark = watermark
-        return self._merged
-
-    def to_jsonl(self) -> str:
-        """The merged trace as deterministic JSONL (global seq, zone
-        tag) — byte-identical to the sequential backend's."""
-        merged = self.merged_records()
-        if self._jsonl is None:
-            self._jsonl = render_merged_jsonl(
-                (name, rec.time_s, rec.topic, rec.payload, rec.span)
-                for name, rec in merged)
-        return self._jsonl
-
-    def export_jsonl(self, path: str | Path, *,
-                     observability: bool = False) -> int:
-        """Write the merged trace to *path*; returns records written.
-        ``observability=True`` appends the aggregated metrics snapshot
-        (plus the profiler payload when profiling) — same trailing rows,
-        byte for byte, as the sequential backend's export."""
-        text = self.to_jsonl()
-        if observability:
-            text = append_observability_jsonl(
-                text, self.snapshot_observability(), self._now)
-        Path(path).write_text(text + ("\n" if text else ""))
-        return text.count("\n") + 1 if text else 0
-
-    def digest(self) -> str:
-        """SHA-256 over the merged trace bytes — must equal the
-        sequential run's digest for the same scenario and seed."""
-        text = self.to_jsonl()
-        if self._digest is None:
-            self._digest = hashlib.sha256(text.encode()).hexdigest()
-        return self._digest
-
-    # -- aggregated observability ------------------------------------------
-
-    def aggregate_metrics(self) -> MetricsRegistry:
-        """Fold the per-zone metric replicas (kept current by the
-        per-epoch worker deltas) into one global registry, zones in
-        rank order — byte-identical to the sequential backend's
-        ``aggregate_metrics`` for any worker count. Shard-execution-
-        detail metrics are excluded and the backend-invariant event
-        total re-derived, exactly like the sequential fold."""
-        registry = MetricsRegistry()
-        for payload in self._zone_metrics:
-            registry.merge_payload(payload,
-                                   exclude=SHARD_SCOPED_METRICS)
-        registry.gauge(
-            "continuum.sim.events_executed",
-            "DES events executed across every shard heap"
-        ).set(self.events_executed)
-        return registry
-
-    def snapshot_observability(self) -> dict[str, Any]:
-        """Aggregated metrics payload plus the shard profile (if
-        profiling) — same shape and bytes as the sequential backend."""
-        snapshot: dict[str, Any] = {
-            "metrics": self.aggregate_metrics().to_payload()}
-        if self.profiler is not None:
-            snapshot["profile"] = self.profiler.to_payload()
-        return snapshot
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"ParallelShardedContext(seed={self.seed}, "
-                f"zones={len(self._names)}, workers={self.n_workers}, "
-                f"now={self._now}, epoch={self._epoch})")
+    Every error — build errors included — is sent back as its traceback
+    string before exit, so the coordinator raises instead of hanging at
+    the barrier (a worker killed outright is caught by its liveness).
+    """
+    try:
+        host = ShardHost(*args, **kwargs)
+        conn.send(({}, host.pattern_report(), host.stream()))
+        while True:
+            msg = conn.recv()
+            if msg[0] == "close":
+                return
+            conn.send(serve(host, msg))
+    except EOFError:  # coordinator went away; nothing left to report
+        return
+    except Exception:
+        try:
+            conn.send(traceback.format_exc())
+        except (BrokenPipeError, OSError):  # pragma: no cover
+            pass
+    finally:
+        conn.close()

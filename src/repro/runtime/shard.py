@@ -9,17 +9,27 @@ bus), and zones are grouped onto physical shards — one ``Simulator``
 heap per shard. Shards advance independently inside an epoch and
 synchronize at conservative barriers.
 
+One coordinator, two executors: a :class:`ShardHost` builds and runs a
+block of zones, and the coordinator drives it through :func:`serve`
+(``advance`` to the barrier, ``flush`` the relay, ``finalize``). In
+process, one host holds every zone on ``n_shards`` heaps and a command
+is a plain call; with ``workers=N`` each worker process
+(:mod:`repro.runtime.parallel`) runs one host with one heap and the same
+commands cross its pipe. Relay taps, delivery and barrier injection are
+therefore one implementation whichever executor runs them.
+
 Determinism argument (the invariant everything here serves): the *zone*,
 not the shard, is the unit of determinism. A zone's seed subtree is
 derived from the root seed and the zone *name* (never the shard id), its
 trace records carry zone-local sequence numbers, and zones interact only
 through the epoch relay, whose buffering and delivery order is a pure
 function of (epoch, zone rank, per-pair sequence). Regrouping zones onto
-a different shard count therefore cannot change any zone's record
-stream, and the merged trace — sorted by ``(time_s, zone rank, zone
-seq)`` — is byte-identical between a single-shard and an N-shard run of
-the same scenario and seed. ``tests/test_sharded.py`` pins this with a
-hypothesis property over random partitions and seeds.
+a different shard or worker count therefore cannot change any zone's
+record stream, and the merged trace — sorted by ``(time_s, zone rank,
+zone seq)`` — is byte-identical between a single-shard, an N-shard and
+an N-worker run of the same scenario and seed. ``tests/test_sharded.py``
+and ``tests/test_parallel_shard.py`` pin this with hypothesis properties
+over random partitions and seeds.
 
 Epoch-barrier protocol: the epoch length is bounded by the *lookahead*,
 the minimum cross-zone link latency. Any message published in epoch k
@@ -36,12 +46,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import deque
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.errors import ConfigurationError, NotFoundError
 from repro.core.rng import derive_seed
-from repro.obs.metrics import METRICS_TOPIC, MetricsRegistry
+from repro.obs.metrics import METRICS_TOPIC, MetricsRegistry, payload_delta
 from repro.obs.profiler import SHARD_PROFILE_TOPIC, ShardProfiler
 from repro.obs.spans import SPAN_TOPIC, SpanContext, _RelayScope
 from repro.runtime.context import RuntimeContext
@@ -100,12 +112,11 @@ class ZoneRuntime:
         self.relay_scope = _RelayScope({})
 
 
-# -- relay primitives shared by the sequential and multiprocess backends --
+# -- relay primitives: tap buffering, relay delivery, barrier injection --
 #
-# The parallel backend (repro.runtime.parallel / shard_worker) re-runs
-# these exact functions inside worker processes. Byte-identity between
-# the two backends rests on there being ONE implementation of tap
-# buffering, relay delivery and barrier injection — do not fork copies.
+# ShardHost runs these in process and inside every worker process alike.
+# Byte-identity between the executors rests on there being ONE
+# implementation of them — do not fork copies.
 
 def add_relay_tap(round_taps: dict, src: ZoneRuntime, pattern: str,
                   outbox: list, mark: list) -> None:
@@ -120,7 +131,7 @@ def add_relay_tap(round_taps: dict, src: ZoneRuntime, pattern: str,
     back to back with no organic subscription between them, so how
     they are grouped cannot move a tap relative to scenario handlers.
     The subscription is flagged :attr:`~repro.core.events.Subscription.
-    tap`, which is how :func:`relay_deliver` (and the worker's pattern
+    tap`, which is how :func:`relay_deliver` (and the host's pattern
     report) tell it from scenario code."""
     targets = round_taps.get((src.rank, pattern))
     if targets is None:
@@ -139,10 +150,10 @@ def _fan_out_tap(src: ZoneRuntime, targets: list):
     Alongside ``(send_s, topic, payload)`` the tap captures the open
     span context: bus delivery is synchronous, so the publisher's span
     is still ambient when the tap fires. It is shipped as a plain
-    ``(trace_id, span_id)`` tuple (picklable — the parallel backend
-    routes buffers through worker pipes) and resumed in the destination
-    zone by :func:`relay_deliver`, which is how one fault's causal tree
-    crosses zones and worker processes."""
+    ``(trace_id, span_id)`` tuple (picklable — with workers, buffers
+    cross pipes) and resumed in the destination zone by
+    :func:`relay_deliver`, which is how one fault's causal tree crosses
+    zones and worker processes."""
     bus = src.ctx.bus
     sim = src.ctx.sim
     stack = src.ctx.tracer._stack
@@ -297,44 +308,254 @@ def flush_zone_inbox(dest: ZoneRuntime, batches: Iterable[list],
     return count
 
 
-def render_merged_jsonl(rows: Iterable[tuple]) -> str:
-    """Render merged ``(zone_name, time_s, topic, payload, span)`` rows
-    as the canonical deterministic JSONL both backends fingerprint."""
-    lines = []
-    for seq, (zone_name, time_s, topic, payload, span) in enumerate(rows):
-        obj = {"seq": seq, "zone": zone_name, "time_s": time_s,
-               "topic": topic, "payload": payload}
-        if span is not None:
-            obj["span"] = span
-        lines.append(json.dumps(obj, sort_keys=True,
-                                separators=(",", ":")))
-    return "\n".join(lines)
+class _RelayModel:
+    """Which relay taps exist: the one tap-propagation rule.
+
+    ``organic[rank]`` holds the patterns scenario code subscribed on a
+    zone's bus (reported by its host); ``tap_patterns[rank]`` the
+    patterns of relay taps installed *on* that zone's bus. A refresh
+    pass walks destinations in rank order and, for every destination
+    pattern not yet tapped on a (src, dest) pair, emits a directive and
+    records the tap — which makes the pattern visible to *later*
+    destinations in the same pass, so a tapped pattern spreads to every
+    zone. A pass that emitted directives re-arms the next one (their
+    taps are new patterns on the source buses). Only pattern
+    *membership* is tracked, which suffices because tap behaviour is
+    membership-pure: any matching pattern buffers the same copy,
+    deduped per publish.
+    """
+
+    def __init__(self, n_zones: int):
+        self.organic: list[set[str]] = [set() for _ in range(n_zones)]
+        self.tap_patterns: list[set[str]] = [set() for _ in range(n_zones)]
+        self.tapped: set[tuple[int, int, str]] = set()
+        self._dirty = True
+        self._rerun = False
+
+    def report(self, rank: int, patterns: Sequence[str]) -> None:
+        self.organic[rank] |= set(patterns)
+        self._dirty = True
+
+    def refresh(self) -> list[tuple[int, int, str]]:
+        """One propagation pass; returns new (src, dest, pattern) tap
+        directives."""
+        if not (self._dirty or self._rerun):
+            return []
+        self._dirty = False
+        directives: list[tuple[int, int, str]] = []
+        n = len(self.organic)
+        for dest in range(n):
+            # sorted() only fixes directive order (bus bookkeeping);
+            # relay content is membership-pure.
+            patterns = sorted(self.organic[dest]
+                              | self.tap_patterns[dest])
+            for src in range(n):
+                if src == dest:
+                    continue
+                for pattern in patterns:
+                    key = (src, dest, pattern)
+                    if key in self.tapped:
+                        continue
+                    self.tapped.add(key)
+                    self.tap_patterns[src].add(pattern)
+                    directives.append(key)
+        self._rerun = bool(directives)
+        return directives
 
 
-def append_observability_jsonl(text: str, snapshot: dict,
-                               time_s: float) -> str:
-    """Append ``obs.metrics`` (and, when profiling, ``obs.shard_profile``)
-    rows to a merged-trace JSONL, continuing the global seq — the
-    sharded counterpart of ``RuntimeContext.snapshot_observability``.
-    The rows are appended at export time only; ``digest()`` fingerprints
-    the pure event trace, so exporting observability (whose profile
-    rows carry nondeterministic wall times) never moves the digest."""
-    lines = [text] if text else []
-    seq = text.count("\n") + 1 if text else 0
-    rows = [(METRICS_TOPIC, snapshot["metrics"])]
-    profile = snapshot.get("profile")
-    if profile is not None:
-        rows.append((SHARD_PROFILE_TOPIC, profile))
-    for topic, payload in rows:
-        lines.append(json.dumps(
-            {"seq": seq, "time_s": time_s, "topic": topic,
-             "payload": payload}, sort_keys=True, separators=(",", ":")))
-        seq += 1
-    return "\n".join(lines)
+_by_source = itemgetter(0)
+
+
+class ShardHost:
+    """Builds and runs one block of zones: the executor side of
+    :func:`serve`.
+
+    The zones whose ``shard_of`` entry is in *shards* live here, one
+    ``Simulator`` heap per hosted shard. Each zone gets its seed subtree
+    (off the zone *name*), its ``shard.partition.assign`` record and,
+    given a *builder*, ``builder(ctx, zone, args)`` in rank order — its
+    return value is the zone state ``finalizer(state, zone, args)``
+    reduces at :meth:`finalize`. A *streaming* host (the one in a worker
+    process) ships its zones' records, metric deltas and event count
+    with every flush reply; the coordinator reads an in-process host in
+    place instead.
+    """
+
+    def __init__(self, seed: int, names: Sequence[str],
+                 shard_of: Sequence[int], shards: Iterable[int], *,
+                 link_latency_s: float | None, epoch_s: float,
+                 trace_capacity: int, builder: Callable | None = None,
+                 args: Any = None, finalizer: Callable | None = None,
+                 streaming: bool = False):
+        # runtime/ is the allowlisted home for direct Simulator
+        # construction (continuum-lint).
+        from repro.continuum.simulator import Simulator
+        heaps = {shard: Simulator() for shard in shards}
+        self.sims = list(heaps.values())
+        self.zones: list[ZoneRuntime] = []
+        self._by_rank: dict[int, ZoneRuntime] = {}
+        for rank, name in enumerate(names):
+            if shard_of[rank] not in heaps:
+                continue
+            ctx = RuntimeContext(
+                seed=derive_seed(seed, f"shard.zone.{name}"),
+                trace_capacity=trace_capacity, sim=heaps[shard_of[rank]])
+            zone = ZoneRuntime(name, rank, shard_of[rank], ctx)
+            self.zones.append(zone)
+            self._by_rank[rank] = zone
+            ctx.publish(PARTITION_TOPIC, {
+                "zone": name, "rank": rank,
+                "epoch_s": None if epoch_s == _INF else epoch_s,
+                "lookahead_s": link_latency_s, "time_s": 0.0})
+        self.state: dict[int, Any] = {}
+        if builder is not None:
+            for zone in self.zones:
+                self.state[zone.rank] = builder(zone.ctx, zone.name, args)
+        self._latency = link_latency_s or 0.0
+        self._args = args
+        self._finalizer = finalizer
+        self._streaming = streaming
+        # Relay plumbing: one outbox/mark per (src, dest) pair, filled
+        # by taps on local sources. A local destination's outboxes are
+        # listed per dest in source rank order; pairs whose destination
+        # lives on another host ride the advance reply instead.
+        self._outbox: dict[tuple[int, int], list] = {}
+        self._marks: dict[tuple[int, int], list[int]] = {}
+        self._sources: dict[int, list[tuple[int, list]]] = \
+            {zone.rank: [] for zone in self.zones}
+        self._remote: list[tuple[int, int]] = []
+        self._reported = {zone.rank: -1 for zone in self.zones}
+        self._metrics_sent: dict[int, dict] = \
+            {zone.rank: {} for zone in self.zones}
+
+    def pattern_report(self) -> dict[int, list[str]]:
+        """Organic (non-tap) subscription patterns of each local zone
+        whose bus gained a subscription since the last report."""
+        report: dict[int, list[str]] = {}
+        for zone in self.zones:
+            bus = zone.ctx.bus
+            if bus._order == self._reported[zone.rank]:
+                continue
+            self._reported[zone.rank] = bus._order
+            report[zone.rank] = list(dict.fromkeys(
+                sub.pattern for sub in bus._subs
+                if sub.active and not sub.tap))
+        return report
+
+    def advance(self, t_next: float, taps: list[tuple[int, int, str]]
+                ) -> tuple[list[int], dict[tuple[int, int], list]]:
+        """Install *taps* as one refresh round, run every heap to
+        *t_next*, and reply ``(per-heap wall ns, buffered messages bound
+        for other hosts)``. The heaps must run before the outboxes are
+        collected, or remote messages would miss their barrier."""
+        round_taps: dict[tuple[int, str], list] = {}
+        for src_rank, dest_rank, pattern in taps:
+            pair = (src_rank, dest_rank)
+            if pair not in self._outbox:
+                outbox = self._outbox[pair] = []
+                self._marks[pair] = [-1]
+                if dest_rank in self._sources:
+                    self._sources[dest_rank].append((src_rank, outbox))
+                    self._sources[dest_rank].sort(key=_by_source)
+                else:
+                    self._remote.append(pair)
+            src = self._by_rank[src_rank]
+            add_relay_tap(round_taps, src, pattern, self._outbox[pair],
+                          self._marks[pair])
+            # Installing a tap bumps the bus order; that must not
+            # masquerade as an organic subscription in the next report.
+            self._reported[src_rank] = src.ctx.bus._order
+        clock = ShardProfiler.clock
+        heap_ns = []
+        for sim in self.sims:
+            t0 = clock()
+            sim.run(until=t_next)
+            heap_ns.append(clock() - t0)
+        remote = {}
+        for pair in self._remote:
+            batch = self._outbox[pair]
+            if batch:
+                # A snapshot: the tap closures hold the buffer itself.
+                remote[pair] = list(batch)
+                batch.clear()
+        return heap_ns, remote
+
+    def flush(self, epoch: int, t_barrier: float,
+              remote_in: dict[tuple[int, int], list],
+              record_barrier: bool) -> tuple[dict[int, int], dict, Any]:
+        """Barrier injection into every local zone, source batches in
+        global rank order (local buffers and the coordinator-routed
+        *remote_in* batches interleaved). Replies ``(messages injected
+        per destination rank, pattern report, stream)``: the report
+        follows the flush, so flush-time subscriptions reach the relay
+        model before the next epoch runs."""
+        routed: dict[int, list[tuple[int, list]]] = {}
+        for (src_rank, dest_rank), batch in remote_in.items():
+            routed.setdefault(dest_rank, []).append((src_rank, batch))
+        injected: dict[int, int] = {}
+        for dest in self.zones:
+            sources = self._sources[dest.rank]
+            if dest.rank in routed:
+                sources = sorted(sources + routed[dest.rank],
+                                 key=_by_source)
+            batches = [batch for _, batch in sources if batch]
+            count = flush_zone_inbox(dest, batches, self._latency, epoch,
+                                     t_barrier, record_barrier)
+            for batch in batches:
+                batch.clear()
+            if count:
+                injected[dest.rank] = count
+        return injected, self.pattern_report(), self.stream()
+
+    def finalize(self) -> tuple[dict[str, Any], Any]:
+        """Reply ``(finalizer result per zone name, stream)``."""
+        results: dict[str, Any] = {}
+        if self._finalizer is not None:
+            for zone in self.zones:
+                results[zone.name] = self._finalizer(
+                    self.state.get(zone.rank), zone.name, self._args)
+        return results, self.stream()
+
+    def stream(self) -> tuple | None:
+        """What a streaming host ships to the coordinator's replicas:
+        each zone's records since the last reply, as ``(seq, time_s,
+        topic, payload, span)`` tuples (they pickle several times faster
+        than :class:`TraceRecord` objects); per-zone metric deltas; and
+        the executed-event count. None for an in-process host."""
+        if not self._streaming:
+            return None
+        records = []
+        deltas = {}
+        for zone in self.zones:
+            trace = zone.ctx.trace
+            if len(trace):
+                records.append((zone.rank, [
+                    (rec.seq, rec.time_s, rec.topic, rec.payload, rec.span)
+                    for rec in trace]))
+                # The sequence counter keeps counting, so the replica
+                # ring evicts exactly like this one would have.
+                trace.clear()
+            current = zone.ctx.metrics.to_payload()
+            delta = payload_delta(self._metrics_sent[zone.rank], current)
+            if delta:
+                deltas[zone.rank] = delta
+                self._metrics_sent[zone.rank] = current
+        return records, deltas, sum(sim.processed_events
+                                    for sim in self.sims)
+
+
+def serve(host: ShardHost, msg: tuple) -> tuple:
+    """Run one coordinator command on *host* and return its reply — the
+    whole executor protocol. The in-process executor calls this
+    directly; a worker process calls it for each message off its pipe.
+    """
+    if msg[0] not in ("advance", "flush", "finalize"):
+        raise ValueError(f"unknown shard command {msg[0]!r}")
+    return getattr(host, msg[0])(*msg[1:])
 
 
 class ShardedContext:
-    """Coordinates per-shard simulators under conservative epoch barriers.
+    """Coordinates zone shards under conservative epoch barriers.
 
     ``zones`` fixes the zone names and their ranks (list order); zones
     are grouped onto ``n_shards`` simulator heaps in contiguous rank
@@ -342,17 +563,31 @@ class ShardedContext:
     the lookahead that bounds the epoch length; ``epoch_s`` may shorten
     (never stretch) the epoch below the lookahead.
 
-    The sharding is *invisible* to the scenario: the epoch grid, the
+    ``workers=0`` runs every heap in this process, and scenario code may
+    build zones on :meth:`zone`. ``workers=N`` runs N worker processes,
+    one heap each (the workers *are* the shards; ``n_shards`` is
+    ignored). Their zones exist only inside the workers, so they are
+    built by a module-level ``zone_builder(ctx, zone, zone_args)`` and
+    reduced by a ``zone_finalizer(state, zone, zone_args)`` whose
+    picklable results :meth:`finalize` collects; the pair works on
+    either executor. Use as a context manager (or call :meth:`close`)
+    so worker processes are reaped.
+
+    The executor is *invisible* to the scenario: the epoch grid, the
     relay order and every zone's record stream depend only on the zone
     list, the seed and the latency configuration — see the module
     docstring for the determinism argument.
     """
 
     def __init__(self, seed: int = 0, zones: Sequence[str] = ("zone-00",),
-                 n_shards: int = 1, *, link_latency_s: float | None = None,
-                 epoch_s: float | None = None, start_time: float = 0.0,
-                 trace_capacity: int = 65536,
-                 barrier_record_every: int = 1, profile: bool = False):
+                 n_shards: int = 1, *, workers: int = 0,
+                 link_latency_s: float | None = None,
+                 epoch_s: float | None = None, trace_capacity: int = 65536,
+                 barrier_record_every: int = 1,
+                 zone_builder: Callable | None = None,
+                 zone_args: Any = None,
+                 zone_finalizer: Callable | None = None,
+                 profile: bool = False):
         names = list(zones)
         if not names:
             raise ConfigurationError("at least one zone is required")
@@ -364,8 +599,12 @@ class ShardedContext:
             raise ConfigurationError("epoch_s must be > 0")
         if barrier_record_every < 1:
             raise ConfigurationError("barrier_record_every must be >= 1")
+        if workers < 0:
+            raise ConfigurationError("workers must be >= 0")
+        n = len(names)
         self.seed = int(seed)
-        self.n_shards = max(1, min(int(n_shards), len(names)))
+        self.workers = min(int(workers), n)
+        self.n_shards = max(1, min(int(self.workers or n_shards), n))
         self.link_latency_s = link_latency_s
         #: Conservative lookahead: how far a shard may run ahead without
         #: missing cross-zone traffic. Never smaller than the minimum
@@ -374,68 +613,50 @@ class ShardedContext:
             else _INF
         self.epoch_s = min(epoch_s, self.lookahead_s) \
             if epoch_s is not None else self.lookahead_s
-        self._start = float(start_time)
-        self._now = self._start
+        self._now = 0.0
         self._epoch = 0
         self._barrier_record_every = barrier_record_every
-
-        # One DES heap per shard; runtime/ is the allowlisted home for
-        # direct Simulator construction (continuum-lint).
-        from repro.continuum.simulator import Simulator
-        self._sims = [Simulator(start_time) for _ in range(self.n_shards)]
-        self._zones: list[ZoneRuntime] = []
-        self._by_name: dict[str, ZoneRuntime] = {}
-        n = len(names)
-        for rank, name in enumerate(names):
-            shard = rank * self.n_shards // n
-            # The seed subtree hangs off the zone *name*: invariant to
-            # zone order, shard count and shard assignment.
-            ctx = RuntimeContext(
-                seed=derive_seed(self.seed, f"shard.zone.{name}"),
-                start_time=start_time, trace_capacity=trace_capacity,
-                sim=self._sims[shard])
-            zone = ZoneRuntime(name, rank, shard, ctx)
-            self._zones.append(zone)
-            self._by_name[name] = zone
-
-        # Relay state: per (src_rank, dest_rank) message buffers filled
-        # by taps during an epoch, drained at the barrier. Markers hold
-        # the last relayed publish id per pair (a publish matching
-        # several tapped patterns is buffered once).
-        self._outbox: dict[tuple[int, int], list] = {}
-        self._marks: dict[tuple[int, int], list[int]] = {}
-        self._tapped: set[tuple[int, int, str]] = set()
-        self._sub_watermark = -1
+        self._names = names
+        self._rank = {name: rank for rank, name in enumerate(names)}
+        self._shard_of = [rank * self.n_shards // n for rank in range(n)]
+        # Which executor hosts a rank: the one in-process host, or the
+        # worker that is the rank's shard.
+        self._executor_of = self._shard_of if self.workers else [0] * n
+        self._model = _RelayModel(n)
+        self._pending_taps: list[tuple[int, int, str]] = []
+        self._closed = False
+        self._final: dict[str, Any] | None = None
 
         # Merged-trace memoization: --check twin comparisons call
         # digest()/scorecard() repeatedly; re-sorting an unchanged trace
-        # is pure waste. The watermark is (seq, len) per zone — any
-        # record appended or evicted since the last merge changes it.
-        self._merge_watermark: tuple | None = None
+        # is pure waste.
+        self._merge_watermark: Any = None
         self._merged: list[tuple[str, TraceRecord]] = []
         self._jsonl: str | None = None
         self._digest: str | None = None
 
         #: Coordinator-side observability (runtime.shard.*): epoch
-        #: progress, relay traffic and per-barrier backlog. Lives on the
-        #: coordinator, not any zone context, so reading it never
-        #: perturbs a zone's trace.
+        #: progress and relay traffic. Lives on the coordinator, not any
+        #: zone context, so reading it never perturbs a zone's trace.
         self.metrics = MetricsRegistry()
         self.metrics.gauge_callback(
             "runtime.shard.epochs", lambda: float(self._epoch),
             "completed epoch barriers")
-        self.metrics.gauge_callback(
-            "runtime.shard.relay.backlog",
-            lambda: float(sum(len(b) for b in self._outbox.values())),
-            "cross-zone messages buffered awaiting the next barrier")
         self._relay_messages = self.metrics.counter(
             "runtime.shard.relay.messages",
             "cross-zone messages injected at barriers", label_key="zone")
+        self._relay_routed = self.metrics.counter(
+            "runtime.shard.relay.routed",
+            "cross-worker messages routed through the coordinator")
+        self._trace_batches = self.metrics.counter(
+            "runtime.shard.trace.batches",
+            "per-epoch record batches streamed back by workers")
 
         #: Opt-in barrier/straggler profiling. Wall times live on the
         #: coordinator (profiler + runtime.shard.epoch.* histograms),
         #: never in a zone trace — profiling cannot move the digest.
-        self.profiler = ShardProfiler(self.n_shards, "sequential") \
+        self.profiler = ShardProfiler(
+            self.n_shards, "parallel" if self.workers else "sequential") \
             if profile else None
         if self.profiler is not None:
             self._h_advance = self.metrics.histogram(
@@ -447,15 +668,31 @@ class ShardedContext:
                 "per-shard idle wall time at each epoch barrier",
                 buckets=EPOCH_BUCKETS)
 
-        epoch_payload = None if self.epoch_s == _INF else self.epoch_s
-        lookahead_payload = None if self.lookahead_s == _INF \
-            else self.lookahead_s
-        for zone in self._zones:
-            zone.ctx.publish("shard.partition.assign", {
-                "zone": zone.name, "rank": zone.rank,
-                "epoch_s": epoch_payload,
-                "lookahead_s": lookahead_payload,
-                "time_s": self._start})
+        host_kwargs = dict(
+            link_latency_s=link_latency_s, epoch_s=self.epoch_s,
+            trace_capacity=trace_capacity, builder=zone_builder,
+            args=zone_args, finalizer=zone_finalizer)
+        self._host: ShardHost | None = None
+        self._fleet = None
+        if not self.workers:
+            self._host = ShardHost(self.seed, names, self._shard_of,
+                                   range(self.n_shards), **host_kwargs)
+        else:
+            # Worker replicas: per-zone trace rings (same capacity, same
+            # eviction as the worker-side rings) and metrics payloads,
+            # kept current by the stream on every flush reply.
+            self._rings = [deque(maxlen=trace_capacity) for _ in names]
+            self._zone_metrics: list[dict] = [{} for _ in names]
+            self._events = [0] * self.workers
+            self._streamed = 0
+            from repro.runtime.parallel import WorkerFleet
+            self._fleet = WorkerFleet([
+                ((self.seed, names, self._shard_of, (shard,)),
+                 dict(host_kwargs, streaming=True))
+                for shard in range(self.workers)])
+            # Each worker's start-up reply is flush-shaped: build-time
+            # subscriptions, records and metrics.
+            self._absorb_flush(self._fleet.exchange())
 
     @classmethod
     def for_partition(cls, partition: Any, *, seed: int = 0,
@@ -475,23 +712,36 @@ class ShardedContext:
     @property
     def zones(self) -> list[str]:
         """Zone names in rank order."""
-        return [z.name for z in self._zones]
+        return list(self._names)
 
     @property
     def zone_runtimes(self) -> list[ZoneRuntime]:
-        return list(self._zones)
+        return list(self._local().zones)
 
     def zone(self, name: str) -> RuntimeContext:
-        """The :class:`RuntimeContext` scenario code builds zone *name* on."""
+        """The :class:`RuntimeContext` scenario code builds zone *name* on
+        (in-process executor only)."""
+        rank = self._rank_of(name)
+        return self._local()._by_rank[rank].ctx
+
+    def shard_of(self, name: str) -> int:
+        """Shard (heap, or worker process) a zone is grouped on —
+        execution detail, never observable in the merged trace."""
+        return self._shard_of[self._rank_of(name)]
+
+    def _rank_of(self, name: str) -> int:
         try:
-            return self._by_name[name].ctx
+            return self._rank[name]
         except KeyError:
             raise NotFoundError(f"unknown zone {name!r}") from None
 
-    def shard_of(self, name: str) -> int:
-        """Physical shard index a zone is grouped on (execution detail —
-        never observable in the merged trace)."""
-        return self._by_name[name].shard
+    def _local(self) -> ShardHost:
+        if self._host is None:
+            raise ConfigurationError(
+                "zones live in worker processes; build them with "
+                "zone_builder(ctx, zone, args) and collect results with "
+                "zone_finalizer")
+        return self._host
 
     @property
     def now(self) -> float:
@@ -503,148 +753,182 @@ class ShardedContext:
         """Completed epoch count."""
         return self._epoch
 
-    # -- cross-zone relay --------------------------------------------------
+    # -- execution ---------------------------------------------------------
 
-    def _refresh_relays(self) -> None:
-        """(Re)install relay taps: for every pattern on a zone's bus,
-        every *other* zone's bus gets a tap buffering matching publishes
-        for barrier delivery. The patterns include the taps already on
-        that bus, so a pattern one zone subscribes to spreads to every
-        zone within a round or two. Idempotent; re-run whenever a
-        subscription (a tap included) was added since the last
-        barrier."""
-        watermark = sum(z.ctx.bus._order for z in self._zones)
-        if watermark == self._sub_watermark:
-            return
-        self._sub_watermark = watermark
-        round_taps: dict[tuple[int, str], list] = {}
-        for dest in self._zones:
-            patterns: list[str] = []
-            seen: set[str] = set()
-            for sub in dest.ctx.bus._subs:
-                if sub.active and sub.pattern not in seen:
-                    seen.add(sub.pattern)
-                    patterns.append(sub.pattern)
-            for src in self._zones:
-                if src is dest:
-                    continue
-                pair = (src.rank, dest.rank)
-                if pair not in self._outbox:
-                    self._outbox[pair] = []
-                    self._marks[pair] = [-1]
-                for pattern in patterns:
-                    key = (src.rank, dest.rank, pattern)
-                    if key in self._tapped:
-                        continue
-                    self._tapped.add(key)
-                    add_relay_tap(round_taps, src, pattern,
-                                  self._outbox[pair], self._marks[pair])
-        if self._tapped and self.lookahead_s == _INF:
+    def _exchange(self, messages: list[tuple]) -> list:
+        """One command per executor; their replies, in executor order."""
+        if self._host is not None:
+            return [serve(self._host, messages[0])]
+        return self._fleet.exchange(messages)
+
+    def _refresh_taps(self) -> None:
+        self._pending_taps += self._model.refresh()
+        if self._model.tapped and self.lookahead_s == _INF:
             raise ConfigurationError(
                 "zones subscribe to each other's topics but no "
                 "cross-zone link latency is configured; pass "
                 "link_latency_s= so the epoch barrier has a lookahead")
 
-    def _flush(self, epoch: int, t_barrier: float) -> list[int]:
-        """Barrier: inject buffered cross-zone messages into their
-        destination shards at true arrival times, in deterministic
-        (epoch, zone_rank, seq) order. Returns per-shard injected
-        counts (the profiler's relay column)."""
-        latency = self.link_latency_s or 0.0
-        record_barrier = epoch % self._barrier_record_every == 0
+    def _absorb_flush(self, replies: list) -> list[int]:
+        """Fold flush replies: relay counts, pattern reports into the
+        relay model, worker streams into the replicas. Returns messages
+        injected per shard (the profiler's relay column)."""
         relay = [0] * self.n_shards
-        for dest in self._zones:
-            batches = []
-            for src in self._zones:
-                if src is dest:
-                    continue
-                batch = self._outbox.get((src.rank, dest.rank))
-                if batch:
-                    batches.append(batch)
-            count = flush_zone_inbox(dest, batches, latency, epoch,
-                                     t_barrier, record_barrier)
-            for batch in batches:
-                batch.clear()
-            if count:
-                self._relay_messages.inc(count, label=dest.name)
-                relay[dest.shard] += count
+        for index, (injected, patterns, stream) in enumerate(replies):
+            for rank, count in injected.items():
+                self._relay_messages.inc(count, label=self._names[rank])
+                relay[self._shard_of[rank]] += count
+            for rank, found in patterns.items():
+                self._model.report(rank, found)
+            if stream is not None:
+                self._absorb(index, stream)
         return relay
 
-    # -- execution ---------------------------------------------------------
+    def _absorb(self, worker: int, stream: tuple) -> None:
+        records, deltas, events = stream
+        for rank, rows in records:
+            self._rings[rank].extend(rows)
+            self._streamed += len(rows)
+            self._trace_batches.inc()
+        for rank, delta in deltas.items():
+            self._zone_metrics[rank].update(delta)
+        self._events[worker] = events
 
     def run(self, until: float) -> None:
         """Advance every shard to *until* through the epoch-barrier loop.
 
         ``until`` must be finite: an unbounded drain has no barrier
-        schedule. The epoch grid is anchored at the start time —
-        ``barrier(k) = start + (k+1) * epoch_s`` — so it is identical
-        for every shard count and for any sequence of ``run()`` calls
-        ending at the same horizon.
+        schedule. The epoch grid is anchored at time zero —
+        ``barrier(k) = (k+1) * epoch_s`` — so it is identical for every
+        shard count and for any sequence of ``run()`` calls ending at
+        the same horizon. Relay taps for subscriptions made during an
+        epoch (or, in process, between runs) take effect from the next
+        epoch on.
         """
+        if self._closed:
+            raise ConfigurationError("ShardedContext is closed")
         deadline = float(until)
         if deadline == _INF:
             raise ConfigurationError(
                 "ShardedContext.run() needs a finite horizon")
         if deadline < self._now:
             raise ConfigurationError("run(until=...) lies in the past")
-        self._refresh_relays()
+        if self._host is not None:
+            for rank, found in self._host.pattern_report().items():
+                self._model.report(rank, found)
+        self._refresh_taps()
+        executors = self.workers or 1
         while self._now < deadline:
             if self.epoch_s == _INF:
                 boundary = deadline
             else:
-                boundary = self._start + (self._epoch + 1) * self.epoch_s
+                boundary = (self._epoch + 1) * self.epoch_s
             t_next = min(boundary, deadline)
-            profiler = self.profiler
-            if profiler is not None:
-                advance_ns = []
-                for sim in self._sims:
-                    t0 = profiler.clock()
-                    sim.run(until=t_next)
-                    advance_ns.append(profiler.clock() - t0)
-            else:
-                for sim in self._sims:
-                    sim.run(until=t_next)
-            relay = self._flush(self._epoch, t_next)
-            if profiler is not None:
-                profiler.record_epoch(self._epoch, t_next, advance_ns,
-                                      relay)
-                row = profiler.epochs[-1]
+            taps: list[list] = [[] for _ in range(executors)]
+            for directive in self._pending_taps:
+                taps[self._executor_of[directive[0]]].append(directive)
+            self._pending_taps = []
+            advance_ns: list[int] = []
+            remote_in: list[dict] = [{} for _ in range(executors)]
+            for heap_ns, remote in self._exchange(
+                    [("advance", t_next, batch) for batch in taps]):
+                advance_ns += heap_ns
+                for pair, batch in remote.items():
+                    remote_in[self._executor_of[pair[1]]][pair] = batch
+                    self._relay_routed.inc(len(batch))
+            record = self._epoch % self._barrier_record_every == 0
+            relay = self._absorb_flush(self._exchange(
+                [("flush", self._epoch, t_next, inbox, record)
+                 for inbox in remote_in]))
+            self._refresh_taps()
+            if self.profiler is not None:
+                self.profiler.record_epoch(self._epoch, t_next, advance_ns,
+                                           relay)
+                row = self.profiler.epochs[-1]
                 for adv, wait in zip(row["advance_ns"], row["wait_ns"]):
                     self._h_advance.observe(adv / 1e9)
                     self._h_wait.observe(wait / 1e9)
             self._now = t_next
             if boundary <= deadline:
                 self._epoch += 1
-            # Taps for subscriptions added during the epoch take effect
-            # at the barrier — identically for every shard count.
-            self._refresh_relays()
+
+    def finalize(self) -> dict[str, Any]:
+        """Every zone finalizer's result keyed by zone name (empty without
+        a finalizer). Idempotent, and readable after :meth:`close`."""
+        if self._final is None:
+            if self._closed:
+                raise ConfigurationError(
+                    "ShardedContext is closed; finalize() before close()")
+            results: dict[str, Any] = {}
+            for index, (found, stream) in enumerate(
+                    self._exchange([("finalize",)] * (self.workers or 1))):
+                results.update(found)
+                if stream is not None:
+                    self._absorb(index, stream)
+            self._final = results
+        return self._final
+
+    def close(self) -> None:
+        """Shut the worker processes down; the merged trace, digest and
+        finalize() results stay readable afterwards."""
+        if not self._closed:
+            self._closed = True
+            if self._fleet is not None:
+                self._fleet.close()
+
+    def __enter__(self) -> "ShardedContext":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- merged trace ------------------------------------------------------
 
     @property
     def events_executed(self) -> int:
-        """Total DES events executed across every shard heap."""
-        return sum(sim.processed_events for sim in self._sims)
-
-    def _trace_watermark(self) -> tuple:
-        return tuple((z.ctx.trace._seq, len(z.ctx.trace))
-                     for z in self._zones)
+        """Total DES events executed across every shard heap (with
+        workers: as of their last reply)."""
+        if self._host is not None:
+            return sum(sim.processed_events for sim in self._host.sims)
+        return sum(self._events)
 
     def merged_records(self) -> list[tuple[str, TraceRecord]]:
         """Every zone's retained records as one globally ordered stream.
 
         Sorted by ``(time_s, zone_rank, zone_seq)`` — a total order that
         is a pure function of the per-zone record streams, hence
-        shard-count-invariant. Memoized until the next record lands
-        (``--check`` twin comparisons hit digest()/scorecard()
-        repeatedly); treat the returned list as read-only.
+        shard- and worker-count-invariant. In process the live zone
+        rings are read in place; with workers, their streamed replicas.
+        Memoized until the next record lands; treat the returned list as
+        read-only.
         """
-        watermark = self._trace_watermark()
+        live = self._host is not None
+        if live:
+            traces = [zone.ctx.trace for zone in self._host.zones]
+            watermark: Any = tuple((trace._seq, len(trace))
+                                   for trace in traces)
+        else:
+            watermark = self._streamed
         if watermark != self._merge_watermark:
-            keyed = [(rec.time_s, zone.rank, rec.seq, zone.name, rec)
-                     for zone in self._zones for rec in zone.ctx.trace]
+            if live:
+                keyed = [(rec.time_s, rank, rec.seq, rec)
+                         for rank, trace in enumerate(traces)
+                         for rec in trace]
+            else:
+                keyed = [(row[1], rank, row[0], row)
+                         for rank, ring in enumerate(self._rings)
+                         for row in ring]
             keyed.sort(key=lambda item: (item[0], item[1], item[2]))
-            self._merged = [(name, rec) for _, _, _, name, rec in keyed]
+            names = self._names
+            if live:
+                self._merged = [(names[rank], rec)
+                                for _, rank, _, rec in keyed]
+            else:
+                # Replica rows become records only after the sort: made
+                # before it, they fragment the heap and lift the
+                # digest's peak memory by several MB at 100k devices.
+                self._merged = [(names[rank], TraceRecord(*row))
+                                for _, rank, _, row in keyed]
             self._jsonl = None
             self._digest = None
             self._merge_watermark = watermark
@@ -654,9 +938,15 @@ class ShardedContext:
         """The merged trace as deterministic JSONL (global seq, zone tag)."""
         merged = self.merged_records()
         if self._jsonl is None:
-            self._jsonl = render_merged_jsonl(
-                (name, rec.time_s, rec.topic, rec.payload, rec.span)
-                for name, rec in merged)
+            lines = []
+            for seq, (name, rec) in enumerate(merged):
+                obj = {"seq": seq, "zone": name, "time_s": rec.time_s,
+                       "topic": rec.topic, "payload": rec.payload}
+                if rec.span is not None:
+                    obj["span"] = rec.span
+                lines.append(json.dumps(obj, sort_keys=True,
+                                        separators=(",", ":")))
+            self._jsonl = "\n".join(lines)
         return self._jsonl
 
     def export_jsonl(self, path: str | Path, *,
@@ -664,13 +954,26 @@ class ShardedContext:
         """Write the merged trace to *path*; returns records written.
 
         ``observability=True`` appends the aggregated metrics snapshot
-        (and the profiler payload when profiling) as trailing rows, so
-        one file feeds every ``repro-obs`` subcommand. The digest stays
-        over the pure event trace either way."""
+        (and the profiler payload when profiling) as trailing rows,
+        continuing the global seq, so one file feeds every ``repro-obs``
+        subcommand. The digest stays over the pure event trace either
+        way, so the profile's nondeterministic wall times never move
+        it."""
         text = self.to_jsonl()
         if observability:
-            text = append_observability_jsonl(
-                text, self.snapshot_observability(), self._now)
+            snapshot = self.snapshot_observability()
+            lines = [text] if text else []
+            seq = text.count("\n") + 1 if text else 0
+            rows = [(METRICS_TOPIC, snapshot["metrics"])]
+            if "profile" in snapshot:
+                rows.append((SHARD_PROFILE_TOPIC, snapshot["profile"]))
+            for topic, payload in rows:
+                lines.append(json.dumps(
+                    {"seq": seq, "time_s": self._now, "topic": topic,
+                     "payload": payload}, sort_keys=True,
+                    separators=(",", ":")))
+                seq += 1
+            text = "\n".join(lines)
         Path(path).write_text(text + ("\n" if text else ""))
         return text.count("\n") + 1 if text else 0
 
@@ -687,17 +990,21 @@ class ShardedContext:
     def aggregate_metrics(self) -> MetricsRegistry:
         """Fold every zone's registry into one global registry.
 
-        Merge order is fixed by zone rank (and, on the parallel twin,
-        deltas are applied in ``(epoch, zone rank)`` order), shard-
-        execution-detail metrics are excluded (:data:`
-        SHARD_SCOPED_METRICS`) and the backend-invariant event total is
-        re-derived from the coordinator — so ``to_payload()`` /
-        ``render_exposition`` are byte-identical across backends and
-        worker counts. Pinned by ``tests/test_obs_sharded.py``."""
+        Zones merge in rank order (worker replicas apply their deltas in
+        ``(epoch, zone rank)`` order), shard-execution-detail metrics are
+        excluded (:data:`SHARD_SCOPED_METRICS`) and the executor-
+        invariant event total is re-derived from the coordinator — so
+        ``to_payload()`` / ``render_exposition`` are byte-identical for
+        any shard or worker count. Pinned by
+        ``tests/test_obs_sharded.py``."""
+        if self._host is not None:
+            payloads = [zone.ctx.metrics.to_payload()
+                        for zone in self._host.zones]
+        else:
+            payloads = self._zone_metrics
         registry = MetricsRegistry()
-        for zone in self._zones:
-            registry.merge_payload(zone.ctx.metrics.to_payload(),
-                                   exclude=SHARD_SCOPED_METRICS)
+        for payload in payloads:
+            registry.merge_payload(payload, exclude=SHARD_SCOPED_METRICS)
         registry.gauge(
             "continuum.sim.events_executed",
             "DES events executed across every shard heap"
@@ -716,5 +1023,6 @@ class ShardedContext:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"ShardedContext(seed={self.seed}, "
-                f"zones={len(self._zones)}, shards={self.n_shards}, "
-                f"now={self._now}, epoch={self._epoch})")
+                f"zones={len(self._names)}, shards={self.n_shards}, "
+                f"workers={self.workers}, now={self._now}, "
+                f"epoch={self._epoch})")

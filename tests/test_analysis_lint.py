@@ -280,51 +280,6 @@ class TestRuntimeConstructionRule:
         assert findings == []
 
 
-class TestDeprecatedContextShimRule:
-    def test_ensure_context_call_flagged(self):
-        findings = lint("""
-            from repro.runtime import ensure_context
-            ctx = ensure_context(None)
-        """)
-        assert rules_of(findings) == ["deprecated-context-shim"]
-        assert "RuntimeContext.adopt" in findings[0].message
-
-    def test_as_simulator_call_flagged(self):
-        findings = lint("""
-            from repro.runtime.context import as_simulator
-            sim = as_simulator(thing)
-        """)
-        assert rules_of(findings) == ["deprecated-context-shim"]
-
-    def test_adopt_not_flagged(self):
-        findings = lint("""
-            from repro.runtime import RuntimeContext
-            ctx = RuntimeContext.adopt(obj)
-        """)
-        assert findings == []
-
-    def test_runtime_layer_allowed(self):
-        findings = lint("""
-            from repro.runtime import ensure_context
-            ctx = ensure_context(None)
-        """, path="src/repro/runtime/context.py")
-        assert findings == []
-
-    def test_tests_allowed(self):
-        findings = lint("""
-            from repro.runtime import ensure_context
-            ctx = ensure_context(None)
-        """, path="tests/test_runtime_context.py")
-        assert findings == []
-
-    def test_config_allowlist(self):
-        findings = lint("""
-            from repro.runtime import ensure_context
-            ctx = ensure_context(None)
-        """, context_shim_allowlist=["dpe/tool.py"])
-        assert findings == []
-
-
 class TestDeprecatedPlaceApiRule:
     def test_place_call_flagged(self):
         findings = lint("""

@@ -3,17 +3,16 @@
 The headline property (pinned here, promised in
 ``ShardedContext.aggregate_metrics``): the merged span forest and the
 aggregated metrics payload are *byte-identical* across a single-shard
-run, a multi-shard :class:`ShardedContext` and a
-:class:`ParallelShardedContext` for workers in {1, 2, 4}. Alongside it:
-one injected fault yields exactly one causal span tree crossing zones
-(fault root → relay deliveries → watcher reactions → repair), the
-cross-shard relay fast path emits records byte-identical to the generic
-``resume + start_span`` path it hand-inlines (including the error
-status), metrics merge/delta algebra, ``ShardProfiler`` accounting and
-digest-neutrality, and the ``repro-obs`` subcommands over a merged
-sharded export.
+run, a multi-shard :class:`ShardedContext` and its worker executor for
+workers in {1, 2, 4}. Alongside it: one injected fault yields exactly
+one causal span tree crossing zones (fault root → relay deliveries →
+watcher reactions → repair), the cross-shard relay fast path emits
+records byte-identical to the generic ``resume + start_span`` path it
+hand-inlines (including the error status), metrics merge/delta algebra,
+``ShardProfiler`` accounting and digest-neutrality, and the
+``repro-obs`` subcommands over a merged sharded export.
 
-Builders live at module level so the specs stay picklable under any
+Builders live at module level so they stay picklable under any
 multiprocessing start method.
 """
 
@@ -28,7 +27,7 @@ from repro.obs.cli import main as obs_main
 from repro.obs.metrics import MetricsRegistry, payload_delta
 from repro.obs.profiler import ShardProfiler
 from repro.obs.spans import SpanContext
-from repro.runtime import ParallelShardedContext, ShardedContext
+from repro.runtime import ShardedContext
 from repro.runtime.shard import relay_deliver
 
 
@@ -80,7 +79,7 @@ def _sequential_obs(seed, names, devices, n_shards, horizon=30.0):
 
 def _parallel_obs(seed, names, devices, workers, horizon=30.0):
     args = {"names": names, "devices": devices}
-    with ParallelShardedContext(
+    with ShardedContext(
             seed=seed, zones=names, workers=workers, link_latency_s=0.5,
             zone_builder=_build_obs_zone, zone_args=args,
             zone_finalizer=_finalize_obs_zone) as parallel:

@@ -1,15 +1,16 @@
-"""Tests for multiprocess shard execution (:mod:`repro.runtime.parallel`).
+"""Tests for the worker executor (``ShardedContext(workers=N)``).
 
 The headline property: a multiprocess run — zones built inside worker
 processes, relay messages routed through the coordinator, trace records
 streamed back per epoch — produces digests, scorecards and delivery
-streams *byte-identical* to the sequential in-process reference, for
-workers in {1, 2, 4} over random zone counts, fleet sizes and seeds.
-Alongside it: failure surfacing (a dying or raising worker raises
-``ShardWorkerError``, never hangs the barrier), lifecycle/validation
-shape, and the packaged scale scenario's cross-backend contract.
+streams *byte-identical* to the in-process reference, for workers in
+{1, 2, 4} over random zone counts, fleet sizes and seeds. Alongside it:
+failure surfacing (a dying or raising worker raises
+``ShardWorkerError``, never hangs the barrier), lifecycle shape,
+memoization and coordinator metrics on both executors, and the packaged
+scale scenario's cross-executor contract.
 
-Builders live at module level so the specs stay picklable under any
+Builders live at module level so they stay picklable under any
 multiprocessing start method.
 """
 
@@ -21,11 +22,10 @@ from hypothesis import strategies as st
 
 from repro.continuum import DeviceFleet, ScaleConfig, run_scale_scenario
 from repro.core.errors import ConfigurationError
-from repro.runtime import (
-    ParallelShardedContext,
-    ShardedContext,
-    ShardWorkerError,
-)
+from repro.runtime import ShardedContext, ShardWorkerError
+
+#: Worker counts covering both executors.
+EXECUTORS = (0, 2)
 
 
 def _zone_names(n_zones: int) -> list[str]:
@@ -73,12 +73,16 @@ def _sequential_reference(seed, names, devices, horizon):
     return sharded, results
 
 
+def _fleet_context(seed, names, workers, devices) -> ShardedContext:
+    return ShardedContext(
+        seed=seed, zones=names, n_shards=len(names), workers=workers,
+        link_latency_s=0.5, zone_builder=_build_fleet_zone,
+        zone_args={"names": names, "devices": devices},
+        zone_finalizer=_finalize_fleet_zone)
+
+
 def _parallel_run(seed, names, workers, devices, horizon):
-    args = {"names": names, "devices": devices}
-    with ParallelShardedContext(
-            seed=seed, zones=names, workers=workers, link_latency_s=0.5,
-            zone_builder=_build_fleet_zone, zone_args=args,
-            zone_finalizer=_finalize_fleet_zone) as parallel:
+    with _fleet_context(seed, names, workers, devices) as parallel:
         parallel.run(until=horizon)
         results = parallel.finalize()
     return parallel, results
@@ -128,18 +132,6 @@ class TestParallelEqualsSequential:
         assert par.digest() == seq.digest() == single.digest()
         assert par.scorecard() == seq.scorecard()
 
-    def test_events_counted_and_digest_memoized(self):
-        names = _zone_names(2)
-        par_ctx, _ = _parallel_run(1, names, 2, 3, 20.0)
-        assert par_ctx.events_executed > 0
-        assert par_ctx.epoch == 40
-        assert par_ctx.now == 20.0
-        # Memoized merged trace: repeated digest()/merged_records()
-        # calls return the cached objects (the context is closed — the
-        # trace cannot change anymore).
-        assert par_ctx.digest() is par_ctx.digest()
-        assert par_ctx.merged_records() is par_ctx.merged_records()
-
 
 def _build_chain_zone(ctx, zone: str, args) -> list:
     """Relay chain: zone a publishes ``app.ping`` at t=1; zone b answers
@@ -180,7 +172,7 @@ class TestRelayChain:
         seq_logs = {name: _build_chain_zone(seq.zone(name), name, None)
                     for name in names}
         seq.run(until=10.0)
-        with ParallelShardedContext(
+        with ShardedContext(
                 seed=3, zones=names, workers=2,
                 link_latency_s=self.LATENCY,
                 zone_builder=_build_chain_zone,
@@ -236,7 +228,7 @@ class TestFailureSurfacing:
     def test_worker_crash_raises_instead_of_hanging(self):
         """A shard process dying mid-run raises ShardWorkerError at the
         barrier — promptly, never a deadlock."""
-        with ParallelShardedContext(
+        with ShardedContext(
                 seed=0, zones=("za", "zb"), workers=2, link_latency_s=1.0,
                 zone_builder=_build_crashing_zone,
                 zone_args={"crash_zone": "za"}) as parallel:
@@ -245,12 +237,12 @@ class TestFailureSurfacing:
 
     def test_build_error_carries_worker_traceback(self):
         with pytest.raises(ShardWorkerError, match="kaboom"):
-            ParallelShardedContext(
+            ShardedContext(
                 seed=0, zones=("za",), workers=1,
                 zone_builder=_build_raising_zone)
 
     def test_run_after_close_raises(self):
-        parallel = ParallelShardedContext(
+        parallel = ShardedContext(
             seed=0, zones=("za",), workers=1,
             zone_builder=_build_idle_zone)
         parallel.close()
@@ -258,9 +250,9 @@ class TestFailureSurfacing:
             parallel.run(until=1.0)
 
     def test_cross_zone_subs_without_latency_raise(self):
-        """Same ConfigurationError as the sequential backend when zones
+        """Workers raise the in-process ConfigurationError when zones
         subscribe cross-zone but no lookahead is configured."""
-        with ParallelShardedContext(
+        with ShardedContext(
                 seed=0, zones=_zone_names(2), workers=2,
                 zone_builder=_build_fleet_zone,
                 zone_args={"names": _zone_names(2), "devices": 2},
@@ -271,100 +263,63 @@ class TestFailureSurfacing:
 
 
 class TestParallelContextShape:
-    def test_validation_mirrors_sequential(self):
-        with pytest.raises(ConfigurationError):
-            ParallelShardedContext(zones=())
-        with pytest.raises(ConfigurationError):
-            ParallelShardedContext(zones=("a", "a"))
-        with pytest.raises(ConfigurationError):
-            ParallelShardedContext(zones=("a",), link_latency_s=0.0)
-        with pytest.raises(ConfigurationError):
-            ParallelShardedContext(zones=("a",), epoch_s=-1.0)
-        with pytest.raises(ConfigurationError):
-            ParallelShardedContext(zones=("a",), barrier_record_every=0)
-        with pytest.raises(ConfigurationError):
-            ParallelShardedContext(zones=("a",), workers=0)
-
-    def test_worker_count_clamped_and_contiguous(self):
-        with ParallelShardedContext(
-                seed=0, zones=_zone_names(3), workers=8,
-                link_latency_s=1.0,
-                zone_builder=_build_idle_zone) as parallel:
-            assert parallel.n_workers == 3
-            owners = [parallel.worker_of(name)
-                      for name in parallel.zones]
-            assert owners == sorted(owners)
-            with pytest.raises(ConfigurationError):
-                parallel.worker_of("nope")
-
     def test_zone_access_is_rejected(self):
-        with ParallelShardedContext(
+        with ShardedContext(
                 seed=0, zones=("za",), workers=1,
                 zone_builder=_build_idle_zone) as parallel:
             with pytest.raises(ConfigurationError, match="zone_builder"):
                 parallel.zone("za")
 
     def test_finalize_collects_every_zone(self):
-        with ParallelShardedContext(
-                seed=0, zones=_zone_names(3), workers=2,
-                link_latency_s=1.0, zone_builder=_build_idle_zone,
-                zone_finalizer=_finalize_marker) as parallel:
-            parallel.run(until=5.0)
-            results = parallel.finalize()
-            assert results == {name: f"done-{name}"
-                               for name in _zone_names(3)}
-            # Idempotent, and still readable after close().
-            parallel.close()
-            assert parallel.finalize() == results
+        for workers in EXECUTORS:
+            with ShardedContext(
+                    seed=0, zones=_zone_names(3), workers=workers,
+                    link_latency_s=1.0, zone_builder=_build_idle_zone,
+                    zone_finalizer=_finalize_marker) as parallel:
+                parallel.run(until=5.0)
+                results = parallel.finalize()
+                assert results == {name: f"done-{name}"
+                                   for name in _zone_names(3)}
+                # Idempotent, and still readable after close().
+                parallel.close()
+                assert parallel.finalize() == results
 
     def test_metrics_registered_under_runtime_shard(self):
-        with ParallelShardedContext(
-                seed=0, zones=_zone_names(2), workers=2,
-                link_latency_s=1.0,
-                zone_builder=_build_fleet_zone,
-                zone_args={"names": _zone_names(2), "devices": 2},
-                zone_finalizer=_finalize_fleet_zone) as parallel:
-            parallel.run(until=10.0)
-            snapshot = parallel.metrics.to_payload()
-            assert snapshot["runtime.shard.epochs"]["value"] == 10.0
-            assert snapshot["runtime.shard.relay.messages"]["value"] > 0
-            assert snapshot["runtime.shard.trace.batches"]["value"] > 0
+        """The coordinator metrics e2ebench reads, on both executors;
+        only workers route messages and stream trace batches."""
+        for workers in EXECUTORS:
+            with _fleet_context(0, _zone_names(2), workers, 2) as sharded:
+                sharded.run(until=10.0)
+                snapshot = sharded.metrics.to_payload()
+                assert snapshot["runtime.shard.epochs"]["value"] == 20.0
+                assert snapshot["runtime.shard.relay.messages"]["value"] > 0
+                streamed = snapshot["runtime.shard.trace.batches"]["value"]
+                assert (streamed > 0) == bool(workers)
+                assert sharded.events_executed > 0
 
 
 class TestSequentialMemoization:
-    """Satellite: merged_records()/digest() memoized across repeated
-    calls, invalidated when run() lands new records."""
-
-    @staticmethod
-    def _sharded():
-        sharded = ShardedContext(seed=5, zones=("a", "b"), n_shards=2,
-                                 link_latency_s=0.5)
-        for name in ("a", "b"):
-            DeviceFleet(name, 3, ctx=sharded.zone(name),
-                        fail_rate_per_s=5e-3).start(1.0)
-        return sharded
+    """merged_records()/digest() memoized across repeated calls,
+    invalidated when run() lands new records — on both executors."""
 
     def test_repeat_calls_hit_the_cache(self):
-        sharded = self._sharded()
-        sharded.run(until=10.0)
-        assert sharded.merged_records() is sharded.merged_records()
-        assert sharded.to_jsonl() is sharded.to_jsonl()
-        assert sharded.digest() is sharded.digest()
+        for workers in EXECUTORS:
+            with _fleet_context(1, _zone_names(2), workers, 3) as sharded:
+                sharded.run(until=20.0)
+                assert sharded.epoch == 40
+                assert sharded.now == 20.0
+            # Closed: the trace cannot change anymore.
+            assert sharded.merged_records() is sharded.merged_records()
+            assert sharded.to_jsonl() is sharded.to_jsonl()
+            assert sharded.digest() is sharded.digest()
 
     def test_new_records_invalidate(self):
-        sharded = self._sharded()
-        sharded.run(until=10.0)
-        first_merged = sharded.merged_records()
-        first_digest = sharded.digest()
-        sharded.run(until=20.0)
-        assert sharded.merged_records() is not first_merged
-        assert len(sharded.merged_records()) > len(first_merged)
-        assert sharded.digest() != first_digest
-
-    def test_sequential_metrics_registered(self):
-        sharded = self._sharded()
-        sharded.run(until=10.0)
-        snapshot = sharded.metrics.to_payload()
-        assert snapshot["runtime.shard.epochs"]["value"] == 20.0
-        assert snapshot["runtime.shard.relay.backlog"]["value"] == 0.0
-        assert sharded.events_executed > 0
+        for workers in EXECUTORS:
+            with _fleet_context(5, _zone_names(2), workers, 3) as sharded:
+                sharded.run(until=10.0)
+                first_merged = sharded.merged_records()
+                first_digest = sharded.digest()
+                sharded.run(until=20.0)
+                assert sharded.merged_records() is not first_merged
+                assert len(sharded.merged_records()) > len(first_merged)
+                assert sharded.digest() != first_digest

@@ -7,13 +7,7 @@ import pytest
 
 from repro.continuum.simulator import Simulator
 from repro.core.errors import ConfigurationError
-from repro.runtime import (
-    RuntimeContext,
-    TraceRecorder,
-    as_simulator,
-    ensure_context,
-    jsonify,
-)
+from repro.runtime import RuntimeContext, TraceRecorder, jsonify
 
 
 class TestRuntimeContext:
@@ -133,66 +127,6 @@ class TestAdopt:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             RuntimeContext.adopt(None)
-
-
-class TestDeprecatedShims:
-    """ensure_context/as_simulator still work, but warn (once per
-    call site) and route through RuntimeContext.adopt."""
-
-    def test_ensure_context_warns_and_delegates(self):
-        ctx = RuntimeContext()
-        with pytest.warns(DeprecationWarning,
-                          match="RuntimeContext.adopt"):
-            assert ensure_context(ctx) is ctx
-
-    def test_ensure_context_wraps_simulator(self):
-        sim = Simulator(start_time=4.0)
-        with pytest.warns(DeprecationWarning):
-            wrapped = ensure_context(sim)
-        assert wrapped.sim is sim
-
-    def test_ensure_context_rejects_other_types(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                ensure_context("not a simulator")
-
-    def test_as_simulator_warns_and_delegates(self):
-        ctx = RuntimeContext()
-        with pytest.warns(DeprecationWarning,
-                          match="RuntimeContext.adopt"):
-            assert as_simulator(ctx) is ctx.sim
-        sim = Simulator()
-        with pytest.warns(DeprecationWarning):
-            assert as_simulator(sim) is sim
-
-    def test_warning_fires_once_per_call_site(self):
-        import warnings
-
-        def call_site():
-            return ensure_context(None)
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.resetwarnings()
-            warnings.simplefilter("default", DeprecationWarning)
-            # __warningregistry__ dedupes on (message, category,
-            # lineno): the same call site repeated warns once ...
-            for _ in range(5):
-                call_site()
-            deprecations = [w for w in caught
-                            if w.category is DeprecationWarning]
-            assert len(deprecations) == 1
-            # ... and a different call site warns again.
-            ensure_context(None)
-            deprecations = [w for w in caught
-                            if w.category is DeprecationWarning]
-            assert len(deprecations) == 2
-
-    def test_warning_attributes_to_caller(self):
-        """stacklevel=2: the warning points at the call site, not at
-        repro/runtime/context.py."""
-        with pytest.warns(DeprecationWarning) as record:
-            ensure_context(None)
-        assert record[0].filename == __file__
 
 
 class _Color(enum.Enum):

@@ -5,7 +5,8 @@ sharded run are byte-identical to its single-shard twin, for random
 zone counts, shard counts, fleet sizes and seeds — the zone (not the
 shard) is the unit of determinism. Alongside it: the conservative
 lookahead bound (epoch lookahead is never smaller than the minimum
-cross-zone link latency), the relay's timing/no-echo semantics, the
+cross-zone link latency), the relay's timing/no-echo semantics on both
+executors (in process and ``workers=2``), the
 :meth:`Infrastructure.partition` decomposition and the merged-trace
 serialization contract.
 """
@@ -25,6 +26,10 @@ from repro.continuum import (
 )
 from repro.core.errors import ConfigurationError, NotFoundError
 from repro.runtime import RuntimeContext, ShardedContext
+
+#: Worker counts covering both executors: in process, and two worker
+#: processes.
+EXECUTORS = (0, 2)
 
 
 def _fleet_run(seed: int, n_zones: int, n_shards: int,
@@ -167,90 +172,97 @@ class TestZonePartition:
         assert part.min_cross_latency_s == float("inf")
 
 
+def _build_relay_zone(ctx, zone: str, args: dict) -> list:
+    """Relay fixture: zone ``a`` publishes each ``(time, topic, n)`` of
+    ``args["sends"]``; every pattern in ``args["subs"][zone]`` logs
+    ``(pattern, receive time, n)``. Module level, so workers can run it.
+    """
+    log: list = []
+    for pattern in args["subs"].get(zone, ()):
+        ctx.subscribe(pattern, lambda topic, payload, _p=pattern:
+                      log.append((_p, ctx.now, payload["n"])))
+    if zone == "a" and args["sends"]:
+        def sender():
+            for at, topic, n in args["sends"]:
+                yield ctx.sim.timeout(at - ctx.now)
+                ctx.publish(topic, {"n": n})
+
+        ctx.sim.process(sender())
+    return log
+
+
+def _finalize_relay_zone(log: list, zone: str, args: dict) -> list:
+    return log
+
+
+def _relay_context(workers: int, zones, subs: dict, sends=(),
+                   latency: float | None = 0.5) -> ShardedContext:
+    return ShardedContext(
+        seed=0, zones=zones, n_shards=len(zones), workers=workers,
+        link_latency_s=latency, zone_builder=_build_relay_zone,
+        zone_args={"subs": subs, "sends": list(sends)},
+        zone_finalizer=_finalize_relay_zone)
+
+
+def _relay_run(workers: int, zones, subs: dict, sends=(),
+               until: float = 10.0):
+    """Run the relay fixture; returns (context, per-zone logs)."""
+    with _relay_context(workers, zones, subs, sends) as sharded:
+        sharded.run(until=until)
+        return sharded, sharded.finalize()
+
+
 class TestEpochRelay:
     def test_cross_zone_delivery_at_send_plus_latency(self):
-        sharded = ShardedContext(seed=0, zones=("a", "b"), n_shards=2,
-                                 link_latency_s=0.5)
-        ctx_a, ctx_b = sharded.zone("a"), sharded.zone("b")
-        got = []
-        ctx_b.subscribe("app.ping",
-                        lambda t, p: got.append((ctx_b.now, p["n"])))
-
-        def sender():
-            yield ctx_a.sim.timeout(1.25)
-            ctx_a.publish("app.ping", {"n": 1})
-            yield ctx_a.sim.timeout(2.0)
-            ctx_a.publish("app.ping", {"n": 2})
-
-        ctx_a.sim.process(sender())
-        sharded.run(until=10.0)
-        assert got == [(1.75, 1), (3.75, 2)]
+        for workers in EXECUTORS:
+            _, logs = _relay_run(
+                workers, ("a", "b"), {"b": ["app.ping"]},
+                sends=[(1.25, "app.ping", 1), (3.25, "app.ping", 2)])
+            assert [(t, n) for _, t, n in logs["b"]] == \
+                [(1.75, 1), (3.75, 2)], workers
 
     def test_local_delivery_stays_synchronous(self):
-        sharded = ShardedContext(seed=0, zones=("a", "b"), n_shards=2,
-                                 link_latency_s=0.5)
-        ctx_a = sharded.zone("a")
-        got = []
-        ctx_a.subscribe("app.ping",
-                        lambda t, p: got.append(ctx_a.now))
-
-        def sender():
-            yield ctx_a.sim.timeout(1.25)
-            ctx_a.publish("app.ping", {"n": 1})
-
-        ctx_a.sim.process(sender())
-        sharded.run(until=5.0)
-        assert got == [1.25]
+        for workers in EXECUTORS:
+            _, logs = _relay_run(workers, ("a", "b"), {"a": ["app.ping"]},
+                                 sends=[(1.25, "app.ping", 1)], until=5.0)
+            assert [t for _, t, _ in logs["a"]] == [1.25], workers
 
     def test_relay_is_single_hop_no_echo(self):
         """Three zones all subscribed to the same topic: one publish
         reaches each remote zone exactly once and is never re-forwarded
         by a destination (no echo storm)."""
-        sharded = ShardedContext(seed=0, zones=("a", "b", "c"),
-                                 n_shards=3, link_latency_s=0.5)
-        got = {name: [] for name in ("a", "b", "c")}
-        for name in ("a", "b", "c"):
-            ctx = sharded.zone(name)
-            ctx.subscribe("app.broadcast",
-                          lambda t, p, _n=name: got[_n].append(p["n"]))
-
-        ctx_a = sharded.zone("a")
-
-        def sender():
-            yield ctx_a.sim.timeout(1.0)
-            ctx_a.publish("app.broadcast", {"n": 7})
-
-        ctx_a.sim.process(sender())
-        sharded.run(until=20.0)
-        assert got == {"a": [7], "b": [7], "c": [7]}
+        zones = ("a", "b", "c")
+        for workers in EXECUTORS:
+            _, logs = _relay_run(
+                workers, zones,
+                {name: ["app.broadcast"] for name in zones},
+                sends=[(1.0, "app.broadcast", 7)], until=20.0)
+            assert {name: [n for _, _, n in log]
+                    for name, log in logs.items()} == \
+                {"a": [7], "b": [7], "c": [7]}, workers
 
     def test_multiple_matching_patterns_deliver_once_per_subscription(self):
         """A publish matching several tapped patterns crosses the relay
         once; the destination bus then fans it out normally."""
-        sharded = ShardedContext(seed=0, zones=("a", "b"), n_shards=2,
-                                 link_latency_s=0.5)
-        ctx_a, ctx_b = sharded.zone("a"), sharded.zone("b")
-        got = []
-        ctx_b.subscribe("app.*", lambda t, p: got.append(("star", t)))
-        ctx_b.subscribe("app.ping", lambda t, p: got.append(("exact", t)))
-
-        def sender():
-            yield ctx_a.sim.timeout(1.0)
-            ctx_a.publish("app.ping", {"n": 1})
-
-        ctx_a.sim.process(sender())
-        sharded.run(until=5.0)
-        assert sorted(got) == [("exact", "app.ping"), ("star", "app.ping")]
-        relay_records = [rec for rec in ctx_b.trace
-                         if rec.topic == "shard.relay.deliver"]
-        assert len(relay_records) == 1
-        assert relay_records[0].payload["count"] == 1
+        for workers in EXECUTORS:
+            sharded, logs = _relay_run(
+                workers, ("a", "b"), {"b": ["app.*", "app.ping"]},
+                sends=[(1.0, "app.ping", 1)], until=5.0)
+            assert sorted(p for p, _, _ in logs["b"]) == \
+                ["app.*", "app.ping"], workers
+            relay_records = [rec for zone, rec in sharded.merged_records()
+                             if zone == "b"
+                             and rec.topic == "shard.relay.deliver"]
+            assert len(relay_records) == 1, workers
+            assert relay_records[0].payload["count"] == 1
 
     def test_cross_zone_subs_without_latency_raise(self):
-        sharded = ShardedContext(seed=0, zones=("a", "b"), n_shards=2)
-        sharded.zone("b").subscribe("app.ping", lambda t, p: None)
-        with pytest.raises(ConfigurationError):
-            sharded.run(until=1.0)
+        for workers in EXECUTORS:
+            with _relay_context(workers, ("a", "b"), {"b": ["app.ping"]},
+                                latency=None) as sharded:
+                with pytest.raises(ConfigurationError,
+                                   match="link_latency_s"):
+                    sharded.run(until=1.0)
 
     def test_subscription_added_mid_run_takes_effect_at_barrier(self):
         sharded = ShardedContext(seed=0, zones=("a", "b"), n_shards=2,
@@ -268,21 +280,22 @@ class TestEpochRelay:
         assert got == []
         ctx_b.subscribe("app.tick", lambda t, p: got.append(p["t"]))
         sharded.run(until=6.0)
-        assert got  # ticks published after the subscription barrier
+        # Every tick published after the subscription barrier relays,
+        # the first epoch's included; the t=6 tick arrives past the run.
+        assert got == [4.0, 5.0]
 
 
 class TestShardedContextShape:
     def test_validation(self):
+        for workers in EXECUTORS:
+            for bad in ({"zones": ()}, {"zones": ("a", "a")},
+                        {"zones": ("a",), "link_latency_s": 0.0},
+                        {"zones": ("a",), "epoch_s": -1.0},
+                        {"zones": ("a",), "barrier_record_every": 0}):
+                with pytest.raises(ConfigurationError):
+                    ShardedContext(workers=workers, **bad)
         with pytest.raises(ConfigurationError):
-            ShardedContext(zones=())
-        with pytest.raises(ConfigurationError):
-            ShardedContext(zones=("a", "a"))
-        with pytest.raises(ConfigurationError):
-            ShardedContext(zones=("a",), link_latency_s=0.0)
-        with pytest.raises(ConfigurationError):
-            ShardedContext(zones=("a",), epoch_s=-1.0)
-        with pytest.raises(ConfigurationError):
-            ShardedContext(zones=("a",), barrier_record_every=0)
+            ShardedContext(zones=("a",), workers=-1)
 
     def test_run_horizon_validation(self):
         sharded = ShardedContext(zones=("a",))
@@ -293,12 +306,22 @@ class TestShardedContextShape:
             sharded.run(until=1.0)
 
     def test_shard_assignment_is_contiguous_and_clamped(self):
-        sharded = ShardedContext(zones=("a", "b", "c"), n_shards=99,
-                                 link_latency_s=1.0)
-        assert sharded.n_shards == 3
-        ranks = [sharded.shard_of(name) for name in ("a", "b", "c")]
-        assert ranks == sorted(ranks)
-        assert sharded.zones == ["a", "b", "c"]
+        """Shards (heaps, or worker processes) are clamped to the zone
+        count and hold contiguous rank blocks; an unknown zone name is
+        a NotFoundError on either executor."""
+        for workers in (0, 8):
+            with ShardedContext(zones=("a", "b", "c"), n_shards=99,
+                                workers=workers,
+                                link_latency_s=1.0) as sharded:
+                assert sharded.n_shards == 3
+                ranks = [sharded.shard_of(name)
+                         for name in ("a", "b", "c")]
+                assert ranks == sorted(ranks)
+                assert sharded.zones == ["a", "b", "c"]
+                with pytest.raises(NotFoundError):
+                    sharded.shard_of("nope")
+                with pytest.raises(NotFoundError):
+                    sharded.zone("nope")
 
     def test_unknown_zone_raises(self):
         sharded = ShardedContext(zones=("a",))
