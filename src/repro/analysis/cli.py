@@ -103,7 +103,7 @@ def _run_tosca(paths: list[str], as_json: bool) -> int:
         else:
             try:
                 service = parse_service_template(path.read_text())
-            except ValidationError as exc:
+            except (ValidationError, UnicodeDecodeError) as exc:
                 print(f"{path}: cannot parse: {exc}", file=sys.stderr)
                 return 1
             findings += check_service(service, str(path))

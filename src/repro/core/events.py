@@ -79,21 +79,6 @@ def topic_matches(pattern: str, topic: str) -> bool:
     return matcher(topic)
 
 
-def _segments_match(pats: list[str], tops: list[str]) -> bool:
-    """Reference matcher (recursive). The compiled matchers must agree
-    with this definition exactly; the property tests check they do."""
-    if not pats:
-        return not tops
-    if pats[0] == "**":
-        return any(_segments_match(pats[1:], tops[i:])
-                   for i in range(len(tops) + 1))
-    if not tops:
-        return False
-    if pats[0] != "*" and pats[0] != tops[0]:
-        return False
-    return _segments_match(pats[1:], tops[1:])
-
-
 @lru_cache(maxsize=4096)
 def compile_pattern(pattern: str) -> Optional[Callable[[str], bool]]:
     """Compile *pattern* to a matcher callable, or None when exact.

@@ -116,12 +116,31 @@ class MappingEvaluator:
     tenants, and charging one application for a whole server's idle
     draw would make every heterogeneous mapping look wasteful and
     collapse the latency/energy trade-off.
+
+    The evaluator snapshots the application and the platform at
+    construction. Each task, in topological order, gets a
+    ``{processor: (duration, busy_power_w)}`` table and a
+    ``[(predecessor, comm_time)]`` list, so :meth:`evaluate` only does
+    dict lookups and the schedule's arithmetic, in the same order as
+    reading the models on every call. Build a new evaluator after
+    changing either model.
     """
 
     def __init__(self, application: Application, platform: PlatformModel):
         self.application = application
         self.platform = platform
         self._topo = list(nx.topological_sort(application.graph))
+        self._processors = [p.name for p in platform.processors]
+        self._steps = []
+        for task_name in self._topo:
+            task = application.task(task_name)
+            costs = {proc.name: (proc.time_for(task.megaops, task.kernel),
+                                 proc.busy_power_w)
+                     for proc in platform.processors}
+            preds = [(pred, platform.comm_time(
+                         application.edge_bytes(pred, task_name)))
+                     for pred in application.predecessors(task_name)]
+            self._steps.append((task_name, costs, preds))
         self.evaluations = 0
 
     def evaluate(self, mapping: Mapping) -> EvaluationResult:
@@ -130,42 +149,42 @@ class MappingEvaluator:
         missing = [t for t in self._topo if t not in assignment]
         if missing:
             raise ValidationError(f"mapping misses tasks: {missing}")
-        proc_free: dict[str, float] = {
-            p.name: 0.0 for p in self.platform.processors}
+        proc_free = dict.fromkeys(self._processors, 0.0)
         finish: dict[str, float] = {}
         busy_energy = 0.0
-        for task_name in self._topo:
-            task = self.application.task(task_name)
-            proc = self.platform.processor(assignment[task_name])
+        for task_name, costs, preds in self._steps:
+            proc = assignment[task_name]
+            if proc not in costs:
+                raise ConfigurationError(f"unknown processor {proc!r}")
+            duration, busy_power_w = costs[proc]
             ready = 0.0
-            for pred in self.application.predecessors(task_name):
+            for pred, comm_time in preds:
                 arrival = finish[pred]
-                if assignment[pred] != assignment[task_name]:
-                    arrival += self.platform.comm_time(
-                        self.application.edge_bytes(pred, task_name))
+                if assignment[pred] != proc:
+                    arrival += comm_time
                 ready = max(ready, arrival)
-            start = max(ready, proc_free[proc.name])
-            duration = proc.time_for(task.megaops, task.kernel)
+            start = max(ready, proc_free[proc])
             finish[task_name] = start + duration
-            proc_free[proc.name] = finish[task_name]
-            busy_energy += duration * proc.busy_power_w
+            proc_free[proc] = finish[task_name]
+            busy_energy += duration * busy_power_w
         makespan = max(finish.values(), default=0.0)
         return EvaluationResult(mapping=mapping, latency_s=makespan,
                                 energy_j=busy_energy)
 
 
 def pareto_front(results: list[EvaluationResult]) -> list[EvaluationResult]:
-    """Non-dominated subset, sorted by latency."""
-    front = []
-    for candidate in results:
-        if not any(other.dominates(candidate) for other in results
-                   if other is not candidate):
-            front.append(candidate)
-    # Deduplicate identical KPI points.
-    unique: dict[tuple[float, float], EvaluationResult] = {}
-    for result in front:
-        unique.setdefault((result.latency_s, result.energy_j), result)
-    return sorted(unique.values(), key=lambda r: r.latency_s)
+    """Non-dominated subset, sorted by latency.
+
+    One stable sort by ``(latency_s, energy_j)`` and one sweep: a point
+    is kept when its energy is strictly below the last kept point's, so
+    of several identical KPI points the first in *results* survives.
+    """
+    front: list[EvaluationResult] = []
+    for result in sorted(results,
+                         key=lambda r: (r.latency_s, r.energy_j)):
+        if not front or result.energy_j < front[-1].energy_j:
+            front.append(result)
+    return front
 
 
 class ExhaustiveExplorer:
@@ -290,11 +309,16 @@ def export_operating_points(results: list[EvaluationResult],
     """Pareto points as runtime meta-information ([29], [30]).
 
     Returns JSON-safe dicts the DPE embeds in the CSAR and the MIRTO
-    Node Manager consumes when trading QoS for energy at runtime.
+    Node Manager consumes when trading QoS for energy at runtime. When
+    the front is longer than *max_points*, the points are spread evenly
+    along it from the fastest; ``max_points=1`` keeps the fastest.
     """
+    if max_points < 1:
+        raise ConfigurationError(
+            f"max_points must be at least 1, got {max_points}")
     front = pareto_front(results)
     if len(front) > max_points:
-        step = (len(front) - 1) / (max_points - 1)
+        step = (len(front) - 1) / max(max_points - 1, 1)
         front = [front[round(i * step)] for i in range(max_points)]
     points = []
     for index, result in enumerate(front):

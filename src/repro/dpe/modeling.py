@@ -15,6 +15,7 @@ CSAR deployment specification handed to the MIRTO Cognitive Engine.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from dataclasses import dataclass, field
@@ -333,12 +334,15 @@ class DesignFlow:
 
 
 def _pseudo_bitstream(name: str, luts: int) -> bytes:
-    """Deterministic bitstream artifact sized by design complexity."""
-    from repro.security.primitives.sha2 import sha256
-    body = sha256(name.encode())
+    """Deterministic bitstream artifact sized by design complexity.
+
+    The bytes are filler with no security role, so they chain
+    :mod:`hashlib`'s SHA-256 rather than the security layer's own.
+    """
+    body = hashlib.sha256(name.encode()).digest()
     stream = bytearray(b"XLNX")
     target = 128 + luts
     while len(stream) < target:
-        body = sha256(body)
+        body = hashlib.sha256(body).digest()
         stream += body
     return bytes(stream[:target])

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import io
 import zipfile
+import zlib
 from dataclasses import dataclass, field
 
 from repro.core.errors import ValidationError
@@ -64,7 +65,7 @@ class CsarArchive:
         names = set(archive.namelist())
         if _META_PATH not in names:
             raise ValidationError("CSAR missing TOSCA-Metadata/TOSCA.meta")
-        meta = archive.read(_META_PATH).decode()
+        meta = _read_text(archive, _META_PATH)
         entry = None
         for line in meta.splitlines():
             if line.startswith("Entry-Definitions:"):
@@ -72,9 +73,9 @@ class CsarArchive:
         if entry is None or entry not in names:
             raise ValidationError("CSAR metadata lacks a valid "
                                   "Entry-Definitions")
-        service = parse_service_template(archive.read(entry).decode())
+        service = parse_service_template(_read_text(archive, entry))
         artifacts = {
-            name[len("Artifacts/"):]: archive.read(name)
+            name[len("Artifacts/"):]: _read(archive, name)
             for name in names if name.startswith("Artifacts/")
         }
         return CsarArchive(service=service, artifacts=artifacts)
@@ -83,3 +84,20 @@ class CsarArchive:
         """Artifact paths and sizes, for the Fig. 4 bench report."""
         return {path: len(content)
                 for path, content in sorted(self.artifacts.items())}
+
+
+def _read(archive: zipfile.ZipFile, name: str) -> bytes:
+    """One entry's bytes; a damaged entry raises :class:`ValidationError`."""
+    try:
+        return archive.read(name)
+    except (zipfile.BadZipFile, zlib.error, EOFError,
+            NotImplementedError) as exc:
+        raise ValidationError(f"CSAR entry {name} is corrupt: {exc}") from exc
+
+
+def _read_text(archive: zipfile.ZipFile, name: str) -> str:
+    try:
+        return _read(archive, name).decode()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"CSAR entry {name} is not UTF-8: {exc}") \
+            from exc

@@ -38,6 +38,12 @@ from repro.tosca.model import (
 
 SUPPORTED_VERSIONS = ("myrtus_tosca_1_0", "tosca_2_0")
 
+# libyaml's loader and emitter when PyYAML was built with it; the
+# pure-Python classes are the fallback. Both give the same documents and
+# the same text on every template the repo builds (tests/test_tosca.py).
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
 
 def parse_service_template(text: str, name: str = "service"
                            ) -> ServiceTemplate:
@@ -47,8 +53,10 @@ def parse_service_template(text: str, name: str = "service"
     are the validator's job (:mod:`repro.tosca.validator`).
     """
     try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+        doc = yaml.load(text, Loader=_LOADER)
+    except (yaml.YAMLError, UnicodeEncodeError) as exc:
+        # libyaml encodes the text to UTF-8 first, so a lone surrogate
+        # fails there rather than in the pure-Python reader.
         raise ValidationError(f"invalid YAML: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("TOSCA document must be a mapping")
@@ -61,19 +69,41 @@ def parse_service_template(text: str, name: str = "service"
     topology = doc.get("topology_template")
     if not isinstance(topology, dict):
         raise ValidationError("missing topology_template section")
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ValidationError("metadata must be a mapping")
     service = ServiceTemplate(
-        name=doc.get("metadata", {}).get("template_name", name),
-        inputs=dict(topology.get("inputs") or {}),
-        metadata=dict(doc.get("metadata") or {}),
+        name=metadata.get("template_name", name),
+        inputs=_mapping(topology.get("inputs"), "topology_template inputs"),
+        metadata=dict(metadata),
     )
     node_templates = topology.get("node_templates")
     if not isinstance(node_templates, dict) or not node_templates:
         raise ValidationError("topology_template needs node_templates")
     for tpl_name, body in node_templates.items():
         service.add_node(_parse_node_template(tpl_name, body))
-    for policy_entry in topology.get("policies") or []:
+    for policy_entry in _sequence(topology.get("policies"),
+                                  "topology_template policies"):
         service.add_policy(_parse_policy(policy_entry))
     return service
+
+
+def _mapping(value: Any, where: str) -> dict:
+    """A copy of an optional mapping section (absent or empty → ``{}``)."""
+    if not value:
+        return {}
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where} must be a mapping")
+    return dict(value)
+
+
+def _sequence(value: Any, where: str) -> list:
+    """An optional list section (absent or empty → ``[]``)."""
+    if not value:
+        return []
+    if not isinstance(value, list):
+        raise ValidationError(f"{where} must be a list")
+    return value
 
 
 def _parse_node_template(name: str, body: Any) -> NodeTemplate:
@@ -85,9 +115,11 @@ def _parse_node_template(name: str, body: Any) -> NodeTemplate:
     template = NodeTemplate(
         name=name,
         type=type_name,
-        properties=dict(body.get("properties") or {}),
+        properties=_mapping(body.get("properties"),
+                            f"node template {name!r} properties"),
     )
-    for entry in body.get("requirements") or []:
+    for entry in _sequence(body.get("requirements"),
+                           f"node template {name!r} requirements"):
         template.requirements.append(_parse_requirement(name, entry))
     return template
 
@@ -136,7 +168,8 @@ def _parse_policy(entry: Any) -> Policy:
         name=name,
         type=type_name,
         targets=[str(t) for t in targets],
-        properties=dict(body.get("properties") or {}),
+        properties=_mapping(body.get("properties"),
+                            f"policy {name!r} properties"),
     )
 
 
@@ -168,4 +201,4 @@ def dump_service_template(service: ServiceTemplate) -> str:
             "policies": policies,
         },
     }
-    return yaml.safe_dump(doc, sort_keys=False)
+    return yaml.dump(doc, Dumper=_DUMPER, sort_keys=False)

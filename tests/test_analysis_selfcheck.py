@@ -113,6 +113,19 @@ topology_template:
         assert result.returncode == 1
         assert "unknown template" in result.stdout
 
+    def test_malformed_templates_cannot_parse(self, tmp_path):
+        bad_section = tmp_path / "section.yaml"
+        bad_section.write_text("tosca_definitions_version: myrtus_tosca_1_0\n"
+                               "metadata: oops\n"
+                               "topology_template: {}\n")
+        not_utf8 = tmp_path / "bytes.yaml"
+        not_utf8.write_bytes(b"\xff\xfe")
+        for template in (bad_section, not_utf8):
+            result = run_cli("tosca", str(template))
+            assert result.returncode == 1
+            assert "cannot parse" in result.stderr
+            assert "Traceback" not in result.stderr
+
     def test_missing_file_is_usage_error(self):
         result = run_cli("tosca", "/no/such/file.yaml")
         assert result.returncode == 2

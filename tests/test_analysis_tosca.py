@@ -209,6 +209,18 @@ class TestCsarChecks:
         findings = check_csar_bytes(b"definitely not a zip")
         assert rules_of(findings) == ["archive"]
 
+    def test_undecodable_template_reported_not_raised(self):
+        import io
+        import zipfile
+        buffer = io.BytesIO()
+        with zipfile.ZipFile(buffer, "w") as archive:
+            archive.writestr("TOSCA-Metadata/TOSCA.meta",
+                             "Entry-Definitions: t.yaml\n")
+            archive.writestr("t.yaml", b"\xff\xfe")
+        findings = check_csar_bytes(buffer.getvalue())
+        assert rules_of(findings) == ["archive"]
+        assert "t.yaml is not UTF-8" in findings[0].message
+
     def test_roundtripped_archive_checks_clean(self):
         archive = CsarArchive(service=valid_service())
         rebuilt = CsarArchive.from_bytes(archive.to_bytes())

@@ -37,7 +37,20 @@ from repro.dpe.mlir import (
     Interpreter,
     Module,
 )
+from repro.dpe.modeling import _pseudo_bitstream
+from repro.security.primitives import sha2
 from repro.tosca import CsarArchive, ToscaValidator
+
+
+def sha2_filler(header: bytes, seed: bytes, size: int) -> bytes:
+    """The pseudo-bitstream chain built with the from-scratch SHA-256:
+    *header*, then H(H(seed)), H(H(H(seed))), ... cut to *size* bytes."""
+    body = sha2.sha256(seed)
+    stream = bytearray(header)
+    while len(stream) < size:
+        body = sha2.sha256(body)
+        stream += body
+    return bytes(stream[:size])
 
 
 def sample_adt():
@@ -209,6 +222,21 @@ class TestHlsAndMdc:
         assert bit_a.startswith(b"MDCB")
         assert accelerator.bitstream("a") == bit_a  # deterministic
 
+    def test_mdc_bitstream_is_the_sha2_chain(self):
+        module = self.scalar_module()
+        g1 = DataflowGraph("a", module)
+        g1.add_actor(Actor("x", "fir", (1, 1), (1,)))
+        g2 = DataflowGraph("b", module)
+        g2.add_actor(Actor("x", "iir", (1, 1), (1,)))
+        accelerator = compose(module, [g1, g2])
+        size = 256 + 32 * len(accelerator.shared_actors)
+        for graph in ("a", "b"):
+            word = accelerator.configurations[graph].config_word
+            expected = sha2_filler(
+                b"MDCB" + word.to_bytes(4, "big"),
+                f"{accelerator.name}:{graph}:{word}".encode(), size)
+            assert accelerator.bitstream(graph) == expected
+
     def test_mdc_unknown_configuration(self):
         module = self.scalar_module()
         g1 = DataflowGraph("a", module)
@@ -343,6 +371,12 @@ class TestDesignFlow:
         assert "verilog/pose.v" in inventory
         assert "meta/operating-points.json" in inventory
         assert "security/countermeasures.txt" in inventory
+
+    @pytest.mark.parametrize("name,luts", [("pose", 0), ("pose", 31),
+                                           ("detector", 5000)])
+    def test_pseudo_bitstream_is_the_sha2_chain(self, name, luts):
+        assert _pseudo_bitstream(name, luts) \
+            == sha2_filler(b"XLNX", name.encode(), 128 + luts)
 
     def test_csar_roundtrips(self):
         spec = DesignFlow(seed=0).run(telerehab_scenario())

@@ -1,8 +1,12 @@
 """Tests for the design-space exploration engine (mocasin analogue)."""
 
+import math
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import ConfigurationError, ValidationError
 from repro.continuum.workload import Application, KernelClass, Task
@@ -48,6 +52,84 @@ def chain_app(n=3, megaops=1000):
             app.connect(prev, f"t{i}", bytes_transferred=10_000)
         prev = f"t{i}"
     return app
+
+
+def reference_evaluate(application, platform, mapping):
+    """Reference list schedule that reads the models on every call.
+
+    :class:`MappingEvaluator`'s per-task tables must reproduce its floats
+    bit for bit. Returns ``(latency_s, energy_j)``.
+    """
+    assignment = mapping.as_dict()
+    proc_free = {p.name: 0.0 for p in platform.processors}
+    finish = {}
+    busy_energy = 0.0
+    for task_name in nx.topological_sort(application.graph):
+        task = application.task(task_name)
+        proc = platform.processor(assignment[task_name])
+        ready = 0.0
+        for pred in application.predecessors(task_name):
+            arrival = finish[pred]
+            if assignment[pred] != assignment[task_name]:
+                arrival += platform.comm_time(
+                    application.edge_bytes(pred, task_name))
+            ready = max(ready, arrival)
+        start = max(ready, proc_free[proc.name])
+        duration = proc.time_for(task.megaops, task.kernel)
+        finish[task_name] = start + duration
+        proc_free[proc.name] = finish[task_name]
+        busy_energy += duration * proc.busy_power_w
+    return max(finish.values(), default=0.0), busy_energy
+
+
+def reference_pareto_front(results):
+    """Reference front: the quadratic dominance filter, then one point
+    per identical KPI pair (the first in *results*), sorted by latency."""
+    front = [candidate for candidate in results
+             if not any(other.dominates(candidate) for other in results
+                        if other is not candidate)]
+    unique = {}
+    for result in front:
+        unique.setdefault((result.latency_s, result.energy_j), result)
+    return sorted(unique.values(), key=lambda r: r.latency_s)
+
+
+@st.composite
+def dse_problems(draw):
+    """A random platform, a random task DAG on it and a few mappings."""
+    kernels = st.sampled_from(list(KernelClass))
+    processors = tuple(
+        ProcessorModel(
+            f"p{i}", "cpu", gops=draw(st.floats(0.5, 500)),
+            busy_power_w=draw(st.floats(0, 100)), idle_power_w=0.0,
+            accel_kernels=draw(st.dictionaries(kernels, st.floats(1, 20),
+                                               max_size=2)))
+        for i in range(draw(st.integers(1, 4))))
+    platform = PlatformModel(
+        "random", processors,
+        interconnect_latency_s=draw(st.floats(0, 1e-3)),
+        interconnect_bw_bps=draw(st.floats(1e6, 1e10)))
+    n_tasks = draw(st.integers(1, 7))
+    app = Application("random")
+    for i in range(n_tasks):
+        app.add_task(Task(f"t{i}", megaops=draw(st.floats(0, 5000)),
+                          kernel=draw(kernels)))
+    for dst in range(n_tasks):
+        for src in range(dst):
+            if draw(st.booleans()):
+                app.connect(f"t{src}", f"t{dst}",
+                            bytes_transferred=draw(st.integers(0, 10**7)))
+    names = st.sampled_from([p.name for p in processors])
+    mappings = draw(st.lists(
+        st.fixed_dictionaries({f"t{i}": names for i in range(n_tasks)}),
+        min_size=1, max_size=4))
+    return app, platform, [Mapping.of(m) for m in mappings]
+
+
+# Latencies/energies with ties, duplicates, signed zeros and infinities.
+_KPIS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, math.inf, -math.inf]),
+    st.floats(allow_nan=False))
 
 
 class TestPlatformModel:
@@ -119,6 +201,24 @@ class TestEvaluator:
         serial = evaluator.evaluate(Mapping.of(
             {"src": "big", "a": "little", "b": "little"}))
         assert parallel.latency_s < serial.latency_s
+
+    def test_unknown_processor_rejected(self):
+        app = chain_app(2)
+        evaluator = MappingEvaluator(app, small_platform())
+        with pytest.raises(ConfigurationError, match="'gpu'"):
+            evaluator.evaluate(Mapping.of({"t0": "big", "t1": "gpu"}))
+
+    @settings(max_examples=200, deadline=None)
+    @given(dse_problems())
+    def test_tables_match_reference_bit_for_bit(self, problem):
+        app, platform, mappings = problem
+        evaluator = MappingEvaluator(app, platform)
+        for mapping in mappings:
+            result = evaluator.evaluate(mapping)
+            latency, energy = reference_evaluate(app, platform, mapping)
+            assert result.mapping is mapping
+            assert result.latency_s.hex() == latency.hex()
+            assert result.energy_j.hex() == energy.hex()
 
     def test_evaluation_counter(self):
         app = chain_app()
@@ -204,6 +304,25 @@ class TestPareto:
         energies = [r.energy_j for r in front]
         assert energies == sorted(energies, reverse=True)
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.tuples(_KPIS, _KPIS), max_size=40))
+    def test_sweep_matches_quadratic_reference(self, kpis):
+        mapping = Mapping.of({"t": "p"})
+        results = [EvaluationResult(mapping, latency, energy)
+                   for latency, energy in kpis]
+        got = pareto_front(results)
+        want = reference_pareto_front(results)
+        assert [id(r) for r in got] == [id(r) for r in want]
+
+    @settings(max_examples=100, deadline=None)
+    @given(dse_problems())
+    def test_front_of_evaluated_mappings_matches_reference(self, problem):
+        app, platform, mappings = problem
+        evaluator = MappingEvaluator(app, platform)
+        results = [evaluator.evaluate(m) for m in mappings * 2]
+        assert [id(r) for r in pareto_front(results)] \
+            == [id(r) for r in reference_pareto_front(results)]
+
     def test_dominates_semantics(self):
         m = Mapping.of({"t": "p"})
         a = EvaluationResult(m, 1.0, 1.0)
@@ -234,3 +353,22 @@ class TestOperatingPointExport:
         if len(points) >= 2:
             assert points[0]["latency_s"] < points[-1]["latency_s"]
             assert points[0]["energy_j"] > points[-1]["energy_j"]
+
+    def test_single_point_is_the_fastest(self):
+        app = chain_app(3)
+        evaluator = MappingEvaluator(app, small_platform())
+        results = ExhaustiveExplorer(evaluator).explore()
+        front = pareto_front(results)
+        assert len(front) >= 2
+        points = export_operating_points(results, max_points=1)
+        assert [p["name"] for p in points] == ["op-0"]
+        assert points[0]["latency_s"] == front[0].latency_s
+        assert points[0]["mapping"] == front[0].mapping.as_dict()
+
+    @pytest.mark.parametrize("max_points", [0, -1])
+    def test_fewer_than_one_point_rejected(self, max_points):
+        app = chain_app(3)
+        evaluator = MappingEvaluator(app, small_platform())
+        results = ExhaustiveExplorer(evaluator).explore()
+        with pytest.raises(ConfigurationError, match="max_points"):
+            export_operating_points(results, max_points=max_points)

@@ -240,6 +240,26 @@ topology_template:
             engine, {"csar": archive.to_bytes()}))
         assert response.status == 201
 
+    def test_malformed_tosca_and_csar_are_422(self, engine):
+        import io
+        import zipfile
+        template = "Definitions/service-template.yaml"
+        buffer = io.BytesIO()
+        with zipfile.ZipFile(buffer, "w") as archive:
+            archive.writestr("TOSCA-Metadata/TOSCA.meta",
+                             f"Entry-Definitions: {template}\n")
+            archive.writestr(template, b"\xff\xfe not utf-8")
+        bodies = [
+            {"csar": buffer.getvalue()},
+            {"tosca": "tosca_definitions_version: myrtus_tosca_1_0\n"
+                      "metadata: oops\n"
+                      "topology_template: {node_templates: {a: {}}}\n"},
+        ]
+        for body, where in zip(bodies, [template, "metadata"]):
+            response = engine.agent().handle(self.make_request(engine, body))
+            assert response.status == 422
+            assert where in response.body["error"]
+
 
 class TestKbProxy:
     def test_namespacing(self):

@@ -18,7 +18,7 @@ from repro.continuum import Simulator, Task, TaskRequirements, \
     build_reference_infrastructure
 from repro.continuum.faults import FaultInjector
 from repro.continuum.workload import Application, KernelClass
-from repro.core.events import EventBus, _segments_match, topic_matches
+from repro.core.events import EventBus, topic_matches
 from repro.mirto.placement import (
     Placement,
     PlacementConstraints,
@@ -29,6 +29,22 @@ from repro.mirto.placement import (
 from repro.runtime.trace import TraceRecorder
 
 # -- compiled topic matching == reference matcher ---------------------------
+
+
+def _segments_match(pats: list[str], tops: list[str]) -> bool:
+    """Reference matcher (recursive). The compiled matchers must agree
+    with this definition exactly; the property tests check they do."""
+    if not pats:
+        return not tops
+    if pats[0] == "**":
+        return any(_segments_match(pats[1:], tops[i:])
+                   for i in range(len(tops) + 1))
+    if not tops:
+        return False
+    if pats[0] != "*" and pats[0] != tops[0]:
+        return False
+    return _segments_match(pats[1:], tops[1:])
+
 
 _PATTERN_SEGMENTS = st.sampled_from(["a", "b", "c", "ab", "*", "**"])
 _TOPIC_SEGMENTS = st.sampled_from(["a", "b", "c", "ab", "d"])

@@ -1,6 +1,11 @@
 """Tests for the TOSCA model, parser, validator and CSAR packaging."""
 
+import io
+import struct
+import zipfile
+
 import pytest
+import yaml
 
 from repro.core.errors import ValidationError
 from repro.tosca import (
@@ -15,6 +20,7 @@ from repro.tosca import (
     parse_service_template,
     resolve_type,
 )
+from repro.tosca import parser
 
 VALID_DOC = """
 tosca_definitions_version: myrtus_tosca_1_0
@@ -53,6 +59,55 @@ topology_template:
 
 def valid_service():
     return parse_service_template(VALID_DOC)
+
+
+_FEED_PROPERTIES = """      properties:
+        image: "feed:1"
+        cpu_millicores: 200
+        memory_bytes: 104857600"""
+_DETECTOR_REQUIREMENTS = """      requirements:
+        - connection:
+            node: feed
+            relationship: tosca.relationships.ConnectsTo"""
+
+#: (id, document, message) for documents the parser must reject with a
+#: ValidationError that names the offending section.
+MALFORMED_DOCS = [
+    ("metadata-null", VALID_DOC.replace("metadata: {template_name: demo}",
+                                        "metadata:"), "metadata"),
+    ("metadata-string", VALID_DOC.replace(
+        "metadata: {template_name: demo}", "metadata: demo"), "metadata"),
+    ("inputs-list", VALID_DOC.replace("inputs: {rate: 10}",
+                                      "inputs: [1, 2]"), "inputs"),
+    ("node-properties-string", VALID_DOC.replace(
+        _FEED_PROPERTIES, "      properties: abc"),
+     "'feed' properties"),
+    ("node-properties-list", VALID_DOC.replace(
+        _FEED_PROPERTIES, "      properties: [1, 2]"),
+     "'feed' properties"),
+    ("policy-properties-string", VALID_DOC.replace(
+        "properties: {min_level: medium}", "properties: abc"),
+     "'secure-all' properties"),
+    ("requirements-scalar", VALID_DOC.replace(
+        _DETECTOR_REQUIREMENTS, "      requirements: 5"),
+     "'detector' requirements"),
+    ("policies-scalar", VALID_DOC.split("  policies:")[0]
+     + "  policies: 5\n", "policies"),
+    ("lone-surrogate", VALID_DOC.replace("demo", "de\ud800mo"),
+     "invalid YAML"),
+    ("unclosed-flow", VALID_DOC.replace("{rate: 10}", "{rate: 10"),
+     "invalid YAML"),
+]
+
+# The pure-Python classes always run; the libyaml leg only where PyYAML
+# was built with libyaml (CI checks that it is).
+needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__,
+                                   reason="PyYAML built without libyaml")
+YAML_LOADERS = [
+    pytest.param(yaml.SafeLoader, id="pure-python"),
+    pytest.param(getattr(yaml, "CSafeLoader", None), id="libyaml",
+                 marks=needs_libyaml),
+]
 
 
 class TestTypeSystem:
@@ -120,6 +175,17 @@ class TestParser:
                 "tosca_definitions_version: myrtus_tosca_1_0\n"
                 "topology_template:\n  node_templates: {}\n")
 
+    @pytest.mark.parametrize("loader", YAML_LOADERS)
+    @pytest.mark.parametrize(
+        "doc,match", [pytest.param(doc, match, id=case)
+                      for case, doc, match in MALFORMED_DOCS])
+    def test_malformed_section_rejected(self, doc, match, loader,
+                                        monkeypatch):
+        assert doc != VALID_DOC
+        monkeypatch.setattr(parser, "_LOADER", loader)
+        with pytest.raises(ValidationError, match=match):
+            parse_service_template(doc)
+
     def test_yaml_roundtrip(self):
         svc = valid_service()
         again = parse_service_template(dump_service_template(svc))
@@ -128,6 +194,51 @@ class TestParser:
             == [p.name for p in svc.policies]
         assert again.node_templates["detector"].properties["bitstream"] \
             == "cnn.bit"
+
+
+def _repo_templates():
+    """Every service template the repo builds, by name."""
+    from repro.chaos.scorecard import _scenario as recovery_scenario
+    from repro.dpe import DesignFlow
+    from repro.usecases import mobility, telerehab
+
+    templates = {"valid-doc": valid_service(),
+                 "recovery": recovery_scenario().to_service_template()}
+    for case in (mobility, telerehab):
+        spec = DesignFlow(seed=0).run(case.build_scenario(),
+                                      case.build_adt(), defence_budget=8.0)
+        templates[case.__name__.rsplit(".", 1)[-1]] = spec.service
+    return templates
+
+
+@needs_libyaml
+class TestYamlParity:
+    """libyaml and the pure-Python classes agree on every repo template."""
+
+    @pytest.mark.parametrize("name", ["valid-doc", "recovery", "mobility",
+                                      "telerehab"])
+    def test_same_text_and_documents(self, name, monkeypatch):
+        service = _repo_templates()[name]
+        texts = []
+        for dumper in (yaml.SafeDumper, yaml.CSafeDumper):
+            monkeypatch.setattr(parser, "_DUMPER", dumper)
+            texts.append(dump_service_template(service))
+        assert texts[0] == texts[1]
+        sources = [texts[0]] + ([VALID_DOC] if name == "valid-doc" else [])
+        for text in sources:
+            documents = [repr(yaml.load(text, Loader=loader))
+                         for loader in (yaml.SafeLoader, yaml.CSafeLoader)]
+            assert documents[0] == documents[1]
+        reparsed = []
+        for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+            monkeypatch.setattr(parser, "_LOADER", loader)
+            reparsed.append(dump_service_template(
+                parse_service_template(texts[0])))
+        assert reparsed == texts
+
+    def test_repo_uses_libyaml(self):
+        assert parser._LOADER is yaml.CSafeLoader
+        assert parser._DUMPER is yaml.CSafeDumper
 
 
 class TestValidator:
@@ -243,6 +354,44 @@ class TestServiceTemplateApi:
         assert len(svc.policies_of_type("myrtus.policies.Latency")) == 1
 
 
+_TEMPLATE = "Definitions/service-template.yaml"
+
+
+def _raw_csar(template: bytes, meta: bytes | None = None,
+              compression: int = zipfile.ZIP_DEFLATED) -> bytes:
+    """CSAR bytes around *template*, written without CsarArchive."""
+    if meta is None:
+        meta = f"Entry-Definitions: {_TEMPLATE}\n".encode()
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w", compression) as archive:
+        archive.writestr("TOSCA-Metadata/TOSCA.meta", meta)
+        archive.writestr(_TEMPLATE, template)
+    return buffer.getvalue()
+
+
+def _damaged_csar(damage: str) -> bytes:
+    """A CSAR whose entry template has one kind of zip damage."""
+    compression = (zipfile.ZIP_DEFLATED if damage == "bad-deflate"
+                   else zipfile.ZIP_STORED)
+    data = bytearray(_raw_csar(VALID_DOC.encode(), compression=compression))
+    info = zipfile.ZipFile(io.BytesIO(bytes(data))).getinfo(_TEMPLATE)
+    local = info.header_offset
+    central = data.rindex(b"PK\x01\x02")  # the template is written last
+    if damage == "bad-deflate":
+        name_len, extra_len = struct.unpack_from("<HH", data, local + 26)
+        # BFINAL=1, BTYPE=3: a reserved deflate block type.
+        data[local + 30 + name_len + extra_len] = 0x07
+    elif damage == "bad-crc":
+        data = data.replace(b"feed:1", b"feed:2")
+    elif damage == "unknown-method":
+        struct.pack_into("<H", data, local + 8, 99)
+        struct.pack_into("<H", data, central + 10, 99)
+    else:  # truncated: the entry claims more bytes than the file holds
+        struct.pack_into("<II", data, central + 20, info.compress_size
+                         + 10**6, info.file_size + 10**6)
+    return bytes(data)
+
+
 class TestCsar:
     def test_roundtrip(self):
         archive = CsarArchive(valid_service())
@@ -269,7 +418,37 @@ class TestCsar:
         with pytest.raises(ValidationError):
             CsarArchive.from_bytes(buffer.getvalue())
 
+    @pytest.mark.parametrize("meta,template,match", [
+        (b"Entry-Definitions: " + _TEMPLATE.encode() + b"\n\xff\xfe",
+         VALID_DOC.encode(), "TOSCA.meta is not UTF-8"),
+        (None, b"tosca_definitions_version: \xff\n",
+         "service-template.yaml is not UTF-8"),
+    ], ids=["meta-not-utf8", "template-not-utf8"])
+    def test_undecodable_entries_rejected(self, meta, template, match):
+        with pytest.raises(ValidationError, match=match):
+            CsarArchive.from_bytes(_raw_csar(template, meta))
+
+    @pytest.mark.parametrize("damage", ["bad-deflate", "bad-crc",
+                                        "unknown-method", "truncated"])
+    def test_damaged_template_entry_rejected(self, damage):
+        with pytest.raises(ValidationError, match="service-template.yaml "
+                                                  "is corrupt"):
+            CsarArchive.from_bytes(_damaged_csar(damage))
+
+    def test_corrupt_artifact_rejected(self):
+        archive = CsarArchive(valid_service())
+        archive.add_artifact("bitstreams/cnn.bit", b"\x00" * 64)
+        data = zipfile.ZipFile(io.BytesIO(archive.to_bytes()))
+        buffer = io.BytesIO()
+        with zipfile.ZipFile(buffer, "w", zipfile.ZIP_STORED) as z:
+            for name in data.namelist():
+                z.writestr(name, data.read(name))
+        tampered = buffer.getvalue().replace(b"\x00" * 64, b"\x01" * 64)
+        with pytest.raises(ValidationError, match="cnn.bit is corrupt"):
+            CsarArchive.from_bytes(tampered)
+
     def test_bad_artifact_path_rejected(self):
         archive = CsarArchive(valid_service())
         with pytest.raises(ValidationError):
             archive.add_artifact("/absolute", b"")
+
