@@ -43,11 +43,6 @@ class AnalysisConfig:
     print_allowlist: list[str] = field(
         default_factory=lambda: ["analysis/cli.py", "obs/cli.py",
                                  "chaos/cli.py"])
-    # Call sites still permitted to use the deprecated
-    # PlacementStrategy.place() entry point. Empty by default: new code
-    # builds a PlacementRequest and calls solve(); tests keep calling
-    # the shim (they prove it still works) and are always allowed.
-    place_api_allowlist: list[str] = field(default_factory=list)
     # Roots the whole-program flow analyses (topic contracts, DES
     # generator rules) build their symbol table from. Product code
     # only: benchmarks/examples publish nothing on the spine.
@@ -93,23 +88,6 @@ class AnalysisConfig:
                 return True
         return False
 
-    def is_place_api_allowed(self, rel_path: str) -> bool:
-        """May this file still call the deprecated ``place()`` API?
-
-        Test trees are always allowed (the shim's behavior is itself
-        under test); other entries use the print-allowlist semantics.
-        """
-        rel = rel_path.replace("\\", "/")
-        if "/tests/" in f"/{rel}":
-            return True
-        for entry in self.place_api_allowlist:
-            if entry.endswith("/"):
-                if f"/{entry.strip('/')}/" in f"/{rel}":
-                    return True
-            elif rel.endswith(entry):
-                return True
-        return False
-
     def rule_enabled(self, rule_id: str) -> bool:
         return rule_id not in self.disable
 
@@ -145,7 +123,6 @@ def load_config(root: str | Path | None = None) -> AnalysisConfig:
                       ("rng-allowlist", "rng_allowlist"),
                       ("runtime-allowlist", "runtime_allowlist"),
                       ("print-allowlist", "print_allowlist"),
-                      ("place-api-allowlist", "place_api_allowlist"),
                       ("flow-paths", "flow_paths")):
         value = table.get(key)
         if isinstance(value, list):

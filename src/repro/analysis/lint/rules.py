@@ -301,34 +301,6 @@ class PrintTelemetryRule(Rule):
 
 
 @register_rule
-class DeprecatedPlaceApiRule(Rule):
-    """``PlacementStrategy.place()`` is a deprecated shim over solve().
-
-    The anytime API (``solve(PlacementRequest) -> PlacementResult``)
-    carries budgets, warm starts and solver statistics; ``place()``
-    survives only for external callers (it warns once per call site).
-    Any in-repo ``.place(...)`` call is a migration that was missed.
-    Stragglers with a reason to wait go on the ``place-api-allowlist``
-    (empty by default; tests are always allowed).
-    """
-
-    rule_id = "deprecated-place-api"
-    description = ("call to deprecated PlacementStrategy.place() "
-                   "(build a PlacementRequest and call solve())")
-    severity = Severity.ERROR
-    node_types = (ast.Call,)
-
-    def on_node(self, node: ast.Call, ctx: LintContext) -> None:
-        if ctx.config.is_place_api_allowed(ctx.rel_path):
-            return
-        if isinstance(node.func, ast.Attribute) \
-                and node.func.attr == "place":
-            ctx.report(self, node,
-                       "deprecated place() API; build a "
-                       "PlacementRequest and call solve() instead")
-
-
-@register_rule
 class SeedEntropyRule(Rule):
     """Child seeds must come from ``derive_seed``, not RNG floats/hash().
 

@@ -31,12 +31,10 @@ import math
 
 from repro.mirto.placement import (
     Placement,
-    PlacementCostCache,
     PlacementRequest,
     PlacementResult,
     PlacementStrategy,
     SolveSession,
-    SolveStats,
     _DEFAULT_ENERGY_WEIGHT,
     _warm_incumbent,
     placement_cost,
@@ -64,14 +62,6 @@ class ExactPlacement(PlacementStrategy):
         self.energy_weight = energy_weight
         self.node_budget = node_budget
         self.batch = batch
-        self._cost_cache: PlacementCostCache | None = None
-
-    def _cache_for(self, infrastructure) -> PlacementCostCache:
-        cache = self._cost_cache
-        if cache is None or cache.infrastructure is not infrastructure:
-            cache = PlacementCostCache(infrastructure)
-            self._cost_cache = cache
-        return cache
 
     def session(self, request: PlacementRequest) -> SolveSession:
         return _ExactSession(self, request)
@@ -82,9 +72,7 @@ class _ExactSession(SolveSession):
 
     def __init__(self, strategy: ExactPlacement,
                  request: PlacementRequest):
-        self._strategy = strategy
-        self._request = request
-        self._stats = SolveStats(backend=strategy.name)
+        super().__init__(strategy, request)
         self._w = strategy.energy_weight
         limit = request.budget.node_limit()
         self._limit = strategy.node_budget if limit is None else limit
@@ -128,29 +116,19 @@ class _ExactSession(SolveSession):
         self._undo: list[tuple | None] = [None] * self._n
         self._depth = 0
         self._bound = math.inf
-        self._best: tuple[Placement, float] | None = None
         self._complete = self._n == 0
         self._done = self._complete
         self._root_lb = self._lower_bound(-1, 0.0, 0.0, None, 0.0)
         warm = _warm_incumbent(request, self._w, cache)
         if warm is not None:
-            self._accept(warm[0], warm[1])
+            self.tighten(warm[1])
+            self._offer(*warm)
 
     # -- incumbents ---------------------------------------------------------
 
-    def _accept(self, placement: Placement, cost: float) -> None:
-        if cost < self._bound:
-            self._bound = cost
-        if self._best is None or cost < self._best[1]:
-            self._best = (placement, cost)
-            self._stats.incumbents += 1
-            self._stats.best_cost = cost
-            callback = self._request.on_incumbent
-            if callback is not None:
-                callback(placement, cost, self._strategy.name)
-
     def tighten(self, bound: float) -> None:
-        """Adopt a foreign incumbent's cost as a pruning bound."""
+        """Adopt an incumbent's cost (own or foreign) as the pruning
+        bound when it is tighter."""
         if bound < self._bound:
             self._bound = bound
 
@@ -249,8 +227,9 @@ class _ExactSession(SolveSession):
             source_device=self._source, cache=self._cache,
             energy_weight=self._w)
         if cost < self._bound or self._best is None:
-            self._accept(Placement(dict(self._assignment),
-                                   self._strategy.name), cost)
+            self.tighten(cost)
+            self._offer(Placement(dict(self._assignment),
+                                  self._strategy.name), cost)
 
     def _advance_one(self) -> bool:
         """One DFS move (try a candidate, or backtrack one level);

@@ -36,6 +36,7 @@ from repro.mirto.placement import (
     PlacementRequest,
     execute_placement,
     make_strategy,
+    solve_traced,
 )
 from repro.net.slicing import SliceManager
 from repro.security.levels import SecurityLevel, negotiate_level
@@ -338,28 +339,7 @@ class WorkloadManager:
             application=app, infrastructure=self.infrastructure,
             constraints=constraints,
             warm_start=self._placement_advice(service.name))
-        with self.infrastructure.ctx.tracer.start_span(
-                "mirto.placement.solve", layer="mirto",
-                strategy=strategy or self.default_strategy,
-                tasks=len(app)) as span:
-            result = placer.solve(request)
-            placement = result.placement
-            attrs = getattr(span, "attrs", None)
-            if attrs is not None:
-                attrs["cost"] = result.cost
-                attrs["optimal"] = result.optimal
-                attrs["provenance"] = result.provenance
-                attrs["backends"] = {s.backend: s.evaluations
-                                     for s in result.stats}
-        self.infrastructure.ctx.publish("mirto.placement.solve", {
-            "service": service.name,
-            "strategy": placement.strategy,
-            "cost": result.cost,
-            "optimal": result.optimal,
-            "lower_bound": result.lower_bound,
-            "provenance": result.provenance,
-            "evaluations": sum(s.evaluations for s in result.stats),
-        })
+        placement = solve_traced(placer, request, service.name).placement
         self.services[service.name] = service
         level = self.security.required_level(service)
         # Node Manager: configure the chosen devices. Each task gets a

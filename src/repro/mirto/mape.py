@@ -23,6 +23,7 @@ from repro.mirto.placement import (
     PlacementRequest,
     PlacementStrategy,
     SolveBudget,
+    solve_traced,
 )
 from repro.monitoring.monitors import InfrastructureMonitor
 from repro.runtime import RuntimeContext
@@ -279,11 +280,9 @@ class MapeLoop:
         so Plan re-solves every deployed service under a tight budget
         and suggests the incumbent; Execute writes it into the KB,
         where the next deploy of that service picks it up as a
-        warm start. Each solve runs in its own
-        ``mirto.placement.solve`` span with per-backend metrics.
+        warm start. Each solve is recorded by :func:`solve_traced`.
         """
         workload = self.manager.workload
-        tracer = self.ctx.tracer
         actions = []
         for service_name in sorted(workload.services):
             service = workload.services[service_name]
@@ -297,33 +296,12 @@ class MapeLoop:
                 application=app, infrastructure=self.infrastructure,
                 constraints=constraints, budget=self.plan_budget,
                 warm_start=outcome.placement if outcome else None)
-            with tracer.start_span(
-                    "mirto.placement.solve", layer="mirto",
-                    strategy=self.planner.name,
-                    tasks=len(app)) as span:
-                try:
-                    result = self.planner.solve(request)
-                except OrchestrationError:
-                    # The fault may have left a task with no eligible
-                    # device; nothing to suggest until repair.
-                    continue
-                attrs = getattr(span, "attrs", None)
-                if attrs is not None:
-                    attrs["cost"] = result.cost
-                    attrs["optimal"] = result.optimal
-                    attrs["provenance"] = result.provenance
-                    attrs["backends"] = {s.backend: s.evaluations
-                                         for s in result.stats}
-            self.ctx.publish("mirto.placement.solve", {
-                "service": service_name,
-                "strategy": self.planner.name,
-                "cost": result.cost,
-                "optimal": result.optimal,
-                "lower_bound": result.lower_bound,
-                "provenance": result.provenance,
-                "evaluations": sum(s.evaluations
-                                   for s in result.stats),
-            })
+            try:
+                result = solve_traced(self.planner, request, service_name)
+            except OrchestrationError:
+                # The fault may have left a task with no eligible
+                # device; nothing to suggest until repair.
+                continue
             actions.append(PlannedAction(
                 "suggest-placement", service_name,
                 json.dumps(dict(sorted(

@@ -17,9 +17,10 @@ bound, optimality flag, per-backend :class:`SolveStats`) from
 :meth:`PlacementStrategy.solve`. Budgets live on the DES clock — a
 deadline converts to a node allowance via the modeled per-node cost —
 so identical seeds and budgets produce byte-identical results on any
-machine. ``place()`` survives as a deprecated shim over ``solve()``.
-The exact branch-and-bound backend lives in :mod:`repro.mirto.exact`
-and the deadline-raced portfolio in :mod:`repro.mirto.portfolio`.
+machine. :func:`solve_traced` is the one producer of the
+``mirto.placement.solve`` span and bus record. The exact
+branch-and-bound backend lives in :mod:`repro.mirto.exact` and the
+deadline-raced portfolio in :mod:`repro.mirto.portfolio`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 import random
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -63,41 +63,44 @@ class PlacementConstraints:
         return Layer.CLOUD
 
 
-def eligible_devices(task: Task, infrastructure: Infrastructure,
-                     constraints: PlacementConstraints) -> list[Device]:
-    """Devices satisfying every hard constraint for *task*."""
+def is_eligible(device: Device, task: Task,
+                constraints: PlacementConstraints) -> bool:
+    """Whether *device* satisfies every hard constraint for *task*: the
+    one feasibility test behind candidate lists and warm starts."""
+    if getattr(device, "failed", False):
+        return False
+    spec = device.spec
     ceiling = _LAYER_ORDER.index(constraints.max_layer_for(task))
     need_security = max(
         _SECURITY_RANK[constraints.min_security_level],
         _SECURITY_RANK.get(task.requirements.min_security_level, 0))
+    if _LAYER_ORDER.index(spec.layer) > ceiling \
+            or _SECURITY_RANK[spec.max_security_level] < need_security \
+            or spec.memory_bytes < task.memory_bytes:
+        return False
+    trust = constraints.trusted.get(device.name, 1.0)
+    if trust < constraints.trust_threshold:
+        return False
     latency_budget = task.requirements.latency_budget_s
-    result = []
-    for device in infrastructure.devices.values():
-        if getattr(device, "failed", False):
-            continue
-        if _LAYER_ORDER.index(device.spec.layer) > ceiling:
-            continue
-        if _SECURITY_RANK[device.spec.max_security_level] < need_security:
-            continue
-        if device.spec.memory_bytes < task.memory_bytes:
-            continue
-        trust = constraints.trusted.get(device.name, 1.0)
-        if trust < constraints.trust_threshold:
-            continue
-        if latency_budget != math.inf:
-            # Latency-SLO feasibility: a device that cannot run the
-            # task within its budget even at its fastest operating
-            # point can never satisfy the SLO, whatever the schedule
-            # around it does. Judged at peak (not the active point) so
-            # MAPE keeping a device in low-power mode doesn't shrink
-            # the feasible set the optimizers search.
-            fastest = max(device.operating_points.values(),
-                          key=lambda op: op.perf_scale)
-            if device.estimate_duration(task, fastest.name) \
-                    > latency_budget:
-                continue
-        result.append(device)
-    return result
+    if latency_budget != math.inf:
+        # Latency-SLO feasibility: a device that cannot run the task
+        # within its budget even at its fastest operating point can
+        # never satisfy the SLO, whatever the schedule around it does.
+        # Judged at peak (not the active point) so MAPE keeping a
+        # device in low-power mode doesn't shrink the feasible set the
+        # optimizers search.
+        fastest = max(device.operating_points.values(),
+                      key=lambda op: op.perf_scale)
+        if device.estimate_duration(task, fastest.name) > latency_budget:
+            return False
+    return True
+
+
+def eligible_devices(task: Task, infrastructure: Infrastructure,
+                     constraints: PlacementConstraints) -> list[Device]:
+    """Devices satisfying every hard constraint for *task*."""
+    return [device for device in infrastructure.devices.values()
+            if is_eligible(device, task, constraints)]
 
 
 @dataclass
@@ -332,7 +335,8 @@ class PlacementRequest:
     budget: SolveBudget = field(default_factory=SolveBudget)
     #: Optional incumbent to start from (e.g. the currently deployed
     #: placement, or MAPE's last advice). Ignored when it no longer
-    #: covers the application or names failed/unknown devices.
+    #: covers the application or names a device that is unknown or
+    #: fails a hard constraint (:func:`is_eligible`).
     warm_start: Placement | None = None
     #: Called as ``on_incumbent(placement, cost, backend)`` every time
     #: a solver improves its best-so-far; lets callers stop early.
@@ -375,8 +379,9 @@ class PlacementResult:
     cost: float
     optimal: bool
     lower_bound: float
-    #: Which backend produced the returned placement ("exact", "pso",
-    #: "warm-start", ... — meaningful for the portfolio).
+    #: Which backend produced the returned placement: the strategy's
+    #: name, or the winning portfolio lane ("exact", "pso", ...). A
+    #: winning warm start counts for the backend that adopted it.
     provenance: str
     stats: tuple[SolveStats, ...] = ()
 
@@ -405,29 +410,56 @@ class SolveSession:
     best incumbent found so far and is valid at any point (it
     self-starts if no step ran yet). The portfolio round-robins
     ``step()`` across backends — no threads, so interleaving is
-    deterministic.
+    deterministic. The session owns the incumbent: backends hand every
+    candidate to :meth:`_offer`.
     """
+
+    def __init__(self, strategy: "PlacementStrategy",
+                 request: PlacementRequest):
+        self._strategy = strategy
+        self._request = request
+        self._stats = SolveStats(backend=strategy.name)
+        self._best: tuple[Placement, float] | None = None
 
     def step(self) -> bool:
         raise NotImplementedError
 
+    def _offer(self, placement: Placement, cost: float) -> None:
+        """Keep *placement* if strictly better; count and report it."""
+        if self._best is None or cost < self._best[1]:
+            self._best = (placement, cost)
+            self._stats.incumbents += 1
+            self._stats.best_cost = cost
+            callback = self._request.on_incumbent
+            if callback is not None:
+                callback(placement, cost, self._strategy.name)
+
     def result(self) -> PlacementResult:
-        raise NotImplementedError
+        """The incumbent, with no lower bound and no optimality claim."""
+        if self._best is None:
+            self.step()
+        placement, cost = self._best
+        return PlacementResult(
+            placement=placement, cost=cost, optimal=False,
+            lower_bound=0.0, provenance=self._strategy.name,
+            stats=(self._stats,))
 
 
 def _warm_incumbent(request: PlacementRequest, energy_weight: float,
                     cache: PlacementCostCache | None = None
                     ) -> tuple[Placement, float] | None:
-    """Validate and cost the request's warm start (None if unusable)."""
+    """Validate and cost the request's warm start (None if it leaves a
+    task unplaced or names an unknown or ineligible device)."""
     warm = request.warm_start
     if warm is None:
         return None
     devices = request.infrastructure.devices
+    constraints = request.constraints
     assignment = {}
     for task in request.application.tasks:
         device = warm.assignment.get(task.name)
         if device is None or device not in devices \
-                or getattr(devices[device], "failed", False):
+                or not is_eligible(devices[device], task, constraints):
             return None
         assignment[task.name] = device
     cost = placement_cost(
@@ -446,49 +478,26 @@ class _OneShotSession(SolveSession):
     anytime solver never returns without an incumbent).
     """
 
-    def __init__(self, strategy: "PlacementStrategy",
-                 request: PlacementRequest):
-        self._strategy = strategy
-        self._request = request
-        self._stats = SolveStats(backend=strategy.name)
-        self._best: tuple[Placement, float] | None = None
-
     def step(self) -> bool:
         if self._best is not None:
             return False
-        strategy, request = self._strategy, self._request
-        weight = getattr(strategy, "energy_weight",
-                         _DEFAULT_ENERGY_WEIGHT)
-        placement = strategy._place(request.application,
-                                    request.infrastructure,
-                                    request.constraints)
+        request = self._request
+        placement = self._strategy._place(request.application,
+                                          request.infrastructure,
+                                          request.constraints)
         cost = placement_cost(
             request.application, request.infrastructure,
             placement.assignment, strategy=placement.strategy,
-            source_device=request.constraints.source_device,
-            energy_weight=weight)
+            source_device=request.constraints.source_device)
         stats = self._stats
         stats.nodes += 1
         stats.evaluations += 1
         stats.steps += 1
-        warm = _warm_incumbent(request, weight)
+        warm = _warm_incumbent(request, _DEFAULT_ENERGY_WEIGHT)
         if warm is not None and warm[1] < cost:
             placement, cost = warm
-        self._best = (placement, cost)
-        stats.best_cost = cost
-        stats.incumbents = 1
-        if request.on_incumbent is not None:
-            request.on_incumbent(placement, cost, strategy.name)
+        self._offer(placement, cost)
         return False
-
-    def result(self) -> PlacementResult:
-        if self._best is None:
-            self.step()
-        placement, cost = self._best
-        return PlacementResult(
-            placement=placement, cost=cost, optimal=False,
-            lower_bound=0.0, provenance=self._strategy.name,
-            stats=(self._stats,))
 
 
 def _decode_relaxed(position: list[float],
@@ -516,33 +525,20 @@ class _SwarmSession(SolveSession):
     checked between iterations, never inside one, so a solve under a
     given budget is a strict prefix of the unbudgeted solve — same RNG
     draws, same incumbents, just cut short. An unlimited budget runs
-    exactly the strategy's configured ``iterations``, which is what the
-    deprecated ``place()`` shim relies on for bit-compatibility.
+    exactly the strategy's configured ``iterations``.
     """
 
     def __init__(self, strategy: "_CognitiveBase",
                  request: PlacementRequest):
-        self._strategy = strategy
-        self._request = request
-        self._stats = SolveStats(backend=strategy.name)
+        super().__init__(strategy, request)
         self._limit = request.budget.node_limit()
         self._iterations_left = strategy.iterations
         self._gen = None
         self._decode = None
-        self._best: tuple[Placement, float] | None = None
 
     def _count_eval(self) -> None:
         self._stats.evaluations += 1
         self._stats.nodes += 1
-
-    def _offer(self, placement: Placement, cost: float) -> None:
-        if self._best is None or cost < self._best[1]:
-            self._best = (placement, cost)
-            self._stats.incumbents += 1
-            self._stats.best_cost = cost
-            callback = self._request.on_incumbent
-            if callback is not None:
-                callback(placement, cost, self._strategy.name)
 
     def _record(self, encoded, value: float) -> None:
         if encoded is None:
@@ -568,11 +564,11 @@ class _SwarmSession(SolveSession):
             self._offer(*warm)
         self._gen = optimizer.steps(objective)
         self._record(*next(self._gen))  # init population
+        self._stats.steps += 1
 
     def step(self) -> bool:
         if self._gen is None:
             self._start()
-            self._stats.steps += 1
         elif self._exhausted or self._iterations_left <= 0:
             return False
         else:
@@ -584,7 +580,6 @@ class _SwarmSession(SolveSession):
     def result(self) -> PlacementResult:
         if self._gen is None:
             self._start()
-            self._stats.steps += 1
         if self._best is None:
             # An anytime solver must hold an incumbent, but ACO's init
             # yield carries no evaluated point: force one iteration
@@ -593,11 +588,7 @@ class _SwarmSession(SolveSession):
             self._record(*next(self._gen))
             self._iterations_left -= 1
             self._stats.steps += 1
-        placement, cost = self._best
-        return PlacementResult(
-            placement=placement, cost=cost, optimal=False,
-            lower_bound=0.0, provenance=self._strategy.name,
-            stats=(self._stats,))
+        return super().result()
 
 
 class PlacementStrategy:
@@ -605,11 +596,11 @@ class PlacementStrategy:
 
     Subclasses either override :meth:`session` (stepping backends:
     swarms, exact, portfolio) or :meth:`_place` (one-shot heuristics,
-    adapted by :class:`_OneShotSession`). :meth:`place` survives as a
-    deprecated shim over :meth:`solve` with identical behavior.
+    adapted by :class:`_OneShotSession`).
     """
 
     name = "abstract"
+    _cost_cache: PlacementCostCache | None = None
 
     def session(self, request: PlacementRequest) -> SolveSession:
         """Start an anytime solve; callers drive ``step()``."""
@@ -622,17 +613,13 @@ class PlacementStrategy:
             pass
         return session.result()
 
-    def place(self, application: Application,
-              infrastructure: Infrastructure,
-              constraints: PlacementConstraints) -> Placement:
-        """Deprecated pre-anytime entry point (shim over solve())."""
-        warnings.warn(
-            "PlacementStrategy.place() is deprecated; build a "
-            "PlacementRequest and call solve() instead",
-            DeprecationWarning, stacklevel=2)
-        request = PlacementRequest(application, infrastructure,
-                                   constraints)
-        return self.solve(request).placement
+    def _cache_for(self, infrastructure) -> PlacementCostCache:
+        """Cost cache bound to *infrastructure*, reused across solves."""
+        cache = self._cost_cache
+        if cache is None or cache.infrastructure is not infrastructure:
+            cache = PlacementCostCache(infrastructure)
+            self._cost_cache = cache
+        return cache
 
     def _place(self, application: Application,
                infrastructure: Infrastructure,
@@ -650,6 +637,41 @@ class PlacementStrategy:
                 f"(privacy={task.requirements.privacy.value}, "
                 f"security>={constraints.min_security_level})")
         return sorted(devices, key=lambda d: d.name)
+
+
+def solve_traced(strategy: PlacementStrategy, request: PlacementRequest,
+                 service: str) -> PlacementResult:
+    """Solve *request* as *service*'s recorded placement decision.
+
+    The one producer of the ``mirto.placement.solve`` span (with cost,
+    optimality, provenance and per-backend evaluations) and of the bus
+    record of the same name, so deploys and MAPE replans report their
+    decisions identically. An :class:`OrchestrationError` (a task with
+    no eligible device) propagates: the span ends with
+    ``status="error"`` and nothing is published.
+    """
+    ctx = request.infrastructure.ctx
+    with ctx.tracer.start_span("mirto.placement.solve", layer="mirto",
+                               strategy=strategy.name,
+                               tasks=len(request.application)) as span:
+        result = strategy.solve(request)
+        attrs = getattr(span, "attrs", None)
+        if attrs is not None:
+            attrs["cost"] = result.cost
+            attrs["optimal"] = result.optimal
+            attrs["provenance"] = result.provenance
+            attrs["backends"] = {s.backend: s.evaluations
+                                 for s in result.stats}
+    ctx.publish("mirto.placement.solve", {
+        "service": service,
+        "strategy": result.placement.strategy,
+        "cost": result.cost,
+        "optimal": result.optimal,
+        "lower_bound": result.lower_bound,
+        "provenance": result.provenance,
+        "evaluations": sum(s.evaluations for s in result.stats),
+    })
+    return result
 
 
 class RandomPlacement(PlacementStrategy):
@@ -742,7 +764,6 @@ class _CognitiveBase(PlacementStrategy):
         self.rng = rng
         self.energy_weight = energy_weight
         self.iterations = iterations
-        self._cost_cache: PlacementCostCache | None = None
 
     def session(self, request: PlacementRequest) -> SolveSession:
         return _SwarmSession(self, request)
@@ -760,27 +781,6 @@ class _CognitiveBase(PlacementStrategy):
                    for task in tasks]
         return tasks, options
 
-    def _objective(self, application, infrastructure, tasks, options,
-                   choices: list[int],
-                   source_device: str | None = None) -> float:
-        assignment = {
-            task.name: options[i][choice].name
-            for i, (task, choice) in enumerate(zip(tasks, choices))
-        }
-        latency, energy = estimate_placement_kpis(
-            application, Placement(assignment, self.name), infrastructure,
-            source_device)
-        return latency * (1 - self.energy_weight) \
-            + self.energy_weight * energy / 100.0
-
-    def _cache_for(self, infrastructure) -> PlacementCostCache:
-        """Cost cache bound to *infrastructure*, reused across place()."""
-        cache = self._cost_cache
-        if cache is None or cache.infrastructure is not infrastructure:
-            cache = PlacementCostCache(infrastructure)
-            self._cost_cache = cache
-        return cache
-
     def _compiled_objective(self, application, infrastructure, tasks,
                             options, source_device: str | None = None,
                             on_evaluate: Callable[[], None]
@@ -792,7 +792,8 @@ class _CognitiveBase(PlacementStrategy):
         per-call memo keyed on the discrete choice tuple — the relaxed
         continuous encodings (PSO/firefly) decode many nearby positions
         to the same assignment, so full re-evaluations collapse. Both
-        layers return exactly what :meth:`_objective` would.
+        layers return exactly what an uncached
+        :func:`estimate_placement_kpis` scoring would.
         *on_evaluate* fires once per memo miss — the budget meter the
         anytime sessions charge (memo hits are free by design).
         """
@@ -823,54 +824,48 @@ class _CognitiveBase(PlacementStrategy):
         return objective
 
 
-class PsoPlacement(_CognitiveBase):
+class _RelaxedPlacement(_CognitiveBase):
+    """Continuous swarm over a relaxed assignment: one score per
+    (task, device), decoded by a per-task argmax."""
+
+    def _optimizer(self, dims: int):
+        raise NotImplementedError
+
+    def _build(self, request, on_evaluate):
+        tasks, options = self._options_for(request)
+        dims = sum(len(opts) for opts in options)
+        compiled = self._compiled_objective(
+            request.application, request.infrastructure, tasks, options,
+            request.constraints.source_device, on_evaluate)
+
+        def objective(position: list[float]) -> float:
+            return compiled(_decode_relaxed(position, options))
+
+        def decode(position: list[float]) -> dict[str, str]:
+            choices = _decode_relaxed(position, options)
+            return {task.name: options[i][choice].name
+                    for i, (task, choice) in enumerate(zip(tasks,
+                                                           choices))}
+
+        return self._optimizer(dims), objective, decode
+
+
+class PsoPlacement(_RelaxedPlacement):
     """PSO over a relaxed assignment: one score per (task, device)."""
 
     name = "pso"
 
-    def _build(self, request, on_evaluate):
-        tasks, options = self._options_for(request)
-        dims = sum(len(opts) for opts in options)
-        compiled = self._compiled_objective(
-            request.application, request.infrastructure, tasks, options,
-            request.constraints.source_device, on_evaluate)
-
-        def objective(position: list[float]) -> float:
-            return compiled(_decode_relaxed(position, options))
-
-        def decode(position: list[float]) -> dict[str, str]:
-            choices = _decode_relaxed(position, options)
-            return {task.name: options[i][choice].name
-                    for i, (task, choice) in enumerate(zip(tasks,
-                                                           choices))}
-
-        optimizer = ParticleSwarmOptimizer(dims, self.rng, particles=16)
-        return optimizer, objective, decode
+    def _optimizer(self, dims: int):
+        return ParticleSwarmOptimizer(dims, self.rng, particles=16)
 
 
-class FireflyPlacement(_CognitiveBase):
+class FireflyPlacement(_RelaxedPlacement):
     """Firefly algorithm over the same relaxed encoding as PSO."""
 
     name = "firefly"
 
-    def _build(self, request, on_evaluate):
-        tasks, options = self._options_for(request)
-        dims = sum(len(opts) for opts in options)
-        compiled = self._compiled_objective(
-            request.application, request.infrastructure, tasks, options,
-            request.constraints.source_device, on_evaluate)
-
-        def objective(position: list[float]) -> float:
-            return compiled(_decode_relaxed(position, options))
-
-        def decode(position: list[float]) -> dict[str, str]:
-            choices = _decode_relaxed(position, options)
-            return {task.name: options[i][choice].name
-                    for i, (task, choice) in enumerate(zip(tasks,
-                                                           choices))}
-
-        optimizer = FireflyOptimizer(dims, self.rng, fireflies=12)
-        return optimizer, objective, decode
+    def _optimizer(self, dims: int):
+        return FireflyOptimizer(dims, self.rng, fireflies=12)
 
 
 class AcoPlacement(_CognitiveBase):

@@ -101,6 +101,9 @@ class _Lane:
 
 
 class _PortfolioSession(SolveSession):
+    """The race. Its incumbent carries the winning lane's label, so it
+    keeps its own ``_offer`` rather than the base session's."""
+
     def __init__(self, strategy: PortfolioPlacement,
                  request: PlacementRequest):
         self._strategy = strategy

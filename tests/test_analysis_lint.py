@@ -280,41 +280,6 @@ class TestRuntimeConstructionRule:
         assert findings == []
 
 
-class TestDeprecatedPlaceApiRule:
-    def test_place_call_flagged(self):
-        findings = lint("""
-            placement = strategy.place(app, infra, constraints)
-        """)
-        assert rules_of(findings) == ["deprecated-place-api"]
-        assert "PlacementRequest" in findings[0].message
-
-    def test_solve_not_flagged(self):
-        findings = lint("""
-            result = strategy.solve(request)
-            placement = result.placement
-        """)
-        assert findings == []
-
-    def test_unrelated_place_name_not_flagged(self):
-        findings = lint("""
-            place = lookup("somewhere")
-            marker = place
-        """)
-        assert findings == []
-
-    def test_tests_allowed(self):
-        findings = lint("""
-            placement = strategy.place(app, infra, constraints)
-        """, path="tests/test_placement.py")
-        assert findings == []
-
-    def test_config_allowlist(self):
-        findings = lint("""
-            placement = strategy.place(app, infra, constraints)
-        """, place_api_allowlist=["dpe/tool.py"])
-        assert findings == []
-
-
 class TestHotPathAllocationRule:
     def test_comprehension_in_hot_function_flagged(self):
         findings = lint("""

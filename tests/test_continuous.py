@@ -9,7 +9,7 @@ from repro.mirto.continuous import (
     MigrationPolicy,
     run_with_interference,
 )
-from repro.mirto.placement import PlacementConstraints
+from repro.mirto.placement import PlacementConstraints, PlacementRequest
 
 
 def streaming_app():
@@ -51,8 +51,9 @@ class TestBacklogSignal:
             sim.process(flooded.execute(Task(f"bg{i}", megaops=5000)))
         sim.run(until=sim.now + 0.001)
         from repro.mirto.placement import make_strategy
-        placement = make_strategy("greedy").place(
-            streaming_app(), infrastructure, PlacementConstraints())
+        placement = make_strategy("greedy").solve(PlacementRequest(
+            streaming_app(), infrastructure,
+            PlacementConstraints())).placement
         assert "fpga-00-0" not in placement.assignment.values()
 
 

@@ -9,6 +9,7 @@ from repro.continuum import Simulator, Task, build_reference_infrastructure
 from repro.continuum.faults import FaultEvent, FaultInjector
 from repro.mirto.placement import (
     PlacementConstraints,
+    PlacementRequest,
     eligible_devices,
     make_strategy,
 )
@@ -41,8 +42,8 @@ class TestFailedFlag:
         app.add_task(Task("only", megaops=100))
         infrastructure.device("cloud-00").failed = True
         infrastructure.device("cloud-01").failed = True
-        placement = make_strategy("greedy").place(
-            app, infrastructure, PlacementConstraints())
+        placement = make_strategy("greedy").solve(PlacementRequest(
+            app, infrastructure, PlacementConstraints())).placement
         assert not placement.device_of("only").startswith("cloud")
 
 

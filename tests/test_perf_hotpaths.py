@@ -6,7 +6,8 @@ These tests pin the contract that made those rewrites safe: compiled
 topic matching is extensionally equal to the reference segment matcher,
 dispatch caches invalidate on every (un)subscribe, cost caches
 invalidate on every infrastructure generation bump, and the memoized
-objective scores exactly like the direct one.
+objective scores exactly like the direct one (:func:`_objective`, the
+reference scoring kept here).
 """
 
 import random
@@ -23,6 +24,7 @@ from repro.mirto.placement import (
     Placement,
     PlacementConstraints,
     PlacementCostCache,
+    PlacementRequest,
     PsoPlacement,
     estimate_placement_kpis,
 )
@@ -124,6 +126,23 @@ class TestDispatchCacheInvalidation:
 
 # -- placement cost cache ---------------------------------------------------
 
+
+def _objective(strategy, application, infrastructure, tasks, options,
+               choices: list[int], source_device: str | None = None
+               ) -> float:
+    """Reference scoring of one discrete choice vector: uncached KPIs,
+    blended with *strategy*'s energy weight. The compiled, memoized
+    objective the swarms search must return exactly this."""
+    assignment = {
+        task.name: options[i][choice].name
+        for i, (task, choice) in enumerate(zip(tasks, choices))
+    }
+    latency, energy = estimate_placement_kpis(
+        application, Placement(assignment, strategy.name), infrastructure,
+        source_device)
+    return latency * (1 - strategy.energy_weight) \
+        + strategy.energy_weight * energy / 100.0
+
 def _app():
     app = Application("hot")
     reqs = TaskRequirements(latency_budget_s=10.0)
@@ -194,8 +213,8 @@ class TestPlacementCostCache:
         rng = random.Random(11)
         for _ in range(25):
             choices = [rng.randrange(len(opts)) for opts in options]
-            direct = strategy._objective(app, infra, tasks, options,
-                                         choices, constraints.source_device)
+            direct = _objective(strategy, app, infra, tasks, options,
+                                choices, constraints.source_device)
             assert compiled(choices) == direct
             assert compiled(choices) == direct  # memo hit, same value
 
@@ -203,8 +222,9 @@ class TestPlacementCostCache:
         results = []
         for _ in range(2):
             infra = build_reference_infrastructure(Simulator())
-            placement = PsoPlacement(random.Random(7), iterations=5).place(
-                _app(), infra, PlacementConstraints(source_device="mc-00-0"))
+            placement = PsoPlacement(random.Random(7), iterations=5).solve(
+                PlacementRequest(_app(), infra, PlacementConstraints(
+                    source_device="mc-00-0"))).placement
             results.append(placement.assignment)
         assert results[0] == results[1]
 

@@ -15,6 +15,7 @@ from repro.continuum import (
 from repro.continuum.workload import Application, KernelClass, PrivacyClass
 from repro.mirto.placement import (
     PlacementConstraints,
+    PlacementRequest,
     eligible_devices,
     estimate_placement_kpis,
     execute_placement,
@@ -24,6 +25,12 @@ from repro.mirto.placement import (
 
 def infra():
     return build_reference_infrastructure(Simulator())
+
+
+def solve(strategy, app, infrastructure, constraints):
+    return strategy.solve(PlacementRequest(
+        application=app, infrastructure=infrastructure,
+        constraints=constraints)).placement
 
 
 def pipeline_app(privacy=PrivacyClass.PUBLIC, security="low"):
@@ -101,8 +108,8 @@ class TestStrategies:
         infrastructure = infra()
         app = pipeline_app()
         strategy = make_strategy(name, random.Random(0))
-        placement = strategy.place(app, infrastructure,
-                                   PlacementConstraints())
+        placement = solve(strategy, app, infrastructure,
+                          PlacementConstraints())
         assert set(placement.assignment) == {"ingest", "process",
                                              "report"}
         for device_name in placement.assignment.values():
@@ -126,17 +133,16 @@ class TestStrategies:
                 min_security_level="high")))
         strategy = make_strategy("greedy")
         with pytest.raises(OrchestrationError, match="no eligible"):
-            strategy.place(impossible, infrastructure,
-                           PlacementConstraints(
-                               min_security_level="high"))
+            solve(strategy, impossible, infrastructure,
+                  PlacementConstraints(min_security_level="high"))
 
     def test_greedy_beats_random_on_estimate(self):
         infrastructure = infra()
         app = pipeline_app()
-        greedy = make_strategy("greedy").place(
-            app, infrastructure, PlacementConstraints())
-        rnd = make_strategy("random", random.Random(4)).place(
-            app, infrastructure, PlacementConstraints())
+        greedy = solve(make_strategy("greedy"), app, infrastructure,
+                       PlacementConstraints())
+        rnd = solve(make_strategy("random", random.Random(4)), app,
+                    infrastructure, PlacementConstraints())
         g_lat, _ = estimate_placement_kpis(app, greedy, infrastructure)
         r_lat, _ = estimate_placement_kpis(app, rnd, infrastructure)
         assert g_lat <= r_lat * 1.01
@@ -145,13 +151,13 @@ class TestStrategies:
         infrastructure = infra()
         app = pipeline_app()
         constraints = PlacementConstraints()
-        greedy = make_strategy("greedy").place(app, infrastructure,
-                                               constraints)
+        greedy = solve(make_strategy("greedy"), app, infrastructure,
+                       constraints)
         g_lat, g_energy = estimate_placement_kpis(app, greedy,
                                                   infrastructure)
         for name in ("pso", "aco"):
-            cognitive = make_strategy(name, random.Random(0)).place(
-                app, infrastructure, constraints)
+            cognitive = solve(make_strategy(name, random.Random(0)),
+                              app, infrastructure, constraints)
             c_lat, c_energy = estimate_placement_kpis(
                 app, cognitive, infrastructure)
             # Cognitive optimizes a blended objective: allow slightly
@@ -165,8 +171,8 @@ class TestExecution:
     def test_execution_report_fields(self):
         infrastructure = infra()
         app = pipeline_app()
-        placement = make_strategy("greedy").place(
-            app, infrastructure, PlacementConstraints())
+        placement = solve(make_strategy("greedy"), app, infrastructure,
+                          PlacementConstraints())
         report = execute_placement(app, placement, infrastructure)
         assert report.makespan_s > 0
         assert report.energy_j > 0
@@ -216,8 +222,8 @@ class TestFireflyStrategy:
     def test_firefly_produces_valid_placement(self):
         infrastructure = infra()
         app = pipeline_app()
-        placement = make_strategy("firefly", random.Random(0)).place(
-            app, infrastructure, PlacementConstraints())
+        placement = solve(make_strategy("firefly", random.Random(0)),
+                          app, infrastructure, PlacementConstraints())
         assert set(placement.assignment) == {"ingest", "process",
                                              "report"}
         assert placement.strategy == "firefly"
@@ -226,10 +232,10 @@ class TestFireflyStrategy:
         infrastructure = infra()
         app = pipeline_app()
         constraints = PlacementConstraints()
-        firefly = make_strategy("firefly", random.Random(1)).place(
-            app, infrastructure, constraints)
-        rnd = make_strategy("random", random.Random(1)).place(
-            app, infrastructure, constraints)
+        firefly = solve(make_strategy("firefly", random.Random(1)), app,
+                        infrastructure, constraints)
+        rnd = solve(make_strategy("random", random.Random(1)), app,
+                    infrastructure, constraints)
         f_lat, _ = estimate_placement_kpis(app, firefly, infrastructure)
         r_lat, _ = estimate_placement_kpis(app, rnd, infrastructure)
         assert f_lat <= r_lat * 1.05

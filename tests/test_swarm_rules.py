@@ -11,6 +11,7 @@ from repro.dpe.frevo import SwarmRule
 from repro.mirto import CognitiveEngine, EngineConfig, make_strategy
 from repro.mirto.placement import (
     PlacementConstraints,
+    PlacementRequest,
     estimate_placement_kpis,
 )
 from repro.mirto.swarm_rules import (
@@ -18,6 +19,12 @@ from repro.mirto.swarm_rules import (
     RuleBasedPlacement,
     evolve_placement_rule,
 )
+
+
+def solve(strategy, app, infrastructure, constraints):
+    return strategy.solve(PlacementRequest(
+        application=app, infrastructure=infrastructure,
+        constraints=constraints)).placement
 
 
 def pipeline_scenario():
@@ -36,8 +43,8 @@ class TestRuleBasedPlacement:
     def test_produces_complete_placement(self):
         infrastructure = build_reference_infrastructure(Simulator())
         app = pipeline_scenario().to_application()
-        placement = RuleBasedPlacement().place(
-            app, infrastructure, PlacementConstraints())
+        placement = solve(RuleBasedPlacement(), app, infrastructure,
+                          PlacementConstraints())
         assert set(placement.assignment) == {"a", "b", "c"}
         assert placement.strategy == "swarm-rule"
 
@@ -49,8 +56,8 @@ class TestRuleBasedPlacement:
         infrastructure = build_reference_infrastructure(Simulator())
         app = pipeline_scenario().to_application()
         rule = SwarmRule(0.0, 1.0, 0.0, 0.0, 0.0)  # latency only
-        placement = RuleBasedPlacement(rule).place(
-            app, infrastructure, PlacementConstraints())
+        placement = solve(RuleBasedPlacement(rule), app, infrastructure,
+                          PlacementConstraints())
         # DSP task lands on an accelerator or the fastest machine.
         device = infrastructure.device(placement.device_of("b"))
         assert device.speedup_for(app.task("b")) > 1.0 \
@@ -62,10 +69,10 @@ class TestRuleBasedPlacement:
         energy_rule = SwarmRule(0.0, 0.0, 1.0, 0.0, 0.0)
         latency_rule = SwarmRule(0.0, 1.0, 0.0, 0.0, 0.0)
         constraints = PlacementConstraints()
-        e_place = RuleBasedPlacement(energy_rule).place(
-            app, infrastructure, constraints)
-        l_place = RuleBasedPlacement(latency_rule).place(
-            app, infrastructure, constraints)
+        e_place = solve(RuleBasedPlacement(energy_rule), app,
+                        infrastructure, constraints)
+        l_place = solve(RuleBasedPlacement(latency_rule), app,
+                        infrastructure, constraints)
         _, e_energy = estimate_placement_kpis(app, e_place,
                                               infrastructure)
         _, l_energy = estimate_placement_kpis(app, l_place,
@@ -79,9 +86,8 @@ class TestRuleBasedPlacement:
         trusted["cloud-00"] = 0.0
         trusted["cloud-01"] = 0.0
         rule = SwarmRule(0.0, 0.1, 0.0, 5.0, 0.0)  # trust dominates
-        placement = RuleBasedPlacement(rule).place(
-            app, infrastructure,
-            PlacementConstraints(trusted=trusted))
+        placement = solve(RuleBasedPlacement(rule), app, infrastructure,
+                          PlacementConstraints(trusted=trusted))
         assert not any(d.startswith("cloud")
                        for d in placement.assignment.values())
 
@@ -91,8 +97,8 @@ class TestRuleBasedPlacement:
         infrastructure = build_reference_infrastructure(Simulator())
         app = pipeline_scenario().to_application()
         rule = SwarmRule(10.0, 0.01, 0.0, 0.0, 0.0)
-        placement = RuleBasedPlacement(rule).place(
-            app, infrastructure, PlacementConstraints())
+        placement = solve(RuleBasedPlacement(rule), app, infrastructure,
+                          PlacementConstraints())
         assert len(set(placement.assignment.values())) > 1
 
     def test_exploration_uses_rng(self):
@@ -101,9 +107,9 @@ class TestRuleBasedPlacement:
         rule = SwarmRule(0.3, 0.6, 0.1, 0.2, 1.0)  # always explore
         seen = set()
         for seed in range(5):
-            placement = RuleBasedPlacement(
-                rule, random.Random(seed)).place(
-                app, infrastructure, PlacementConstraints())
+            placement = solve(
+                RuleBasedPlacement(rule, random.Random(seed)), app,
+                infrastructure, PlacementConstraints())
             seen.add(tuple(sorted(placement.assignment.items())))
         assert len(seen) > 1
 
@@ -122,8 +128,8 @@ class TestRuleEvolution:
         infrastructure = factory()
         constraints = PlacementConstraints(
             min_security_level=scenario.min_security_level)
-        default_place = RuleBasedPlacement(DEFAULT_RULE).place(
-            app, infrastructure, constraints)
+        default_place = solve(RuleBasedPlacement(DEFAULT_RULE), app,
+                              infrastructure, constraints)
         latency, energy = estimate_placement_kpis(
             app, default_place, infrastructure)
         default_fitness = -(latency + 0.05 * energy)
