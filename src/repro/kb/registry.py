@@ -116,12 +116,39 @@ class ResourceRegistry:
     # -- status and history ----------------------------------------------------------
 
     def update_status(self, name: str, status: dict[str, Any]) -> None:
-        """Publish a telemetry snapshot and append it to local history."""
-        self.kb.put(_STATUS_PREFIX + name,
-                    {**status, "tick": self.kb.cluster.now})
+        """Publish a telemetry snapshot and append it to local history.
+
+        The snapshot is stamped with the Raft clock as read before the
+        write; the KB value and the history entry are the same snapshot.
+        """
+        snapshot = {**status, "tick": self.kb.cluster.now}
+        self.kb.put(_STATUS_PREFIX + name, snapshot)
+        self._remember(name, snapshot)
+
+    def update_statuses(self, statuses: dict[str, dict[str, Any]]) -> None:
+        """Publish many snapshots as one consensus round.
+
+        The whole batch is one guard-less transaction, so one Raft log
+        entry, like etcd's batched Txn. Revisions and watch events are
+        those of the same puts made one by one, in *statuses* order.
+        Every snapshot is stamped with the Raft clock read once, before
+        the round.
+        """
+        if not statuses:
+            return
+        tick = self.kb.cluster.now
+        snapshots = {name: {**status, "tick": tick}
+                     for name, status in statuses.items()}
+        self.kb.txn([], on_success=[
+            {"op": "put", "key": _STATUS_PREFIX + name, "value": snapshot}
+            for name, snapshot in snapshots.items()])
+        for name, snapshot in snapshots.items():
+            self._remember(name, snapshot)
+
+    def _remember(self, name: str, snapshot: dict[str, Any]) -> None:
         history = self._history.setdefault(
             name, deque(maxlen=self.history_limit))
-        history.append({**status, "tick": self.kb.cluster.now})
+        history.append(dict(snapshot))
 
     def status(self, name: str) -> dict[str, Any]:
         """Most recent telemetry snapshot for *name*."""

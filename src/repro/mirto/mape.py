@@ -160,16 +160,22 @@ class MapeLoop:
     # -- the four stages -----------------------------------------------------
 
     def sense(self) -> dict[str, dict]:
-        """Stage 1: pull telemetry from every device into the KB."""
+        """Stage 1: pull telemetry from every device into the KB.
+
+        Every device is sampled first; the cycle's statuses then reach
+        the KB as one batched write (one consensus round per cycle).
+        """
         samples = {}
+        statuses = {}
         for device in self.infrastructure.devices.values():
             sample = self.monitor.sample_device(device=device)
-            self.registry.update_status(device.name, {
+            statuses[device.name] = {
                 "utilization": sample["utilization"],
                 "queue_length": sample["queue_length"],
                 "operating_point": device.operating_point.name,
-            })
+            }
             samples[device.name] = sample
+        self.registry.update_statuses(statuses)
         return samples
 
     def analyze(self, samples: dict[str, dict]) -> list[Trigger]:

@@ -71,57 +71,72 @@ _SHA512_H0 = [
 ]
 
 
-def _rotr(x: int, n: int, width: int) -> int:
-    mask = (1 << width) - 1
-    return ((x >> n) | (x << (width - n))) & mask
+#: Per word width: the block's struct format, then the message
+#: schedule's sigma0/sigma1 (two rotations and a shift each) and the
+#: rounds' Sigma0/Sigma1 (three rotations each), as in FIPS 180-4.
+_SHIFTS = {
+    32: (">16I", (7, 18, 3, 17, 19, 10), (2, 13, 22, 6, 11, 25)),
+    64: (">16Q", (1, 8, 7, 19, 61, 6), (28, 34, 39, 14, 18, 41)),
+}
 
 
 def _sha2_compress(state: list[int], block: bytes, width: int,
-                   k_table: list[int], rounds: int) -> list[int]:
-    """One compression-function application (width = 32 or 64 bits)."""
+                   k_table: list[int]) -> list[int]:
+    """One compression-function application (width = 32 or 64 bits).
+
+    Rotations are inlined as ``(x >> n) | (x << (width - n))`` with the
+    shift amounts bound once per call. The bits a left shift carries
+    past *width* are never masked per rotation: XOR and addition modulo
+    ``2**width`` depend only on their operands' low *width* bits, so
+    the one mask each stored word ends with drops them all.
+    """
     mask = (1 << width) - 1
-    word_bytes = width // 8
-    if width == 32:
-        small = (7, 18, 3, 17, 19, 10)
-        big = (2, 13, 22, 6, 11, 25)
-    else:
-        small = (1, 8, 7, 19, 61, 6)
-        big = (28, 34, 39, 14, 18, 41)
-    w = list(struct.unpack(f">{16}{'I' if width == 32 else 'Q'}", block))
-    for t in range(16, rounds):
-        s0 = (_rotr(w[t - 15], small[0], width)
-              ^ _rotr(w[t - 15], small[1], width) ^ (w[t - 15] >> small[2]))
-        s1 = (_rotr(w[t - 2], small[3], width)
-              ^ _rotr(w[t - 2], small[4], width) ^ (w[t - 2] >> small[5]))
-        w.append((w[t - 16] + s0 + w[t - 7] + s1) & mask)
+    fmt, (p0, p1, p2, q0, q1, q2), (a0, a1, a2, e0, e1, e2) = \
+        _SHIFTS[width]
+    lp0, lp1, lq0, lq1 = width - p0, width - p1, width - q0, width - q1
+    la0, la1, la2 = width - a0, width - a1, width - a2
+    le0, le1, le2 = width - e0, width - e1, width - e2
+    w = list(struct.unpack(fmt, block))
+    for t in range(16, len(k_table)):
+        x = w[t - 15]
+        y = w[t - 2]
+        w.append((w[t - 16] + w[t - 7]
+                  + (((x >> p0) | (x << lp0)) ^ ((x >> p1) | (x << lp1))
+                     ^ (x >> p2))
+                  + (((y >> q0) | (y << lq0)) ^ ((y >> q1) | (y << lq1))
+                     ^ (y >> q2))) & mask)
     a, b, c, d, e, f, g, h = state
-    for t in range(rounds):
-        big_s1 = (_rotr(e, big[3], width) ^ _rotr(e, big[4], width)
-                  ^ _rotr(e, big[5], width))
-        ch = (e & f) ^ (~e & g)
-        t1 = (h + big_s1 + ch + k_table[t] + w[t]) & mask
-        big_s0 = (_rotr(a, big[0], width) ^ _rotr(a, big[1], width)
-                  ^ _rotr(a, big[2], width))
-        maj = (a & b) ^ (a & c) ^ (b & c)
-        t2 = (big_s0 + maj) & mask
-        h, g, f, e, d, c, b, a = g, f, e, (d + t1) & mask, c, b, a, \
-            (t1 + t2) & mask
-    return [(s + v) & mask for s, v in zip(state, [a, b, c, d, e, f, g, h])]
+    for k, wt in zip(k_table, w):
+        # Ch(e, f, g) and Maj(a, b, c) in their two-operation forms.
+        t1 = (h + k + wt + (g ^ (e & (f ^ g)))
+              + (((e >> e0) | (e << le0)) ^ ((e >> e1) | (e << le1))
+                 ^ ((e >> e2) | (e << le2))))
+        t2 = ((((a >> a0) | (a << la0)) ^ ((a >> a1) | (a << la1))
+               ^ ((a >> a2) | (a << la2)))
+              + ((a & (b | c)) | (b & c)))
+        h = g
+        g = f
+        f = e
+        e = (d + t1) & mask
+        d = c
+        c = b
+        b = a
+        a = (t1 + t2) & mask
+    return [(s + v) & mask
+            for s, v in zip(state, (a, b, c, d, e, f, g, h))]
 
 
 def _sha2(data: bytes, width: int, h0: list[int], k_table: list[int],
-          rounds: int, out_bytes: int) -> bytes:
+          out_bytes: int) -> bytes:
     block_bytes = width * 2  # 64 for SHA-256, 128 for SHA-512
     length_field = block_bytes // 8  # 8 or 16 bytes of length
-    bit_len = len(data) * 8
-    padded = data + b"\x80"
-    while (len(padded) + length_field) % block_bytes:
-        padded += b"\x00"
-    padded += bit_len.to_bytes(length_field, "big")
+    zeros = -(len(data) + 1 + length_field) % block_bytes
+    padded = (data + b"\x80" + b"\x00" * zeros
+              + (len(data) * 8).to_bytes(length_field, "big"))
     state = list(h0)
     for offset in range(0, len(padded), block_bytes):
         state = _sha2_compress(state, padded[offset:offset + block_bytes],
-                               width, k_table, rounds)
+                               width, k_table)
     word_bytes = width // 8
     digest = b"".join(s.to_bytes(word_bytes, "big") for s in state)
     return digest[:out_bytes]
@@ -129,12 +144,12 @@ def _sha2(data: bytes, width: int, h0: list[int], k_table: list[int],
 
 def sha256(data: bytes) -> bytes:
     """SHA-256 digest (32 bytes) of *data*."""
-    return _sha2(data, 32, _SHA256_H0, _SHA256_K, 64, 32)
+    return _sha2(data, 32, _SHA256_H0, _SHA256_K, 32)
 
 
 def sha512(data: bytes) -> bytes:
     """SHA-512 digest (64 bytes) of *data*."""
-    return _sha2(data, 64, _SHA512_H0, _SHA512_K, 80, 64)
+    return _sha2(data, 64, _SHA512_H0, _SHA512_K, 64)
 
 
 def hmac(key: bytes, message: bytes, hash_fn=sha256,

@@ -1,6 +1,7 @@
 """Scorecard harness: deterministic replay, causal recovery tracing,
 partition-heal recovery, and the repro-chaos CLI contract."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -60,6 +61,24 @@ class TestScorecardDeterminism:
             pytest.approx(sum(per_seed) / 2, abs=1e-6)
         # render_report is canonical: sorted keys, stable text.
         assert render_report(report) == render_report(report)
+
+
+class TestPinnedRecovery:
+    """The e2e ``recovery`` op, pinned: ``run_scenario(seed, "full",
+    horizon_s=40.0)`` for seeds 0-9, hashing each seed's sorted-key
+    ``score_run`` JSON and then its trace JSONL."""
+
+    PINNED = ("7ae63cc81a2cf7c78703e899aa99803d"
+              "904fdf818afde20da77554f0b1cdc779")
+
+    def test_scorecards_and_traces_match_pin(self):
+        digest = hashlib.sha256()
+        for seed in range(10):
+            run = run_scenario(seed, "full", horizon_s=40.0)
+            digest.update(json.dumps(score_run(run),
+                                     sort_keys=True).encode())
+            digest.update(run["ctx"].trace.to_jsonl().encode())
+        assert digest.hexdigest() == self.PINNED
 
 
 class TestScorecardMetrics:

@@ -57,6 +57,41 @@ class TestSha2KnownAnswers:
         assert sha512(data) == hashlib.sha512(data).digest()
 
 
+#: Message lengths around the padding boundaries: where the 0x80 byte
+#: and the length field stop fitting in the last SHA-256 (64-byte) or
+#: SHA-512 (128-byte) block, and where a message fills a block exactly.
+PADDING_EDGE_LENGTHS = (55, 56, 57, 63, 64, 65, 111, 112, 113, 127, 128,
+                        129)
+
+
+def exact_length(n):
+    return st.binary(min_size=n, max_size=n)
+
+
+class TestSha2PaddingBoundaries:
+    @pytest.mark.parametrize("n", PADDING_EDGE_LENGTHS)
+    @given(data=st.data())
+    @settings(max_examples=5)
+    def test_sha256_sha512_match_hashlib(self, n, data):
+        msg = data.draw(exact_length(n))
+        assert sha256(msg) == hashlib.sha256(msg).digest()
+        assert sha512(msg) == hashlib.sha512(msg).digest()
+
+    @pytest.mark.parametrize("n", PADDING_EDGE_LENGTHS)
+    @given(data=st.data())
+    @settings(max_examples=5)
+    def test_hmac_matches_stdlib(self, n, data):
+        """Keys span the 64/128-byte block sizes too (a longer key is
+        hashed first)."""
+        key = data.draw(st.sampled_from(PADDING_EDGE_LENGTHS)
+                        .flatmap(exact_length))
+        msg = data.draw(exact_length(n))
+        assert hmac(key, msg) == stdlib_hmac.new(
+            key, msg, hashlib.sha256).digest()
+        assert hmac(key, msg, sha512) == stdlib_hmac.new(
+            key, msg, hashlib.sha512).digest()
+
+
 class TestHmacHkdf:
     @given(st.binary(min_size=1, max_size=100), st.binary(max_size=200))
     @settings(max_examples=30)

@@ -221,6 +221,94 @@ class TestResourceRegistry:
         with pytest.raises(NotFoundError):
             registry.status("ghost")
 
+    def test_update_status_history_matches_kb(self, registry):
+        """The KB value and the history entry are one snapshot, stamped
+        with the Raft clock read before the write."""
+        registry.update_status("dev", {"util": 0.5})
+        assert registry.history("dev")[-1] == registry.status("dev")
+        registry.update_status("dev", {"util": 0.7})
+        assert registry.history("dev")[-1] == registry.status("dev")
+
+    def test_update_statuses_history_matches_kb(self, registry):
+        registry.update_statuses({"dev": {"util": 0.5},
+                                  "gpu": {"util": 0.1}})
+        for name in ("dev", "gpu"):
+            assert registry.history(name)[-1] == registry.status(name)
+
+
+class TestBatchedStatuses:
+    """``update_statuses`` writes a whole batch as one Raft log entry
+    with the revisions and watch events of the same puts made one by
+    one."""
+
+    STATUSES = {"mc-0": {"utilization": 0.4, "queue_length": 2},
+                "fpga-0": {"utilization": 0.9, "queue_length": 0},
+                "cloud-0": {"utilization": 0.1, "queue_length": 1}}
+
+    @staticmethod
+    def _primed():
+        kb = KnowledgeBase(replicas=3, seed=4)
+        kb.put("status/fpga-0", {"utilization": 0.0})  # elects a leader
+        events = []
+        kb.watch("status/", lambda e: events.append(
+            (e.event_type, e.key, e.value, e.revision)))
+        return kb, events
+
+    def test_one_log_entry_per_batch(self):
+        kb, _ = self._primed()
+        leader = kb.cluster.nodes[kb.cluster.leader()]
+        before = leader.last_log_index()
+        ResourceRegistry(kb).update_statuses(self.STATUSES)
+        assert kb.cluster.leader() == leader.name
+        assert leader.last_log_index() == before + 1
+
+    def test_revisions_and_events_match_sequential_puts(self):
+        batched, batched_events = self._primed()
+        ResourceRegistry(batched).update_statuses(self.STATUSES)
+        sequential, sequential_events = self._primed()
+        for _, key, value, _ in batched_events:
+            sequential.put(key, value)
+        assert [e[1] for e in batched_events] == \
+            [f"status/{name}" for name in self.STATUSES]
+        assert batched_events == sequential_events
+        assert batched.revision == sequential.revision
+        for name in self.STATUSES:
+            key = f"status/{name}"
+            assert batched.get_with_meta(key) == \
+                sequential.get_with_meta(key)
+
+    def test_replicas_converge(self):
+        kb, _ = self._primed()
+        ResourceRegistry(kb).update_statuses(self.STATUSES)
+        kb.tick(50)  # allow followers to learn the final commit index
+        states = list(kb.replica_states().values())
+        assert all(state == states[0] for state in states)
+        assert set(states[0]) == {f"status/{n}" for n in self.STATUSES}
+
+    def test_empty_batch_writes_nothing(self):
+        kb, events = self._primed()
+        revision = kb.revision
+        ResourceRegistry(kb).update_statuses({})
+        assert kb.revision == revision and events == []
+
+    def test_mape_sense_is_one_proposal(self, monkeypatch):
+        from repro.mirto.engine import CognitiveEngine, EngineConfig
+        engine = CognitiveEngine(EngineConfig(seed=3))
+        proposals = []
+        propose = KnowledgeBase._propose
+
+        def counted(self, command):
+            proposals.append(command["op"])
+            propose(self, command)
+
+        monkeypatch.setattr(KnowledgeBase, "_propose", counted)
+        samples = engine.mape.sense()
+        assert proposals == ["txn"]
+        assert len(samples) == len(engine.infrastructure.devices) > 1
+        for name in samples:
+            assert engine.registry.history(name)[-1] == \
+                engine.registry.status(name)
+
 
 class TestTransactions:
     def test_success_branch_applies_atomically(self, kb):

@@ -1,6 +1,9 @@
 """Unit tests for the network substrate: topology, protocols, slicing."""
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import CapacityError, ConfigurationError, NotFoundError
 from repro.continuum.simulator import Simulator
@@ -58,6 +61,74 @@ class TestTopology:
     def test_estimate_same_host_zero(self):
         net = linear_network(Simulator())
         assert net.estimate_transfer_time("a", "a", 12345) == 0.0
+
+
+@st.composite
+def mutated_topologies(draw):
+    """A random connected graph plus a cut/degrade/restore sequence.
+
+    Every effective latency is a distinct power of two, so every set of
+    links has its own exact float sum and shortest paths never tie.
+    """
+    n = draw(st.integers(3, 6))
+    hosts = [f"h{i}" for i in range(n)]
+    pairs = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)),
+                              max_size=n)):
+        if a != b:
+            pairs.add((min(a, b), max(a, b)))
+    edges = [(hosts[a], hosts[b]) for a, b in sorted(pairs)]
+    exponents = draw(st.permutations(range(-30, 10)))
+    ops = draw(st.lists(st.tuples(
+        st.sampled_from(("cut", "degrade", "restore")),
+        st.integers(0, len(edges) - 1)), max_size=10))
+    return hosts, edges, exponents, ops
+
+
+class TestPathTable:
+    """``Network.path`` answers from one single-source Dijkstra per
+    (topology generation, source) and must agree with networkx."""
+
+    @staticmethod
+    def _assert_matches_networkx(net, hosts):
+        for src in hosts:
+            for dst in hosts:
+                try:
+                    expected = nx.shortest_path(net.graph, src, dst,
+                                                weight="latency")
+                except nx.NetworkXNoPath:
+                    with pytest.raises(NotFoundError):
+                        net.path(src, dst)
+                    continue
+                got = net.path(src, dst)
+                assert got == expected
+                got.reverse()
+                got.append("mutated")
+                assert net.path(src, dst) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(mutated_topologies())
+    def test_matches_networkx_under_link_mutations(self, scenario):
+        hosts, edges, exponents, ops = scenario
+        unused = iter(exponents[len(edges):])
+        net = Network(ctx=Simulator())
+        for (a, b), exponent in zip(edges, exponents):
+            net.add_link(a, b, latency_s=2.0 ** exponent,
+                         bandwidth_bps=1e6)
+        self._assert_matches_networkx(net, hosts)
+        for kind, index in ops:
+            a, b = edges[index]
+            if kind == "cut":
+                net.set_link_state(a, b, up=False)
+            elif kind == "restore":
+                net.set_link_state(a, b, up=True)
+            else:
+                link = net.link(a, b)
+                net.set_link_state(
+                    a, b, latency_factor=2.0 ** next(unused)
+                    / link.latency_s)
+            self._assert_matches_networkx(net, hosts)
 
 
 class TestTransfer:
