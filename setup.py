@@ -1,10 +1,3 @@
-from setuptools import setup, find_packages
+from setuptools import setup
 
-setup(
-    name="repro",
-    version="1.0.0",
-    package_dir={"": "src"},
-    packages=find_packages(where="src"),
-    install_requires=["numpy", "scipy", "networkx", "PyYAML"],
-    python_requires=">=3.10",
-)
+setup()

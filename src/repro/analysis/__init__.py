@@ -1,6 +1,7 @@
 """Static analysis for the reproduction (`repro.analysis`).
 
-Three engines share one finding/baseline core and one CLI
+Four engines share one finding/baseline core, one in-memory parse
+cache (:mod:`repro.analysis.cache`) and one CLI
 (``python -m repro.analysis`` / ``repro-analysis``):
 
 - **continuum-lint** (:mod:`repro.analysis.lint`) — an AST rule engine
@@ -14,6 +15,10 @@ Three engines share one finding/baseline core and one CLI
   pass.
 - **static TOSCA/CSAR checking** (:mod:`repro.analysis.tosca_check`)
   — validates templates and archives without deploying them.
+- **topic-flow & DES contracts** (:mod:`repro.analysis.flow`) — a
+  whole-program symbol table and call graph that checks every
+  publish/subscribe site against the topic schema registry and flags
+  DES generator misuse.
 """
 
 from repro.analysis.findings import (

@@ -1,27 +1,18 @@
 """mtime+size-keyed AST parse cache shared by every analysis engine.
 
-Parsing is the dominant cost of an analysis run (continuum-lint and the
-flow analyses both walk every module under ``src/repro``, and CI plus
-pre-commit run them back to back). The cache keys each file on
-``(path, mtime_ns, size)`` so an unchanged file is parsed exactly once
-per process — and, when a cache file is configured, once per *machine*:
-the CLI persists the cache with :mod:`pickle` (AST nodes pickle
-cleanly) and validates every entry against the file's current stat on
-reuse, so a stale entry can never survive an edit.
-
-The cache is an optimization only: a missing, unreadable or corrupt
-cache file silently degrades to parsing from scratch.
+continuum-lint and the flow analyses both walk every module under
+``src/repro``. The cache keys each file on ``(path, mtime_ns, size)``
+so one analysis run parses an unchanged file exactly once, whichever
+engine asks first. It lives in memory only: unpickling a persisted
+cache measured slower than parsing the files again (DESIGN.md,
+"Performance").
 """
 
 from __future__ import annotations
 
 import ast
-import pickle
 from dataclasses import dataclass
 from pathlib import Path
-
-#: Bump when ParsedFile's shape changes; mismatched caches are dropped.
-CACHE_VERSION = 1
 
 
 @dataclass
@@ -44,7 +35,7 @@ def _stat_key(path: Path) -> tuple[int, int] | None:
 
 
 class ParseCache:
-    """In-process parse cache with optional on-disk persistence."""
+    """In-process parse cache."""
 
     def __init__(self):
         #: resolved path -> ((mtime_ns, size), ParsedFile)
@@ -72,34 +63,6 @@ class ParseCache:
         if stat_key is not None:
             self._entries[key] = (stat_key, parsed)
         return parsed
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    # -- persistence --------------------------------------------------------
-
-    @classmethod
-    def load(cls, cache_path: str | Path) -> "ParseCache":
-        """Restore a persisted cache; any failure yields an empty one."""
-        cache = cls()
-        try:
-            payload = pickle.loads(Path(cache_path).read_bytes())
-            if payload.get("version") == CACHE_VERSION:
-                cache._entries = payload["entries"]
-        except (OSError, pickle.PickleError, AttributeError, EOFError,
-                KeyError, TypeError, ValueError, ImportError):
-            pass
-        return cache
-
-    def save(self, cache_path: str | Path) -> bool:
-        """Persist the cache; returns False (and stays silent) on I/O
-        failure — the cache must never break an analysis run."""
-        payload = {"version": CACHE_VERSION, "entries": self._entries}
-        try:
-            Path(cache_path).write_bytes(pickle.dumps(payload))
-        except (OSError, pickle.PickleError):
-            return False
-        return True
 
 
 def parse_source(source: str) -> ParsedFile:

@@ -19,9 +19,9 @@ TOSCA mode::
 
 The default run merges continuum-lint findings with the whole-program
 flow analyses (topic contracts, DES generator rules) and diffs the
-union against one baseline. Parsed ASTs are shared between the engines
-through an mtime+size-keyed cache persisted at ``cache`` from
-``[tool.repro-analysis]`` (``--no-cache`` disables persistence).
+union against one baseline. The engines share one in-memory parse
+cache, so each file is parsed once per run; a run writes no file
+unless asked to (``--write-baseline``).
 
 Exit codes: 0 = clean (or everything baselined), 1 = new blocking
 findings, 2 = usage/configuration error.
@@ -66,22 +66,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", default="json",
                         choices=("json", "dot"),
                         help="graph mode output format")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="do not load or persist the parse cache")
-    parser.add_argument("--cache", default=None,
-                        help="parse-cache file (default from config)")
     parser.add_argument("--verbose", action="store_true",
                         help="also list baselined findings")
     return parser
-
-
-def _open_cache(args, config) -> tuple[ParseCache, Path | None]:
-    if args.no_cache:
-        return ParseCache(), None
-    cache_path = Path(args.cache) if args.cache else config.cache_path
-    if cache_path is None:
-        return ParseCache(), None
-    return ParseCache.load(cache_path), cache_path
 
 
 def _run_tosca(paths: list[str], as_json: bool) -> int:
@@ -123,12 +110,7 @@ def _run_graph(args) -> int:
     from repro.analysis.flow import (build_topic_graph, graph_to_dot,
                                      load_project)
 
-    config = load_config(args.root)
-    cache, cache_path = _open_cache(args, config)
-    project = load_project(config, cache)
-    graph = build_topic_graph(project)
-    if cache_path is not None:
-        cache.save(cache_path)
+    graph = build_topic_graph(load_project(load_config(args.root)))
     if args.format == "dot":
         print(graph_to_dot(graph), end="")
     else:
@@ -165,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
         if not Path(raw).exists():
             print(f"no such path: {raw}", file=sys.stderr)
             return 2
-    cache, cache_path = _open_cache(args, config)
+    cache = ParseCache()
     engine = LintEngine(config, only_rules=only_rules, cache=cache)
     findings = engine.run(args.paths or None)
     # The flow analyses are whole-program: they run on the configured
@@ -175,8 +157,6 @@ def main(argv: list[str] | None = None) -> int:
                                        only_rules=only_rules)
     findings.sort(key=lambda f: (f.path, f.line, f.tool, f.rule,
                                  f.occurrence))
-    if cache_path is not None:
-        cache.save(cache_path)
 
     baseline_path = Path(args.baseline) if args.baseline \
         else config.baseline_path

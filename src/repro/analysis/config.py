@@ -49,9 +49,6 @@ class AnalysisConfig:
     flow_paths: list[str] = field(
         default_factory=lambda: ["src/repro"])
     baseline: str = "analysis-baseline.json"
-    # On-disk AST parse cache (mtime+size validated); empty disables
-    # persistence. Relative to root.
-    cache: str = ".repro-analysis-cache"
 
     def is_excluded(self, rel_path: str) -> bool:
         rel = rel_path.replace("\\", "/")
@@ -95,10 +92,6 @@ class AnalysisConfig:
     def baseline_path(self) -> Path:
         return self.root / self.baseline
 
-    @property
-    def cache_path(self) -> Path | None:
-        return self.root / self.cache if self.cache else None
-
 
 def load_config(root: str | Path | None = None) -> AnalysisConfig:
     """Read ``[tool.repro-analysis]`` from *root*/pyproject.toml.
@@ -129,6 +122,4 @@ def load_config(root: str | Path | None = None) -> AnalysisConfig:
             setattr(config, attr, [str(v) for v in value])
     if isinstance(table.get("baseline"), str):
         config.baseline = table["baseline"]
-    if isinstance(table.get("cache"), str):
-        config.cache = table["cache"]
     return config

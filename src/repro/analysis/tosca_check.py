@@ -22,11 +22,9 @@ import networkx as nx
 
 from repro.tosca.csar import CsarArchive
 from repro.tosca.model import ServiceTemplate
-from repro.tosca.validator import ToscaValidator
+from repro.tosca.validator import _SECURITY_LEVELS, ToscaValidator
 
 from repro.analysis.findings import Finding, Severity, assign_occurrences
-
-_SECURITY_LEVELS = ("low", "medium", "high")
 
 #: keys every exported operating point must carry (dse.export_operating_points)
 _OPERATING_POINT_REQUIRED = ("name", "latency_s", "energy_j")

@@ -71,7 +71,7 @@ class DeviceFleet:
             [specs[i % len(specs)].busy_power_w for i in range(size)])
         #: Busy - idle power, the span a utilization sample scales.
         self._span_w = self._busy_w - self._idle_w
-        self._rng = self.ctx.numpy_rng(f"fleet.{zone}")
+        self._rng = self.ctx.rng.numpy(f"fleet.{zone}")
         # Fleet health counters, labelled by zone so the sharded
         # backends' aggregated registry keeps per-zone breakdowns. The
         # values are RNG-driven and therefore deterministic — safe for

@@ -160,31 +160,18 @@ class Process(Event):
 
     __slots__ = ("generator", "name", "_waiting_on")
 
-    def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):  # perf: hot
-        # Inlined Event.__init__ for self and for the immediate
-        # initialization event (same treatment as Timeout): process
-        # construction dominates churn-heavy scenarios, and the two
-        # super()/ctor dispatches are measurable at fleet scale.
-        self.sim = sim
-        self.callbacks = []
-        self._value = None
-        self._ok = None
-        self._defused = False
+    def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
+        super().__init__(sim)
         if not hasattr(generator, "send"):
             raise TypeError("process() requires a generator")
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._waiting_on = None
+        self._waiting_on: Optional[Event] = None
         # Kick off on construction via an immediate initialization event.
-        init = Event.__new__(Event)
-        init.sim = sim
-        init.callbacks = [self._resume]
-        init._value = None
+        init = Event(sim)
         init._ok = True
-        init._defused = False
-        heappush(sim._queue,
-                 (sim._now, (URGENT << _SEQ_BITS) | sim._seq, init))
-        sim._seq += 1
+        init.callbacks.append(self._resume)
+        sim._schedule(init, URGENT)
 
     @property
     def is_alive(self) -> bool:
@@ -385,7 +372,9 @@ class Simulator:
         if deadline < self._now:
             raise SimulationError("run(until=...) lies in the past")
         if self._profiler is not None:
-            self._drain_profiled(deadline)
+            # step() does the per-event profiler accounting.
+            while self._queue and self._queue[0][0] <= deadline:
+                self.step()
             if self._now < deadline < float("inf"):
                 self._now = deadline
             return None
@@ -411,35 +400,6 @@ class Simulator:
         if self._now < deadline < float("inf"):
             self._now = deadline
         return None
-
-    def _drain_profiled(self, deadline: float) -> None:
-        """Mirror of run()'s drain loop with per-event profiler accounting.
-
-        Kept as a separate method so the unprofiled hot path above pays
-        only a single attribute check when no profiler is installed.
-        """
-        queue = self._queue
-        prof = self._profiler
-        clock = prof.clock
-        account = prof.account
-        processed = 0
-        try:
-            while queue and queue[0][0] <= deadline:
-                when, _key, event = heappop(queue)
-                sim_dt = when - self._now
-                self._now = when
-                callbacks = event.callbacks
-                event.callbacks = None
-                t0 = clock()
-                if callbacks:
-                    for callback in callbacks:
-                        callback(event)
-                account(event, callbacks or (), sim_dt, clock() - t0)
-                processed += 1
-                if event._ok is False and not event._defused:
-                    raise event._value
-        finally:
-            self.processed_events += processed
 
 
 class Resource:

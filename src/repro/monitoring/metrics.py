@@ -42,7 +42,7 @@ class MetricSeries:
     use the same bounded-deque discipline as the samples (an alerting
     series left running would otherwise grow without bound); old alerts
     fall off the front and :attr:`dropped_alerts` counts the evictions,
-    mirroring ``TraceRecorder.dropped_count``.
+    mirroring ``TraceRecorder.dropped``.
     """
 
     def __init__(self, name: str, retention: int = 1024,

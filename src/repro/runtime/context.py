@@ -22,17 +22,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.events import EventBus, Handler, Subscription
-from repro.core.rng import RngRegistry, derive_seed
+from repro.core.rng import RngRegistry
 from repro.obs.metrics import METRICS_TOPIC, MetricsRegistry
 from repro.obs.profiler import PROFILE_TOPIC
 from repro.obs.spans import Tracer
 from repro.runtime.trace import TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    import random
-
-    import numpy as np
-
     from repro.continuum.simulator import Simulator
 
 
@@ -159,7 +155,7 @@ class RuntimeContext:
             "runtime.trace.records", lambda: len(self.trace),
             "trace records currently retained")
         self.metrics.gauge_callback(
-            "runtime.trace.dropped", lambda: self.trace.dropped_count,
+            "runtime.trace.dropped", lambda: self.trace.dropped,
             "trace records evicted by the ring bound")
         self.metrics.gauge_callback(
             "runtime.tracer.spans", lambda: self.tracer.spans_recorded,
@@ -185,32 +181,6 @@ class RuntimeContext:
     def subscribe(self, pattern: str, handler: Handler) -> Subscription:
         """Subscribe on the shared bus."""
         return self.bus.subscribe(pattern, handler)
-
-    # -- rng spine ---------------------------------------------------------
-
-    def python_rng(self, name: str) -> "random.Random":
-        """Named, independently seeded ``random.Random`` stream."""
-        return self.rng.python(name)
-
-    def numpy_rng(self, name: str) -> "np.random.Generator":
-        """Named, independently seeded numpy generator stream."""
-        return self.rng.numpy(name)
-
-    def fork(self, name: str) -> "RuntimeContext":
-        """Child context: same clock/bus/trace, derived RNG subtree.
-
-        Use when a subsystem needs its own seed lineage while staying on
-        the shared timeline.
-        """
-        child = object.__new__(RuntimeContext)
-        child.seed = derive_seed(self.seed, name)
-        child.sim = self.sim
-        child.rng = self.rng.fork(name)
-        child.trace = self.trace
-        child.bus = self.bus
-        child.metrics = self.metrics
-        child.tracer = self.tracer
-        return child
 
     # -- observability -----------------------------------------------------
 

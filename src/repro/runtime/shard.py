@@ -260,8 +260,8 @@ def relay_deliver(dest: ZoneRuntime, topic: str, payload: Any,
         rec["end_s"] = now
         rec["status"] = status
         rec["attrs"] = {"topic": topic, "zone": dest.name}
-        # TraceRecorder.record_raw, inlined (the payload is already
-        # JSON-primitive and `now` already a float).
+        # TraceRecorder.record, inlined minus the jsonify walk (the
+        # payload is already JSON-primitive and `now` already a float).
         trace = tracer._trace
         trace._records.append(TraceRecord(trace._seq, now, SPAN_TOPIC,
                                           rec))

@@ -146,26 +146,11 @@ class TraceRecorder:
         increasing for the life of the recorder even after the ring has
         evicted billions of records. Consumers may rely on ``seq`` as a
         total order over everything ever recorded; use
-        :attr:`dropped_count` to detect that the *retained* window no
+        :attr:`dropped` to detect that the *retained* window no
         longer starts at seq 0.
         """
         rec = TraceRecord(self._seq, float(time_s), topic,
                           jsonify(payload), span)
-        self._seq += 1
-        self._records.append(rec)
-        return rec
-
-    def record_raw(self, time_s: float, topic: str,  # perf: hot
-                   payload: Any = None, span: Any = None) -> TraceRecord:
-        """Append a record whose *payload* is already JSON-primitive.
-
-        Skips :func:`jsonify`: the caller guarantees the payload is
-        composed only of primitives and dicts/lists of primitives and
-        is never mutated afterwards, so exports are byte-identical to
-        the :meth:`record` path. Exists for per-message hot paths (the
-        cross-shard relay span) where the normalization walk costs more
-        than the append."""
-        rec = TraceRecord(self._seq, float(time_s), topic, payload, span)
         self._seq += 1
         self._records.append(rec)
         return rec
@@ -177,16 +162,11 @@ class TraceRecorder:
 
     @property
     def dropped(self) -> int:
-        """Records evicted by the ring bound."""
-        return self._seq - len(self._records)
-
-    @property
-    def dropped_count(self) -> int:
-        """Ring-buffer evictions so far (alias of :attr:`dropped`).
+        """Ring-buffer evictions so far.
 
         ``total_recorded - len(recorder)``: how many records fell off
         the front of the bounded ring. When this is non-zero the
-        retained trace starts at ``seq == dropped_count``, not 0.
+        retained trace starts at ``seq == dropped``, not 0.
         """
         return self._seq - len(self._records)
 

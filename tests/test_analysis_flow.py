@@ -398,24 +398,6 @@ class TestParseCache:
         assert parsed.source == "x = 2\n"
         assert cache.misses == 2
 
-    def test_persistence_round_trip(self, tmp_path):
-        target = tmp_path / "m.py"
-        target.write_text("def f():\n    return 3\n")
-        cache = ParseCache()
-        cache.parse(target)
-        cache_file = tmp_path / "cache.bin"
-        assert cache.save(cache_file)
-        restored = ParseCache.load(cache_file)
-        assert len(restored) == 1
-        restored.parse(target)
-        assert (restored.hits, restored.misses) == (1, 0)
-
-    def test_corrupt_cache_degrades_to_empty(self, tmp_path):
-        cache_file = tmp_path / "cache.bin"
-        cache_file.write_bytes(b"\x80garbage")
-        assert len(ParseCache.load(cache_file)) == 0
-        assert len(ParseCache.load(tmp_path / "missing.bin")) == 0
-
     def test_syntax_error_is_carried(self, tmp_path):
         target = tmp_path / "bad.py"
         target.write_text("def broken(:\n")
@@ -489,26 +471,25 @@ class TestWholeRepo:
 
 class TestFlowCli:
     def test_graph_json_smoke(self):
-        result = run_cli("graph", "--no-cache")
+        result = run_cli("graph")
         assert result.returncode == 0, result.stderr
         graph = json.loads(result.stdout)
         assert graph["topics"]
         assert graph["publisher_count"] > 10
 
     def test_graph_dot_smoke(self):
-        result = run_cli("graph", "--no-cache", "--format", "dot")
+        result = run_cli("graph", "--format", "dot")
         assert result.returncode == 0, result.stderr
         assert result.stdout.startswith("digraph topic_flow {")
         assert '"continuum.fault.fail"' in result.stdout
 
     def test_graph_rejects_extra_paths(self):
-        result = run_cli("graph", "src", "--no-cache")
+        result = run_cli("graph", "src")
         assert result.returncode == 2
 
     def test_flow_rules_known_to_rules_flag(self):
         result = run_cli("--rules", "flow-undeclared-topic,"
-                         "des-generator-not-driven", "--no-cache",
-                         "--check")
+                         "des-generator-not-driven", "--check")
         assert result.returncode == 0, result.stdout + result.stderr
 
     def test_flow_rule_ids_are_registered(self):

@@ -50,6 +50,20 @@ class TestSelfLint:
                          "--root", str(REPO_ROOT), str(bad))
         assert result.returncode == 0
 
+    def test_run_writes_no_file_under_root(self, tmp_path):
+        # The parse cache lives in memory: neither a lint + flow run
+        # nor a graph run leaves a file (such as the retired
+        # .repro-analysis-cache pickle) in the tree it analyzed.
+        package = tmp_path / "src" / "repro"
+        package.mkdir(parents=True)
+        (package / "clean.py").write_text("def f(x):\n    return x\n")
+        before = sorted(tmp_path.rglob("*"))
+        result = run_cli("--check", "--root", str(tmp_path))
+        assert result.returncode == 0, result.stdout + result.stderr
+        result = run_cli("graph", "--root", str(tmp_path))
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_unknown_rule_is_usage_error(self):
         result = run_cli("--rules", "no-such-rule")
         assert result.returncode == 2

@@ -236,8 +236,8 @@ class TestTraceRecorderDropCount:
             recorder.record(float(i), "t", {"i": i})
         assert len(recorder) == 4
         assert recorder.total_recorded == 10
-        assert recorder.dropped_count == 6
-        assert recorder.dropped_count == recorder.dropped
+        assert recorder.dropped == 6
+        assert recorder.dropped == recorder.total_recorded - len(recorder)
         # seq keeps climbing monotonically across evictions
         assert [r.seq for r in recorder] == [6, 7, 8, 9]
 

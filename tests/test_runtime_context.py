@@ -75,26 +75,12 @@ class TestRuntimeContext:
         assert rec.time_s == 2.0
 
     def test_named_rng_streams_deterministic(self):
-        a = RuntimeContext(seed=7).python_rng("stream")
-        b = RuntimeContext(seed=7).python_rng("stream")
-        c = RuntimeContext(seed=8).python_rng("stream")
+        a = RuntimeContext(seed=7).rng.python("stream")
+        b = RuntimeContext(seed=7).rng.python("stream")
+        c = RuntimeContext(seed=8).rng.python("stream")
         draws = [a.random() for _ in range(5)]
         assert draws == [b.random() for _ in range(5)]
         assert draws != [c.random() for _ in range(5)]
-
-    def test_fork_shares_timeline_but_not_streams(self):
-        ctx = RuntimeContext(seed=1)
-        child = ctx.fork("subsystem")
-        assert child.sim is ctx.sim
-        assert child.bus is ctx.bus
-        assert child.trace is ctx.trace
-        assert child.seed != ctx.seed
-        parent_draw = ctx.python_rng("s").random()
-        child_draw = child.python_rng("s").random()
-        assert parent_draw != child_draw
-        # The child's publishes land on the shared trace.
-        child.publish("from.child")
-        assert ctx.trace.records("from.child")
 
 
 class TestAdopt:
@@ -215,7 +201,7 @@ class TestDeterministicReplay:
     @staticmethod
     def _run_once(seed):
         ctx = RuntimeContext(seed=seed)
-        rng = ctx.python_rng("workload")
+        rng = ctx.rng.python("workload")
 
         def proc(ctx, rng):
             for i in range(5):

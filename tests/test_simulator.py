@@ -156,6 +156,18 @@ class TestEventSemantics:
         with pytest.raises(SimulationError):
             sim.run(until=p)
 
+    def test_process_rejects_non_generator(self):
+        sim = Simulator()
+
+        def not_a_generator():
+            return 42
+
+        with pytest.raises(TypeError, match="requires a generator"):
+            sim.process(not_a_generator())
+        assert sim.peek() == float("inf")
+        sim.run()
+        assert sim.processed_events == 0
+
     def test_process_exception_becomes_failed_event(self):
         sim = Simulator()
 
