@@ -273,29 +273,6 @@ class Project:
             return candidates[0]
         return None
 
-    def class_is_subclass(self, cls_info: ClassInfo,
-                          base_name: str) -> bool:
-        """Textual-MRO walk: does *cls_info* derive from *base_name*?"""
-        seen: set[str] = set()
-        stack = [cls_info]
-        while stack:
-            current = stack.pop()
-            if current.qualname in seen:
-                continue
-            seen.add(current.qualname)
-            if current.name == base_name:
-                return True
-            module = self.modules.get(current.module)
-            for base in current.bases:
-                if base == base_name:
-                    return True
-                resolved = None
-                if module is not None:
-                    resolved = self.resolve_class(module, base)
-                if resolved is not None:
-                    stack.append(resolved)
-        return False
-
     def _method_in_mro(self, cls_info: ClassInfo,
                        method: str) -> FunctionInfo | None:
         seen: set[str] = set()

@@ -228,13 +228,6 @@ def cfg_of_function(function: Function) -> ControlFlowGraph:
     return cfg
 
 
-def live_into_function(function: Function) -> frozenset[Value]:
-    """Values the function body needs from outside (should ⊆ args)."""
-    cfg = cfg_of_function(function)
-    result = liveness(cfg, exit_live=set(function.returns))
-    return result.live_in[cfg.entry]
-
-
 # -- type / arity consistency -------------------------------------------------------
 
 #: op name -> (operand count, result count); None = unconstrained.

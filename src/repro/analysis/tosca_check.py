@@ -20,9 +20,10 @@ import json
 
 import networkx as nx
 
+from repro.core.levels import SECURITY_LEVELS
 from repro.tosca.csar import CsarArchive
 from repro.tosca.model import ServiceTemplate
-from repro.tosca.validator import _SECURITY_LEVELS, ToscaValidator
+from repro.tosca.validator import ToscaValidator
 
 from repro.analysis.findings import Finding, Severity, assign_occurrences
 
@@ -36,13 +37,27 @@ def _finding(rule: str, path: str, message: str,
                    message=message, severity=severity, context=message)
 
 
+class _SchemaValidator(ToscaValidator):
+    """The runtime validator without the two checks this module makes
+    under a sharper rule, so each problem is reported once: HostedOn
+    cycles (``dependency-cycle`` covers every requirement kind) and
+    Security ``min_level`` values (``security-level`` names the value)."""
+
+    def _check_hosting_cycles(self, service):
+        return []
+
+    @staticmethod
+    def _check_security_level(policy):
+        return []
+
+
 def check_service(service: ServiceTemplate,
                   path: str | None = None) -> list[Finding]:
     """Statically check one service template; returns findings."""
     path = path or f"tosca:{service.name}"
     findings: list[Finding] = []
     # Reuse the runtime validator's schema checks as findings.
-    for problem in ToscaValidator().check(service):
+    for problem in _SchemaValidator().check(service):
         findings.append(_finding("schema", path, problem))
     findings += _check_dependency_cycles(service, path)
     findings += _check_operating_points(service, path)
@@ -125,26 +140,26 @@ def _check_security_levels(service: ServiceTemplate,
     findings = []
     for template in service.node_templates.values():
         level = template.properties.get("max_security_level")
-        if level is not None and level not in _SECURITY_LEVELS:
+        if level is not None and level not in SECURITY_LEVELS:
             findings.append(_finding(
                 "security-level", path,
                 f"node {template.name}: max_security_level {level!r} "
-                f"is not one of {_SECURITY_LEVELS}"))
+                f"is not one of {SECURITY_LEVELS}"))
     for policy in service.policies:
         if policy.type != "myrtus.policies.Security":
             continue
         level = policy.properties.get("min_level")
-        if level is not None and level not in _SECURITY_LEVELS:
+        if level is not None and level not in SECURITY_LEVELS:
             findings.append(_finding(
                 "security-level", path,
                 f"policy {policy.name}: min_level {level!r} is not one "
-                f"of {_SECURITY_LEVELS}"))
+                f"of {SECURITY_LEVELS}"))
     meta_level = service.metadata.get("security_level")
-    if meta_level is not None and meta_level not in _SECURITY_LEVELS:
+    if meta_level is not None and meta_level not in SECURITY_LEVELS:
         findings.append(_finding(
             "security-level", path,
             f"metadata security_level {meta_level!r} is not one of "
-            f"{_SECURITY_LEVELS}"))
+            f"{SECURITY_LEVELS}"))
     return findings
 
 

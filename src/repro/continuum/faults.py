@@ -134,7 +134,6 @@ class FaultInjector:
                 "continuum.fault.inject", layer="continuum", root=True,
                 device=device.name):
             device.failed = True
-            self.infrastructure.bump_generation()
             self.tracker.record(FaultEvent(device.name, "fail", now))
             # Interrupt in-flight work: waiting requests and running
             # tasks both lose their slot (the executing processes see
@@ -154,7 +153,6 @@ class FaultInjector:
                 "continuum.fault.repair", layer="continuum", root=True,
                 device=device.name):
             device.failed = False
-            self.infrastructure.bump_generation()
             self.tracker.record(FaultEvent(device.name, "repair", now))
             self._repairs.inc()
             self.ctx.publish("continuum.fault.repair", {

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 from repro.core.errors import NotFoundError, ValidationError
 from repro.core.ids import IdGenerator
+from repro.core.levels import SECURITY_RANK
 from repro.continuum.devices import (
     Device,
     DeviceKind,
@@ -87,22 +88,6 @@ class Infrastructure:
         self.devices: dict[str, Device] = {}
         self.offloads = OffloadStats()
         self._ids = IdGenerator()
-        self._generation = 0
-
-    @property
-    def generation(self) -> int:
-        """Monotone counter of cost-relevant infrastructure changes.
-
-        Bumped when devices are added, when links change (delegated to
-        the network's counter) and when faults fail/repair a device.
-        Placement-cost caches are valid exactly as long as this value
-        is unchanged.
-        """
-        return self._generation + self.network.generation
-
-    def bump_generation(self) -> None:
-        """Mark the infrastructure changed (invalidates cost caches)."""
-        self._generation += 1
 
     # -- construction ---------------------------------------------------------
 
@@ -133,7 +118,6 @@ class Infrastructure:
                 bandwidth_bps=link_bw_bps if link_bw_bps is not None
                 else bandwidth,
             )
-        self._generation += 1
         self.ctx.publish("continuum.infra.device-added", {
             "device": name, "kind": kind.value,
             "layer": device.spec.layer.value})
@@ -180,7 +164,6 @@ class Infrastructure:
         kernel class; ``min_security_level`` uses the ordering
         low < medium < high.
         """
-        order = {"low": 0, "medium": 1, "high": 2}
         result = []
         for device in self.devices.values():
             if device.spec.memory_bytes < min_memory_bytes:
@@ -190,8 +173,8 @@ class Infrastructure:
             if layer is not None and device.spec.layer != layer:
                 continue
             if min_security_level is not None:
-                have = order.get(device.spec.max_security_level, 0)
-                need = order.get(min_security_level, 0)
+                have = SECURITY_RANK.get(device.spec.max_security_level, 0)
+                need = SECURITY_RANK.get(min_security_level, 0)
                 if have < need:
                     continue
             result.append(device)

@@ -285,8 +285,8 @@ class Simulator:
         self._seq = 0
         self.processed_events = 0
         # Opt-in profiling hook (repro.obs.profiler.DesProfiler). Dark
-        # by default: the drain loops pay one attribute check; the
-        # wall-clock source lives on the profiler, never here.
+        # by default: step() pays one attribute check; the wall-clock
+        # source lives on the profiler, never here.
         self._profiler: Any = None
 
     @property
@@ -371,32 +371,9 @@ class Simulator:
         deadline = float("inf") if until is None else float(until)
         if deadline < self._now:
             raise SimulationError("run(until=...) lies in the past")
-        if self._profiler is not None:
-            # step() does the per-event profiler accounting.
-            while self._queue and self._queue[0][0] <= deadline:
-                self.step()
-            if self._now < deadline < float("inf"):
-                self._now = deadline
-            return None
-        # Inlined step() drain loop: one bound method call per event is
-        # measurable at storm rates, and the queue/counter locals keep
-        # attribute loads out of the loop body.
         queue = self._queue
-        processed = 0
-        try:
-            while queue and queue[0][0] <= deadline:
-                when, _key, event = heappop(queue)
-                self._now = when
-                callbacks = event.callbacks
-                event.callbacks = None
-                if callbacks:
-                    for callback in callbacks:
-                        callback(event)
-                processed += 1
-                if event._ok is False and not event._defused:
-                    raise event._value
-        finally:
-            self.processed_events += processed
+        while queue and queue[0][0] <= deadline:
+            self.step()
         if self._now < deadline < float("inf"):
             self._now = deadline
         return None

@@ -80,12 +80,6 @@ class Mapping:
     def of(assignment: dict[str, str]) -> "Mapping":
         return Mapping(tuple(sorted(assignment.items())))
 
-    def processor_of(self, task: str) -> str:
-        for t, p in self.assignment:
-            if t == task:
-                return p
-        raise ValidationError(f"task {task!r} not in mapping")
-
     def as_dict(self) -> dict[str, str]:
         return dict(self.assignment)
 

@@ -17,7 +17,14 @@ from dataclasses import dataclass, field
 
 from repro.core.errors import OrchestrationError, ValidationError
 from repro.kube.cluster import KubeCluster
-from repro.kube.objects import Node, Pod, PodPhase, PodSpec, ResourceRequest
+from repro.kube.objects import (
+    Node,
+    Pod,
+    PodPhase,
+    PodSpec,
+    ResourceRequest,
+    security_rank,
+)
 
 
 @dataclass
@@ -73,13 +80,12 @@ class Peering:
         """The virtual node advertises the weakest remote security level,
         so a pod scheduled on it is safe on any remote node the provider
         may pick."""
-        ranks = {"low": 0, "medium": 1, "high": 2}
         levels = [node.labels.get("security-level", "low")
                   for node in self.provider.nodes.values()
                   if node.ready and not node.virtual]
         if not levels:
             return "low"
-        return min(levels, key=lambda lvl: ranks.get(lvl, 0))
+        return min(levels, key=security_rank)
 
     def refresh(self) -> None:
         """Re-advertise the remote free capacity on the virtual node."""
@@ -176,7 +182,3 @@ class ContinuumFederation:
                 cluster.reconcile()
             for peering in self.peerings:
                 peering.reflect_status()
-
-    def total_pods_running(self) -> int:
-        return sum(len(c.pods_in_phase(PodPhase.RUNNING))
-                   for c in self.clusters.values())

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from repro.core.errors import ValidationError
+from repro.core.levels import SECURITY_RANK
 
 
 class PodPhase(str, Enum):
@@ -124,5 +125,6 @@ class Deployment:
 
 
 def security_rank(level: str) -> int:
-    """Ordering helper shared with the security package (low<medium<high)."""
-    return {"low": 0, "medium": 1, "high": 2}.get(level, 0)
+    """Rank of a node or pod security label; unknown labels rank as
+    ``low``."""
+    return SECURITY_RANK.get(level, 0)

@@ -78,9 +78,7 @@ class _ExactSession(SolveSession):
         self._limit = strategy.node_budget if limit is None else limit
         app = request.application
         infra = request.infrastructure
-        cache = strategy._cache_for(infra)
-        cache.refresh()
-        self._cache = cache
+        self._transfer = infra.network.estimate_transfer_time
         self._source = request.constraints.source_device
         tasks = app.tasks
         self._tasks = tasks
@@ -95,16 +93,16 @@ class _ExactSession(SolveSession):
             devices = strategy._eligible_or_raise(task, infra,
                                                   request.constraints)
             devices.sort(key=lambda d: (
-                (1 - w) * cache.duration(d, task)
-                + w * cache.energy(d, task) / 100.0, d.name))
+                (1 - w) * d.estimate_duration(task)
+                + w * d.estimate_energy(task) / 100.0, d.name))
             self._options.append(devices)
         self._min_dur = [
-            min(cache.duration(d, t) for d in opts)
+            min(d.estimate_duration(t) for d in opts)
             for t, opts in zip(tasks, self._options)]
         suffix = [0.0] * (self._n + 1)
         for i in range(self._n - 1, -1, -1):
             suffix[i] = suffix[i + 1] + min(
-                cache.energy(d, tasks[i]) for d in self._options[i])
+                d.estimate_energy(tasks[i]) for d in self._options[i])
         self._suffix_energy = suffix
         # Incremental list-schedule state (undone on backtrack).
         self._assignment: dict[str, str] = {}
@@ -119,7 +117,7 @@ class _ExactSession(SolveSession):
         self._complete = self._n == 0
         self._done = self._complete
         self._root_lb = self._lower_bound(-1, 0.0, 0.0, None, 0.0)
-        warm = _warm_incumbent(request, self._w, cache)
+        warm = _warm_incumbent(request, self._w)
         if warm is not None:
             self.tighten(warm[1])
             self._offer(*warm)
@@ -137,21 +135,20 @@ class _ExactSession(SolveSession):
     def _schedule(self, depth: int, device) -> tuple[float, float, float]:
         """(finish, prefix makespan, prefix energy) if *device* runs
         the depth-th task, without mutating state."""
-        cache = self._cache
         task = self._tasks[depth]
         device_name = device.name
         ready = 0.0
         preds = self._preds[task.name]
         if not preds and self._source is not None \
                 and self._source != device_name:
-            ready = cache.transfer(self._source, device_name,
+            ready = self._transfer(self._source, device_name,
                                    task.input_bytes)
         app = self._request.application
         for pred in preds:
             arrival = self._finish[pred]
             pred_device = self._assignment[pred]
             if pred_device != device_name:
-                arrival += cache.transfer(pred_device, device_name,
+                arrival += self._transfer(pred_device, device_name,
                                           app.edge_bytes(pred,
                                                          task.name))
             if arrival > ready:
@@ -160,11 +157,11 @@ class _ExactSession(SolveSession):
         if free is None:
             free = device.backlog_seconds()
         start = ready if ready > free else free
-        end = start + cache.duration(device, task)
+        end = start + device.estimate_duration(task)
         makespan = self._prefix_mk[depth]
         if end > makespan:
             makespan = end
-        energy = self._prefix_en[depth] + cache.energy(device, task)
+        energy = self._prefix_en[depth] + device.estimate_energy(task)
         return end, makespan, energy
 
     def _lower_bound(self, depth: int, makespan: float, energy: float,
@@ -217,15 +214,14 @@ class _ExactSession(SolveSession):
         self._undo[depth] = None
 
     def _leaf(self) -> None:
-        # Leaf cost comes from the shared estimator + cache, not the
+        # Leaf cost comes from the shared estimator, not the
         # incremental prefix, so reported costs are bit-identical to
         # what every other backend computes for the same assignment.
         self._stats.evaluations += 1
         cost = placement_cost(
             self._request.application, self._request.infrastructure,
             self._assignment, strategy=self._strategy.name,
-            source_device=self._source, cache=self._cache,
-            energy_weight=self._w)
+            source_device=self._source, energy_weight=self._w)
         if cost < self._bound or self._best is None:
             self.tighten(cost)
             self._offer(Placement(dict(self._assignment),

@@ -39,7 +39,7 @@ from repro.mirto.placement import (
     solve_traced,
 )
 from repro.net.slicing import SliceManager
-from repro.security.levels import SecurityLevel, negotiate_level
+from repro.security.levels import SecurityLevel
 from repro.security.trust import InteractionOutcome, TrustEngine
 from repro.tosca.model import ServiceTemplate
 
@@ -101,7 +101,6 @@ class PrivacySecurityManager:
         self.trust_threshold = trust_threshold
         self.trust = TrustEngine("mirto", now_fn=now_fn
                                  or (lambda: infrastructure.sim.now))
-        self.negotiations = 0
 
     def required_level(self, service: ServiceTemplate) -> SecurityLevel:
         level = SecurityLevel.LOW
@@ -111,12 +110,6 @@ class PrivacySecurityManager:
             if candidate.rank > level.rank:
                 level = candidate
         return level
-
-    def negotiate_for_device(self, device: Device,
-                             required: SecurityLevel) -> SecurityLevel:
-        """The level traffic to *device* will actually use."""
-        self.negotiations += 1
-        return negotiate_level(required, [device.spec.max_security_level])
 
     def constraints_for(self, service: ServiceTemplate
                         ) -> PlacementConstraints:

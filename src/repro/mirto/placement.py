@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.core.errors import ConfigurationError, OrchestrationError
+from repro.core.levels import SECURITY_RANK
 from repro.continuum.devices import Device, Layer
 from repro.continuum.infrastructure import Infrastructure
 from repro.continuum.workload import Application, PrivacyClass, Task
@@ -42,7 +43,6 @@ from repro.mirto.swarm import (
 )
 
 _LAYER_ORDER = [Layer.EDGE, Layer.FOG, Layer.CLOUD]
-_SECURITY_RANK = {"low": 0, "medium": 1, "high": 2}
 
 
 @dataclass
@@ -72,10 +72,10 @@ def is_eligible(device: Device, task: Task,
     spec = device.spec
     ceiling = _LAYER_ORDER.index(constraints.max_layer_for(task))
     need_security = max(
-        _SECURITY_RANK[constraints.min_security_level],
-        _SECURITY_RANK.get(task.requirements.min_security_level, 0))
+        SECURITY_RANK[constraints.min_security_level],
+        SECURITY_RANK.get(task.requirements.min_security_level, 0))
     if _LAYER_ORDER.index(spec.layer) > ceiling \
-            or _SECURITY_RANK[spec.max_security_level] < need_security \
+            or SECURITY_RANK[spec.max_security_level] < need_security \
             or spec.memory_bytes < task.memory_bytes:
         return False
     trust = constraints.trusted.get(device.name, 1.0)
@@ -114,90 +114,10 @@ class Placement:
         return self.assignment[task_name]
 
 
-class PlacementCostCache:
-    """Memoized per-(task, device, operating-point) cost terms.
-
-    The analytic KPI model is built from three pure terms — task
-    duration on a device, task energy on a device, and network transfer
-    time between two hosts — all of which are invariant while the
-    infrastructure's topology and fault state hold still. Swarm
-    optimizers evaluate thousands of candidate assignments over the
-    same few hundred distinct terms, so memoizing them turns
-    :func:`estimate_placement_kpis` incremental.
-
-    Validity is keyed on :attr:`Infrastructure.generation`: the cache
-    self-invalidates whenever devices/links were added or a fault
-    failed/repaired a device. Operating-point switches need no
-    generation bump because the active point's name is part of every
-    duration/energy key.
-    """
-
-    def __init__(self, infrastructure: Infrastructure):
-        self.infrastructure = infrastructure
-        self._generation = infrastructure.generation
-        self._duration: dict[tuple, float] = {}
-        self._energy: dict[tuple, float] = {}
-        self._transfer: dict[tuple, float] = {}
-        metrics = infrastructure.ctx.metrics
-        self._hits = metrics.counter(
-            "mirto.placement.cache_hits", "memoized cost-term hits")
-        self._misses = metrics.counter(
-            "mirto.placement.cache_misses", "cost terms computed fresh")
-
-    def refresh(self) -> None:
-        """Drop every memoized term if the infrastructure changed."""
-        generation = self.infrastructure.generation
-        if generation != self._generation:
-            self._duration.clear()
-            self._energy.clear()
-            self._transfer.clear()
-            self._generation = generation
-
-    @staticmethod
-    def _task_key(device: Device, task: Task) -> tuple:
-        return (device.name, device.operating_point.name, task.megaops,
-                task.input_bytes, task.output_bytes, task.kernel)
-
-    def duration(self, device: Device, task: Task) -> float:  # perf: hot
-        key = self._task_key(device, task)
-        value = self._duration.get(key)
-        if value is None:
-            value = device.estimate_duration(task)
-            self._duration[key] = value
-            self._misses.value += 1
-        else:
-            self._hits.value += 1
-        return value
-
-    def energy(self, device: Device, task: Task) -> float:  # perf: hot
-        key = self._task_key(device, task)
-        value = self._energy.get(key)
-        if value is None:
-            value = device.estimate_energy(task)
-            self._energy[key] = value
-            self._misses.value += 1
-        else:
-            self._hits.value += 1
-        return value
-
-    def transfer(self, src: str, dst: str, nbytes: int) -> float:  # perf: hot
-        key = (src, dst, nbytes)
-        value = self._transfer.get(key)
-        if value is None:
-            value = self.infrastructure.network.estimate_transfer_time(
-                src, dst, nbytes)
-            self._transfer[key] = value
-            self._misses.value += 1
-        else:
-            self._hits.value += 1
-        return value
-
-
 def estimate_placement_kpis(application: Application,  # perf: hot
                             placement: Placement,
                             infrastructure: Infrastructure,
-                            source_device: str | None = None,
-                            cache: PlacementCostCache | None = None
+                            source_device: str | None = None
                             ) -> tuple[float, float]:
     """Analytic (latency, energy) estimate of a placement.
 
@@ -206,19 +126,8 @@ def estimate_placement_kpis(application: Application,  # perf: hot
     strategies optimize against before committing. When *source_device*
     is given, root tasks pay for moving their input data from it (input
     data originates somewhere concrete — usually an edge sensor).
-
-    Passing a :class:`PlacementCostCache` makes the per-term costs
-    memoized lookups; the result is bit-identical to the uncached path.
     """
-    if cache is not None:
-        cache.refresh()
-        duration_of = cache.duration
-        energy_of = cache.energy
-        transfer_of = cache.transfer
-    else:
-        duration_of = Device.estimate_duration
-        energy_of = Device.estimate_energy
-        transfer_of = infrastructure.network.estimate_transfer_time
+    transfer_of = infrastructure.network.estimate_transfer_time
     devices = infrastructure.devices
     # Device availability is seeded lazily with the current backlog so
     # the estimate is load-aware (interference on a device is visible);
@@ -250,12 +159,12 @@ def estimate_placement_kpis(application: Application,  # perf: hot
         if free is None:
             free = device.backlog_seconds()
         start = ready if ready > free else free
-        end = start + duration_of(device, task)
+        end = start + device.estimate_duration(task)
         finish[name] = end
         device_free[device_name] = end
         if end > makespan:
             makespan = end
-        energy += energy_of(device, task)
+        energy += device.estimate_energy(task)
     return makespan, energy
 
 
@@ -270,7 +179,6 @@ def placement_cost(application: Application,
                    assignment: dict[str, str], *,
                    strategy: str = "candidate",
                    source_device: str | None = None,
-                   cache: PlacementCostCache | None = None,
                    energy_weight: float = _DEFAULT_ENERGY_WEIGHT
                    ) -> float:
     """Scalar objective every solver minimizes.
@@ -282,7 +190,7 @@ def placement_cost(application: Application,
     """
     latency, energy = estimate_placement_kpis(
         application, Placement(dict(assignment), strategy),
-        infrastructure, source_device, cache)
+        infrastructure, source_device)
     return latency * (1 - energy_weight) + energy_weight * energy / 100.0
 
 
@@ -445,8 +353,7 @@ class SolveSession:
             stats=(self._stats,))
 
 
-def _warm_incumbent(request: PlacementRequest, energy_weight: float,
-                    cache: PlacementCostCache | None = None
+def _warm_incumbent(request: PlacementRequest, energy_weight: float
                     ) -> tuple[Placement, float] | None:
     """Validate and cost the request's warm start (None if it leaves a
     task unplaced or names an unknown or ineligible device)."""
@@ -466,7 +373,7 @@ def _warm_incumbent(request: PlacementRequest, energy_weight: float,
         request.application, request.infrastructure, assignment,
         strategy=warm.strategy,
         source_device=request.constraints.source_device,
-        cache=cache, energy_weight=energy_weight)
+        energy_weight=energy_weight)
     return Placement(assignment, warm.strategy), cost
 
 
@@ -558,8 +465,7 @@ class _SwarmSession(SolveSession):
         optimizer, objective, decode = strategy._build(
             request, self._count_eval)
         self._decode = decode
-        warm = _warm_incumbent(request, strategy.energy_weight,
-                               strategy._cache_for(request.infrastructure))
+        warm = _warm_incumbent(request, strategy.energy_weight)
         if warm is not None:
             self._offer(*warm)
         self._gen = optimizer.steps(objective)
@@ -600,7 +506,6 @@ class PlacementStrategy:
     """
 
     name = "abstract"
-    _cost_cache: PlacementCostCache | None = None
 
     def session(self, request: PlacementRequest) -> SolveSession:
         """Start an anytime solve; callers drive ``step()``."""
@@ -612,14 +517,6 @@ class PlacementStrategy:
         while session.step():
             pass
         return session.result()
-
-    def _cache_for(self, infrastructure) -> PlacementCostCache:
-        """Cost cache bound to *infrastructure*, reused across solves."""
-        cache = self._cost_cache
-        if cache is None or cache.infrastructure is not infrastructure:
-            cache = PlacementCostCache(infrastructure)
-            self._cost_cache = cache
-        return cache
 
     def _place(self, application: Application,
                infrastructure: Infrastructure,
@@ -787,21 +684,17 @@ class _CognitiveBase(PlacementStrategy):
                             | None = None):
         """Build a memoized choices->score callable for one solve run.
 
-        Two cache levels: per-term costs via :class:`PlacementCostCache`
-        (valid across solve() calls, generation-invalidated), and a
-        per-call memo keyed on the discrete choice tuple — the relaxed
+        The memo is keyed on the discrete choice tuple: the relaxed
         continuous encodings (PSO/firefly) decode many nearby positions
-        to the same assignment, so full re-evaluations collapse. Both
-        layers return exactly what an uncached
-        :func:`estimate_placement_kpis` scoring would.
-        *on_evaluate* fires once per memo miss — the budget meter the
-        anytime sessions charge (memo hits are free by design).
+        to the same assignment, so full re-evaluations collapse. Each
+        miss is scored by :func:`placement_cost`, exactly as any other
+        backend would score the assignment. *on_evaluate* fires once
+        per memo miss — the budget meter the anytime sessions charge
+        (memo hits are free by design).
         """
-        cache = self._cache_for(infrastructure)
         names = [task.name for task in tasks]
         strategy = self.name
         energy_weight = self.energy_weight
-        latency_weight = 1 - energy_weight
         memo: dict[tuple[int, ...], float] = {}
 
         def objective(choices) -> float:  # perf: hot
@@ -813,11 +706,10 @@ class _CognitiveBase(PlacementStrategy):
                 assignment = {}
                 for i, choice in enumerate(key):
                     assignment[names[i]] = options[i][choice].name
-                latency, energy = estimate_placement_kpis(
-                    application, Placement(assignment, strategy),
-                    infrastructure, source_device, cache)
-                score = latency * latency_weight \
-                    + energy_weight * energy / 100.0
+                score = placement_cost(
+                    application, infrastructure, assignment,
+                    strategy=strategy, source_device=source_device,
+                    energy_weight=energy_weight)
                 memo[key] = score
             return score
 

@@ -111,9 +111,6 @@ class _PortfolioSession(SolveSession):
         self._best: tuple[Placement, float, str] | None = None
         budget = request.budget if not request.budget.unlimited \
             else strategy.default_budget
-        # Every lane prices placements with the same pure cost terms, so
-        # all of them share the planner's one cache.
-        cache = strategy._cache_for(request.infrastructure)
         self._lanes = []
         for name in strategy.backends:
             lane_request = PlacementRequest(
@@ -124,10 +121,8 @@ class _PortfolioSession(SolveSession):
                 warm_start=request.warm_start,
                 on_incumbent=self._lane_callback(name),
             )
-            backend = strategy.backend(name)
-            backend._cost_cache = cache
-            self._lanes.append(_Lane(name,
-                                     backend.session(lane_request)))
+            self._lanes.append(_Lane(
+                name, strategy.backend(name).session(lane_request)))
         self._done = False
 
     def _lane_callback(self, lane_name: str):

@@ -85,20 +85,12 @@ class Network:
         self.graph = nx.Graph()
         self._links: dict[tuple[str, str], Link] = {}
         self.transfers: list[TransferResult] = []
-        #: Monotone counter of topology changes; cost caches key on it.
-        self._generation = 0
         # Shortest paths are stable between topology changes; caching
         # them keeps networkx out of the transfer hot path. The path
         # table holds one single-source Dijkstra per source host.
         self._path_table: dict[str, dict[str, list[str]]] = {}
         self._path_cache: dict[tuple[str, str], list[Link]] = {}
         self._route_cache: dict[tuple[str, str], tuple[float, float]] = {}
-
-    @property
-    def generation(self) -> int:
-        """Bumped on every link addition or state change (path caches
-        invalidate on it)."""
-        return self._generation
 
     # -- construction ------------------------------------------------------------
 
@@ -127,8 +119,8 @@ class Network:
 
         The single mutation point for partitions and degradations: it
         keeps the routing graph in sync (a down link is removed from
-        the graph; an up link's edge weight is its *effective* latency),
-        bumps the topology generation and clears the path caches.
+        the graph; an up link's edge weight is its *effective* latency)
+        and clears the path caches.
         """
         link = self.link(a, b)
         if latency_factor is not None:
@@ -154,7 +146,6 @@ class Network:
         return link
 
     def _topology_changed(self) -> None:
-        self._generation += 1
         self._path_table.clear()
         self._path_cache.clear()
         self._route_cache.clear()
@@ -176,12 +167,12 @@ class Network:
     def path(self, src: str, dst: str) -> list[str]:
         """Lowest-latency host path from *src* to *dst* (inclusive).
 
-        One ``nx.single_source_dijkstra_path`` per (topology
-        generation, source) answers every destination, and every "no
-        path", until the next topology change. Where two paths tie on
-        latency the one chosen may differ from ``nx.shortest_path``'s
-        bidirectional search; the reference topology is a tree, and no
-        topology the test suite builds has such a tie.
+        One ``nx.single_source_dijkstra_path`` per source answers every
+        destination, and every "no path", until the next topology
+        change. Where two paths tie on latency the one chosen may
+        differ from ``nx.shortest_path``'s bidirectional search; the
+        reference topology is a tree, and no topology the test suite
+        builds has such a tie.
         """
         for host in (src, dst):
             if host not in self.graph:

@@ -14,7 +14,7 @@ Two export formats, both deterministic:
   dots mangled to underscores), shared with the ``repro-obs metrics``
   subcommand so the CLI renders exactly what a scrape would.
 
-Hot paths (bus publish, placement cache) bump ``Counter.value`` /
+Hot paths (bus publish) bump ``Counter.value`` /
 ``Counter.labels`` directly rather than going through registry lookups;
 that is the supported idiom, not a back door.
 """

@@ -1,8 +1,8 @@
 """Opt-in DES profiler: wall time and sim time per event owner.
 
-The simulator's drain loop is the one place every executed event passes
+The simulator's ``step()`` is the one place every executed event passes
 through, so that is where profiling hooks live — but the hooks are dark
-by default (a single attribute check per drain) and the wall-clock read
+by default (a single attribute check per event) and the wall-clock read
 happens *here*, in ``obs``, never inside simulation code. Wall times
 are inherently nondeterministic; the profiler is therefore opt-in and
 its output is excluded from determinism comparisons (sim-time and event
@@ -67,7 +67,7 @@ class DesProfiler:
         self.events_profiled = 0
 
     def install(self, sim: Any) -> "DesProfiler":
-        """Attach to a simulator; its drain loop starts accounting."""
+        """Attach to a simulator; its ``step()`` starts accounting."""
         sim._profiler = self
         return self
 
@@ -77,7 +77,7 @@ class DesProfiler:
 
     def account(self, event: Any, callbacks: list,
                 sim_dt: float, wall_ns: int) -> None:
-        """Called by the simulator drain loop for each executed event."""
+        """Called by the simulator's ``step()`` for each executed event."""
         owner = _owner_of(event, callbacks)
         row = self.rows.get(owner)
         if row is None:

@@ -30,6 +30,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.core.errors import SecurityError
+from repro.core.levels import SECURITY_RANK
 from repro.core.rng import derive_seed
 from repro.security.primitives import aes, ascon, ecdsa, lattice, rsa
 from repro.security.primitives.sha2 import sha256, sha512
@@ -44,7 +45,7 @@ class SecurityLevel(str, Enum):
 
     @property
     def rank(self) -> int:
-        return {"low": 0, "medium": 1, "high": 2}[self.value]
+        return SECURITY_RANK[self.value]
 
     def satisfies(self, required: "SecurityLevel") -> bool:
         """True when this level is at least as strong as *required*."""

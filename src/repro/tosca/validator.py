@@ -10,6 +10,7 @@ from __future__ import annotations
 import networkx as nx
 
 from repro.core.errors import ValidationError
+from repro.core.levels import SECURITY_LEVELS
 from repro.tosca.model import (
     POLICY_TYPES,
     STANDARD_NODE_TYPES,
@@ -18,7 +19,6 @@ from repro.tosca.model import (
     effective_properties,
 )
 
-_SECURITY_LEVELS = ("low", "medium", "high")
 _LAYERS = ("edge", "fog", "cloud")
 
 
@@ -130,15 +130,8 @@ class ToscaValidator:
             problems += self._check_policy_values(policy)
         return problems
 
-    @staticmethod
-    def _check_policy_values(policy) -> list[str]:
-        problems = []
-        if policy.type == "myrtus.policies.Security":
-            level = policy.properties.get("min_level")
-            if level is not None and level not in _SECURITY_LEVELS:
-                problems.append(
-                    f"policy {policy.name}: min_level must be one of "
-                    f"{_SECURITY_LEVELS}")
+    def _check_policy_values(self, policy) -> list[str]:
+        problems = self._check_security_level(policy)
         if policy.type == "myrtus.policies.Latency":
             budget = policy.properties.get("end_to_end_budget_s")
             if isinstance(budget, (int, float)) and budget <= 0:
@@ -151,3 +144,12 @@ class ToscaValidator:
                     f"policy {policy.name}: max_layer must be one of "
                     f"{_LAYERS}")
         return problems
+
+    @staticmethod
+    def _check_security_level(policy) -> list[str]:
+        if policy.type == "myrtus.policies.Security":
+            level = policy.properties.get("min_level")
+            if level is not None and level not in SECURITY_LEVELS:
+                return [f"policy {policy.name}: min_level must be one of "
+                        f"{SECURITY_LEVELS}"]
+        return []

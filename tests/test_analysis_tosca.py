@@ -66,6 +66,29 @@ class TestServiceChecks:
         # the runtime validator only rejects HostedOn cycles; the
         # static checker must catch this one
         assert any(f.rule == "dependency-cycle" for f in findings)
+        assert rules_of(findings) == ["dependency-cycle"]
+
+    def test_each_problem_reported_once(self):
+        """The static passes and the runtime validator both look at
+        HostedOn cycles and Security ``min_level``; each problem must
+        surface as one finding, under the static checker's rule."""
+        service = ServiceTemplate(name="twice")
+        a, b = container("a"), container("b")
+        a.requirements.append(Requirement(
+            "host", "b", "tosca.relationships.HostedOn"))
+        b.requirements.append(Requirement(
+            "host", "a", "tosca.relationships.HostedOn"))
+        service.add_node(a)
+        service.add_node(b)
+        service.add_policy(Policy(
+            name="sec", type="myrtus.policies.Security",
+            targets=["a"], properties={"min_level": "ultra"}))
+        findings = check_service(service)
+        assert rules_of(findings) == ["dependency-cycle", "security-level"]
+        assert [f.message for f in findings
+                if f.rule == "security-level"] == [
+            "policy sec: min_level 'ultra' is not one of "
+            "('low', 'medium', 'high')"]
 
     def test_acyclic_connections_ok(self):
         service = ServiceTemplate(name="chain")

@@ -4,8 +4,8 @@ The perf pass (benchmarks/perf) rewired event-bus dispatch, the DES
 kernel, trace serialization and placement-KPI estimation for speed.
 These tests pin the contract that made those rewrites safe: compiled
 topic matching is extensionally equal to the reference segment matcher,
-dispatch caches invalidate on every (un)subscribe, cost caches
-invalidate on every infrastructure generation bump, and the memoized
+dispatch caches invalidate on every (un)subscribe, the network's
+route cache invalidates on every topology change, and the memoized
 objective scores exactly like the direct one (:func:`_objective`, the
 reference scoring kept here).
 """
@@ -17,13 +17,11 @@ from hypothesis import strategies as st
 
 from repro.continuum import Simulator, Task, TaskRequirements, \
     build_reference_infrastructure
-from repro.continuum.faults import FaultInjector
 from repro.continuum.workload import Application, KernelClass
 from repro.core.events import EventBus, topic_matches
 from repro.mirto.placement import (
     Placement,
     PlacementConstraints,
-    PlacementCostCache,
     PlacementRequest,
     PsoPlacement,
     estimate_placement_kpis,
@@ -124,13 +122,13 @@ class TestDispatchCacheInvalidation:
         assert calls == [5, 6, 7]
 
 
-# -- placement cost cache ---------------------------------------------------
+# -- placement cost memos ---------------------------------------------------
 
 
 def _objective(strategy, application, infrastructure, tasks, options,
                choices: list[int], source_device: str | None = None
                ) -> float:
-    """Reference scoring of one discrete choice vector: uncached KPIs,
+    """Reference scoring of one discrete choice vector: direct KPIs,
     blended with *strategy*'s energy weight. The compiled, memoized
     objective the swarms search must return exactly this."""
     assignment = {
@@ -157,47 +155,21 @@ def _app():
 
 
 class TestPlacementCostCache:
-    def test_cached_kpis_equal_uncached(self):
-        infra = build_reference_infrastructure(Simulator())
-        app = _app()
-        cache = PlacementCostCache(infra)
-        rng = random.Random(3)
-        names = list(infra.devices)
-        for _ in range(20):
-            assignment = {t.name: rng.choice(names) for t in app.tasks}
-            placement = Placement(assignment, "test")
-            plain = estimate_placement_kpis(app, placement, infra,
-                                            source_device="mc-00-0")
-            cached = estimate_placement_kpis(app, placement, infra,
-                                             source_device="mc-00-0",
-                                             cache=cache)
-            assert cached == plain
-
-    def test_generation_bumps_on_topology_and_faults(self):
-        infra = build_reference_infrastructure(Simulator())
-        g0 = infra.generation
-        infra.network.add_link("mc-00-0", "cloud-00",
-                               latency_s=0.5, bandwidth_bps=1e6)
-        assert infra.generation > g0
-        g1 = infra.generation
-        injector = FaultInjector(infra)
-        injector.inject_now("mc-00-0")
-        assert infra.generation > g1
-        g2 = infra.generation
-        injector.repair_now("mc-00-0")
-        assert infra.generation > g2
+    """The memos placement costing still has: the network's route
+    cache (the only transfer memo) and the compiled objective's
+    per-solve memo on the choice tuple."""
 
     def test_cache_refreshes_after_topology_change(self):
-        infra = build_reference_infrastructure(Simulator())
-        cache = PlacementCostCache(infra)
-        stale = cache.transfer("mc-00-0", "cloud-01", 10_000)
-        # A direct fat link changes the best route; the cache must see it.
-        infra.network.add_link("mc-00-0", "cloud-01",
-                               latency_s=1e-6, bandwidth_bps=1e12)
-        cache.refresh()
-        fresh = cache.transfer("mc-00-0", "cloud-01", 10_000)
-        assert fresh == infra.network.estimate_transfer_time(
-            "mc-00-0", "cloud-01", 10_000)
+        network = build_reference_infrastructure(Simulator()).network
+        stale = network.estimate_transfer_time("mc-00-0", "cloud-01",
+                                               10_000)
+        # A direct fat link changes the best route; the route cache
+        # must see it.
+        network.add_link("mc-00-0", "cloud-01",
+                         latency_s=1e-6, bandwidth_bps=1e12)
+        fresh = network.estimate_transfer_time("mc-00-0", "cloud-01",
+                                               10_000)
+        assert fresh == 1e-6 + 10_000 * 8 / 1e12
         assert fresh < stale
 
     def test_compiled_objective_equals_direct(self):

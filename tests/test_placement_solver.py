@@ -35,9 +35,7 @@ from repro.mirto.placement import (
     GreedyPlacement,
     Placement,
     PlacementConstraints,
-    PlacementCostCache,
     PlacementRequest,
-    PlacementStrategy,
     PsoPlacement,
     RandomPlacement,
     RoundRobinPlacement,
@@ -252,46 +250,6 @@ class TestPortfolio:
                                ).backend("annealing")
         with pytest.raises(OrchestrationError):
             PortfolioPlacement(backends=())
-
-    def test_every_lane_holds_the_planners_cache(self):
-        infrastructure = infra()
-        portfolio = PortfolioPlacement(seed=1, iterations=6)
-        session = portfolio.session(request_for(
-            pipeline_app(4), infrastructure,
-            budget=SolveBudget(deadline_s=0.050)))
-        cache = portfolio._cache_for(infrastructure)
-        assert [lane.session._strategy._cache_for(infrastructure)
-                for lane in session._lanes] == [cache] * len(session._lanes)
-
-    def test_shared_cache_keeps_lookups_and_cuts_misses(self,
-                                                        monkeypatch):
-        """Sharing one cache across the lanes changes neither the race
-        nor how many cost terms it looks up; it only computes fewer."""
-        def race():
-            infrastructure = infra()
-            result = PortfolioPlacement(seed=4, iterations=6).solve(
-                request_for(pipeline_app(5), infrastructure,
-                            budget=SolveBudget(deadline_s=0.050)))
-            metrics = infrastructure.ctx.metrics
-            return (result.to_json(),
-                    metrics.get("mirto.placement.cache_hits").value,
-                    metrics.get("mirto.placement.cache_misses").value)
-
-        shared = race()
-        # One fresh cache per strategy object: each lane keeps its own,
-        # ignoring the one the race hands it.
-        own: dict[PlacementStrategy, PlacementCostCache] = {}
-
-        def lane_local(self, infrastructure):
-            if self not in own:
-                own[self] = PlacementCostCache(infrastructure)
-            return own[self]
-
-        monkeypatch.setattr(PlacementStrategy, "_cache_for", lane_local)
-        lane_caches = race()
-        assert shared[0] == lane_caches[0]
-        assert sum(shared[1:]) == sum(lane_caches[1:])
-        assert shared[2] < lane_caches[2]
 
 
 class TestLatencySloFeasibility:
