@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import json
 
-import networkx as nx
-
+from repro.core.graph import simple_cycles
 from repro.core.levels import SECURITY_LEVELS
 from repro.tosca.csar import CsarArchive
 from repro.tosca.model import ServiceTemplate
@@ -71,17 +70,18 @@ def _check_dependency_cycles(service: ServiceTemplate,
 
     The runtime validator only rejects HostedOn cycles; a ConnectsTo
     cycle with no initial tokens deadlocks startup ordering the same
-    way, so the static checker covers the full requirement graph.
+    way, so the static checker covers the full requirement graph. Each
+    elementary cycle is one finding, in template order and starting
+    where the runtime validator starts it, whatever the hash seed.
     """
-    graph = nx.DiGraph()
+    graph: dict[str, dict[str, None]] = {
+        name: {} for name in service.node_templates}
     for template in service.node_templates.values():
         for req in template.requirements:
-            if req.target in service.node_templates \
-                    and req.target != template.name:
-                graph.add_edge(template.name, req.target,
-                               kind=req.name)
+            if req.target in graph and req.target != template.name:
+                graph[template.name][req.target] = None
     findings = []
-    for cycle in nx.simple_cycles(graph):
+    for cycle in simple_cycles(graph):
         chain = " -> ".join(cycle + [cycle[0]])
         findings.append(_finding(
             "dependency-cycle", path,

@@ -107,7 +107,7 @@ class Infrastructure:
             raise ValidationError(f"duplicate device name {name!r}")
         device = make_device(name, kind, operating_points, ctx=self.ctx)
         self.devices[name] = device
-        self.network.add_host(name, layer=device.spec.layer.value)
+        self.network.add_host(name)
         if attach_to is not None:
             latency, bandwidth = self._default_link(device, attach_to)
             self.network.add_link(

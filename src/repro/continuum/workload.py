@@ -9,14 +9,14 @@ level, accelerability). Tasks compose into DAG-shaped
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator
 
-import networkx as nx
-
 from repro.core.errors import ValidationError
+from repro.core.graph import reachable, topological_sort
 
 
 class PrivacyClass(str, Enum):
@@ -108,19 +108,17 @@ class Application:
     """A DAG of tasks with data dependencies.
 
     Edges carry the number of bytes the upstream task sends downstream.
+    ``graph`` maps each task name to ``{successor name: bytes}``, in
+    insertion order: the adjacency :mod:`repro.core.graph` reads, whose
+    Kahn order is :attr:`tasks`.
     """
 
     def __init__(self, name: str):
         self.name = name
-        self.graph = nx.DiGraph()
-        # Structure queries (topological order, predecessor lists, edge
-        # weights) are hot in placement estimation; they are cached and
-        # invalidated whenever the DAG mutates.
-        self._dag_version = 0
-        self._cache_version = -1
-        self._topo_tasks: list[Task] = []
+        self.graph: dict[str, dict[str, int]] = {}
+        self._tasks: dict[str, Task] = {}
         self._preds: dict[str, list[str]] = {}
-        self._edges: dict[tuple[str, str], int] = {}
+        self._order: list[Task] | None = None  # topological, memoised
 
     def add_task(self, task: Task) -> Task:
         """Add *task*; names must be unique within the application."""
@@ -128,8 +126,10 @@ class Application:
             raise ValidationError(
                 f"application {self.name}: duplicate task {task.name!r}"
             )
-        self.graph.add_node(task.name, task=task)
-        self._dag_version += 1
+        self.graph[task.name] = {}
+        self._tasks[task.name] = task
+        self._preds[task.name] = []
+        self._order = None
         return task
 
     def connect(self, src: str, dst: str, bytes_transferred: int = 0) -> None:
@@ -139,60 +139,42 @@ class Application:
                 raise ValidationError(
                     f"application {self.name}: unknown task {endpoint!r}"
                 )
-        self.graph.add_edge(src, dst, bytes=bytes_transferred)
-        if not nx.is_directed_acyclic_graph(self.graph):
-            self.graph.remove_edge(src, dst)
+        if src in reachable(self.graph, dst):
             raise ValidationError(
                 f"application {self.name}: edge {src}->{dst} creates a cycle"
             )
-        self._dag_version += 1
-
-    def _refresh_structure(self) -> None:
-        if self._cache_version == self._dag_version:
-            return
-        self._topo_tasks = [
-            self.graph.nodes[n]["task"]
-            for n in nx.topological_sort(self.graph)
-        ]
-        self._preds = {n: list(self.graph.predecessors(n))
-                       for n in self.graph}
-        self._edges = {(u, v): data.get("bytes", 0)
-                       for u, v, data in self.graph.edges(data=True)}
-        self._cache_version = self._dag_version
+        if dst not in self.graph[src]:
+            self._preds[dst].append(src)
+        self.graph[src][dst] = bytes_transferred
+        self._order = None
 
     @property
     def tasks(self) -> list[Task]:
         """All tasks in topological order."""
-        self._refresh_structure()
-        return list(self._topo_tasks)
+        if self._order is None:
+            self._order = [self._tasks[name]
+                           for name in topological_sort(self.graph)]
+        return list(self._order)
 
     def task(self, name: str) -> Task:
         """Look up a task by name."""
-        if name not in self.graph:
+        if name not in self._tasks:
             raise ValidationError(
                 f"application {self.name}: unknown task {name!r}"
             )
-        return self.graph.nodes[name]["task"]
+        return self._tasks[name]
 
     def predecessors(self, name: str) -> list[str]:
         """Names of tasks that must finish before *name* starts."""
-        self._refresh_structure()
-        preds = self._preds.get(name)
-        if preds is None:  # unknown task: defer to the graph's error
-            return list(self.graph.predecessors(name))
-        return list(preds)
+        return list(self._preds[name])
 
     def successors(self, name: str) -> list[str]:
         """Names of tasks unlocked by *name* finishing."""
-        return list(self.graph.successors(name))
+        return list(self.graph[name])
 
     def edge_bytes(self, src: str, dst: str) -> int:
         """Bytes transferred on the src->dst edge."""
-        self._refresh_structure()
-        nbytes = self._edges.get((src, dst))
-        if nbytes is None:  # unknown edge: defer to the graph's error
-            return self.graph.edges[src, dst].get("bytes", 0)
-        return nbytes
+        return self.graph[src][dst]
 
     def total_megaops(self) -> float:
         """Sum of compute demand over all tasks."""
@@ -201,21 +183,18 @@ class Application:
     def critical_path_megaops(self) -> float:
         """Compute demand along the heaviest dependency chain."""
         best: dict[str, float] = {}
-        for node in nx.topological_sort(self.graph):
-            task = self.graph.nodes[node]["task"]
-            preds = list(self.graph.predecessors(node))
-            base = max((best[p] for p in preds), default=0.0)
-            best[node] = base + task.megaops
+        for task in self.tasks:
+            base = max((best[p] for p in self._preds[task.name]),
+                       default=0.0)
+            best[task.name] = base + task.megaops
         return max(best.values(), default=0.0)
 
     def __len__(self) -> int:
-        return self.graph.number_of_nodes()
+        return len(self.graph)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"Application({self.name!r}, tasks={len(self)}, "
-            f"edges={self.graph.number_of_edges()})"
-        )
+        edges = sum(len(successors) for successors in self.graph.values())
+        return f"Application({self.name!r}, tasks={len(self)}, edges={edges})"
 
 
 @dataclass
@@ -252,7 +231,11 @@ class PoissonArrivals:
 
 
 def _instantiate(app: Application, index: int) -> Application:
-    """Clone *app* under an instance-specific name (tasks are shared)."""
-    clone = Application(f"{app.name}#{index}")
-    clone.graph = app.graph  # task DAG is immutable per run; share it
+    """Clone *app* under an instance-specific name.
+
+    A shallow copy: the task DAG is immutable per run, so every clone
+    shares it, and the topological order once it is known.
+    """
+    clone = copy.copy(app)
+    clone.name = f"{app.name}#{index}"
     return clone

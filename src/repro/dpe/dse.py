@@ -17,8 +17,6 @@ import math
 import random
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.core.errors import ConfigurationError, ValidationError
 from repro.continuum.workload import Application, KernelClass
 
@@ -123,11 +121,12 @@ class MappingEvaluator:
     def __init__(self, application: Application, platform: PlatformModel):
         self.application = application
         self.platform = platform
-        self._topo = list(nx.topological_sort(application.graph))
+        tasks = application.tasks
+        self._topo = [task.name for task in tasks]
         self._processors = [p.name for p in platform.processors]
         self._steps = []
-        for task_name in self._topo:
-            task = application.task(task_name)
+        for task in tasks:
+            task_name = task.name
             costs = {proc.name: (proc.time_for(task.megaops, task.kernel),
                                  proc.busy_power_w)
                      for proc in platform.processors}

@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-import networkx as nx
-
 from repro.core.errors import CompilationError
+from repro.core.graph import topological_sort
 from repro.dpe.mlir.interp import Interpreter
 from repro.dpe.mlir.ir import Module
 
@@ -153,20 +152,22 @@ class DataflowGraph:
         return 1.0 / effective
 
     def _critical_path_cycles(self, reps: dict[str, int]) -> int:
-        graph = nx.DiGraph()
-        for name, actor in self.actors.items():
-            graph.add_node(name, cost=reps[name] * actor.cycles_per_firing)
+        succ: dict[str, dict[str, None]] = {name: {} for name in self.actors}
+        preds: dict[str, list[str]] = {name: [] for name in self.actors}
         for ch in self.channels:
             if ch.initial_tokens == 0:  # tokens break the dependency
-                graph.add_edge(ch.src, ch.dst)
-        if not nx.is_directed_acyclic_graph(graph):
+                succ[ch.src][ch.dst] = None
+                preds[ch.dst].append(ch.src)
+        try:
+            order = topological_sort(succ)
+        except ValueError:
             raise CompilationError(
-                f"graph {self.name}: zero-token cycle (deadlock)")
+                f"graph {self.name}: zero-token cycle (deadlock)") from None
         best: dict[str, int] = {}
-        for node in nx.topological_sort(graph):
-            cost = graph.nodes[node]["cost"]
-            preds = list(graph.predecessors(node))
-            best[node] = cost + max((best[p] for p in preds), default=0)
+        for name in order:
+            cost = reps[name] * self.actors[name].cycles_per_firing
+            best[name] = cost + max((best[p] for p in preds[name]),
+                                    default=0)
         return max(best.values(), default=0)
 
     # -- functional execution ----------------------------------------------------

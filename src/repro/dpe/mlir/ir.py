@@ -171,10 +171,6 @@ class Function:
     def arg_types(self) -> list[Type]:
         return [a.type for a in self.arguments]
 
-    @property
-    def return_types(self) -> list[Type]:
-        return [r.type for r in self.returns]
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         lines = [f"func @{self.name}({', '.join(map(repr, self.arguments))})"]
         lines += [f"  {op!r}" for op in self.ops]

@@ -20,9 +20,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.core.errors import ConfigurationError
+from repro.core.graph import is_connected
 
 
 class GossipConsensus:
@@ -30,13 +29,15 @@ class GossipConsensus:
 
     Each round, random connected pairs average their values; all nodes
     converge to the global mean at a rate set by the graph's
-    connectivity.
+    connectivity. *graph* is any undirected graph with ``nodes`` and
+    ``edges`` collections (a networkx graph, say); the order of
+    ``edges`` feeds the random pair choice.
     """
 
-    def __init__(self, graph: nx.Graph, rng: random.Random):
-        if graph.number_of_nodes() < 2:
+    def __init__(self, graph, rng: random.Random):
+        if len(graph.nodes) < 2:
             raise ConfigurationError("gossip needs at least two agents")
-        if not nx.is_connected(graph):
+        if not is_connected(graph.nodes, graph.edges):
             raise ConfigurationError(
                 "gossip graph must be connected to reach consensus")
         self.graph = graph
@@ -94,12 +95,13 @@ class DistributedLoadBalancer:
     Each site keeps a price ``lambda = max(0, lambda + step * (load -
     capacity_target))``; work flows across each edge proportionally to
     the price difference. Only neighbour prices are exchanged — no
-    global state.
+    global state. *graph* is as for :class:`GossipConsensus`.
     """
 
-    def __init__(self, graph: nx.Graph, rng: random.Random,
+    def __init__(self, graph, rng: random.Random,
                  step: float = 0.05, flow_gain: float = 0.5):
-        if graph.number_of_nodes() < 2 or not nx.is_connected(graph):
+        if len(graph.nodes) < 2 or not is_connected(graph.nodes,
+                                                    graph.edges):
             raise ConfigurationError(
                 "balancer needs a connected graph of >=2 sites")
         self.graph = graph

@@ -97,9 +97,6 @@ class _MonitorBase:
                     f"monitor.alerts.{self.kind}.{self.name}", alert)
         return alert
 
-    def all_alerts(self) -> list[Alert]:
-        return [a for s in self.series.values() for a in s.alerts]
-
 
 class ApplicationMonitor(_MonitorBase):
     """Tracks per-application KPIs: end-to-end latency, deadline misses,

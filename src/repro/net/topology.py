@@ -1,7 +1,7 @@
 """Network topology and message-transfer model.
 
-The topology is an undirected graph (networkx) of named hosts connected
-by :class:`Link`s with latency and bandwidth. Transfers follow the
+The topology is an undirected graph of named hosts connected by
+:class:`Link`s with latency and bandwidth. Transfers follow the
 lowest-latency path; per-link bandwidth is shared fairly among concurrent
 flows, approximated by sampling the number of active flows when the
 transfer starts.
@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.core.errors import ConfigurationError, NotFoundError
+from repro.core.graph import dijkstra_paths
 from repro.continuum.simulator import Simulator
 from repro.runtime import RuntimeContext
 
@@ -82,11 +81,13 @@ class Network:
     def __init__(self, *, ctx: RuntimeContext | Simulator | None = None):
         self.ctx = RuntimeContext.adopt(ctx)
         self.sim = self.ctx.sim
-        self.graph = nx.Graph()
+        # The routing graph: host -> {neighbour: effective latency} over
+        # the links that are up, in the order repro.core.graph reads.
+        self.graph: dict[str, dict[str, float]] = {}
         self._links: dict[tuple[str, str], Link] = {}
         self.transfers: list[TransferResult] = []
         # Shortest paths are stable between topology changes; caching
-        # them keeps networkx out of the transfer hot path. The path
+        # them keeps Dijkstra out of the transfer hot path. The path
         # table holds one single-source Dijkstra per source host.
         self._path_table: dict[str, dict[str, list[str]]] = {}
         self._path_cache: dict[tuple[str, str], list[Link]] = {}
@@ -94,10 +95,9 @@ class Network:
 
     # -- construction ------------------------------------------------------------
 
-    def add_host(self, name: str, layer: str = "unknown") -> None:
+    def add_host(self, name: str) -> None:
         """Register a host. Re-adding an existing host is a no-op."""
-        if name not in self.graph:
-            self.graph.add_node(name, layer=layer)
+        self.graph.setdefault(name, {})
 
     def add_link(self, a: str, b: str, latency_s: float,
                  bandwidth_bps: float) -> Link:
@@ -108,7 +108,7 @@ class Network:
         self.add_host(b)
         link = Link(a, b, latency_s, bandwidth_bps)
         self._links[link.key()] = link
-        self.graph.add_edge(a, b, latency=latency_s)
+        self._set_edge(a, b, latency_s)
         self._topology_changed()
         return link
 
@@ -120,7 +120,8 @@ class Network:
         The single mutation point for partitions and degradations: it
         keeps the routing graph in sync (a down link is removed from
         the graph; an up link's edge weight is its *effective* latency)
-        and clears the path caches.
+        and clears the path caches. A live edge keeps its place in the
+        adjacency order; a restored one joins the end of both ends'.
         """
         link = self.link(a, b)
         if latency_factor is not None:
@@ -134,16 +135,20 @@ class Network:
         if up is not None:
             link.up = up
         if link.up:
-            self.graph.add_edge(link.a, link.b,
-                                latency=link.effective_latency())
-        elif self.graph.has_edge(link.a, link.b):
-            self.graph.remove_edge(link.a, link.b)
+            self._set_edge(link.a, link.b, link.effective_latency())
+        else:
+            self.graph[link.a].pop(link.b, None)
+            self.graph[link.b].pop(link.a, None)
         self._topology_changed()
         self.ctx.publish("net.link.state", {
             "a": link.a, "b": link.b, "up": link.up,
             "latency_factor": link.latency_factor,
             "bandwidth_factor": link.bandwidth_factor})
         return link
+
+    def _set_edge(self, a: str, b: str, latency: float) -> None:
+        self.graph[a][b] = latency
+        self.graph[b][a] = latency
 
     def _topology_changed(self) -> None:
         self._path_table.clear()
@@ -167,20 +172,19 @@ class Network:
     def path(self, src: str, dst: str) -> list[str]:
         """Lowest-latency host path from *src* to *dst* (inclusive).
 
-        One ``nx.single_source_dijkstra_path`` per source answers every
+        One single-source Dijkstra per source answers every
         destination, and every "no path", until the next topology
-        change. Where two paths tie on latency the one chosen may
-        differ from ``nx.shortest_path``'s bidirectional search; the
-        reference topology is a tree, and no topology the test suite
-        builds has such a tie.
+        change. Where two paths tie on latency it picks the one
+        ``networkx.single_source_dijkstra_path`` picks (see
+        :func:`repro.core.graph.dijkstra_paths`), which may differ from
+        ``networkx.shortest_path``'s bidirectional search.
         """
         for host in (src, dst):
             if host not in self.graph:
                 raise NotFoundError(f"unknown host {host!r}")
         table = self._path_table.get(src)
         if table is None:
-            table = nx.single_source_dijkstra_path(self.graph, src,
-                                                   weight="latency")
+            table = dijkstra_paths(self.graph, src)
             self._path_table[src] = table
         hosts = table.get(dst)
         if hosts is None:

@@ -7,9 +7,8 @@ detection, and policy well-formedness. Returns all problems at once.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.core.errors import ValidationError
+from repro.core.graph import simple_cycles
 from repro.core.levels import SECURITY_LEVELS
 from repro.tosca.model import (
     POLICY_TYPES,
@@ -87,18 +86,15 @@ class ToscaValidator:
         return problems
 
     def _check_hosting_cycles(self, service: ServiceTemplate) -> list[str]:
-        graph = nx.DiGraph()
+        """One problem per HostedOn cycle, in template order."""
+        hosts: dict[str, dict[str, None]] = {
+            name: {} for name in service.node_templates}
         for template in service.node_templates.values():
             for req in template.requirements:
-                if req.name == "host" and \
-                        req.target in service.node_templates:
-                    graph.add_edge(template.name, req.target)
-        try:
-            cycle = nx.find_cycle(graph)
-        except nx.NetworkXNoCycle:
-            return []
-        chain = " -> ".join(edge[0] for edge in cycle)
-        return [f"hosting cycle: {chain}"]
+                if req.name == "host" and req.target in hosts:
+                    hosts[template.name][req.target] = None
+        return [f"hosting cycle: {' -> '.join(cycle)}"
+                for cycle in simple_cycles(hosts)]
 
     def _check_policies(self, service: ServiceTemplate) -> list[str]:
         problems = []

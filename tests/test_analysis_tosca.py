@@ -1,5 +1,11 @@
 """Tests for the static TOSCA/CSAR checker."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from repro.analysis.findings import Severity
 from repro.analysis.tosca_check import (
     check_csar,
@@ -37,6 +43,34 @@ def valid_service():
 
 def rules_of(findings):
     return sorted(f.rule for f in findings)
+
+
+#: Prints the dependency-cycle findings of a ConnectsTo ring and of two
+#: disjoint HostedOn pairs as JSON ``[message, fingerprint]`` pairs.
+_CYCLE_PROBE = """
+import json
+from repro.analysis.tosca_check import check_service
+from repro.tosca.model import NodeTemplate, Requirement, ServiceTemplate
+
+def service(name, edges):
+    svc = ServiceTemplate(name=name)
+    for source, kind, target in edges:
+        node = NodeTemplate(source, "myrtus.nodes.Container", {
+            "image": source + ":1", "cpu_millicores": 250,
+            "memory_bytes": 64 << 20})
+        node.requirements.append(Requirement(kind, target))
+        svc.add_node(node)
+    return svc
+
+ring = service("ring", [("gateway", "connection", "broker"),
+                        ("broker", "connection", "analytics"),
+                        ("analytics", "connection", "gateway")])
+pairs = service("pairs", [("a", "host", "b"), ("b", "host", "a"),
+                          ("c", "host", "d"), ("d", "host", "c")])
+print(json.dumps([[f.message, f.fingerprint]
+                  for svc in (ring, pairs) for f in check_service(svc)
+                  if f.rule == "dependency-cycle"]))
+"""
 
 
 class TestServiceChecks:
@@ -89,6 +123,27 @@ class TestServiceChecks:
                 if f.rule == "security-level"] == [
             "policy sec: min_level 'ultra' is not one of "
             "('low', 'medium', 'high')"]
+
+    def test_cycle_findings_independent_of_hash_seed(self):
+        """Each cycle starts where a depth-first walk over the templates
+        in order first meets it, and cycles come in that order, so
+        messages and fingerprints (hence baseline entries) agree
+        between processes with different hash seeds."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        outputs = []
+        for seed in ("0", "1", "6"):
+            done = subprocess.run(
+                [sys.executable, "-c", _CYCLE_PROBE],
+                capture_output=True, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": str(src),
+                     "PYTHONHASHSEED": seed})
+            assert done.returncode == 0, done.stderr
+            outputs.append(json.loads(done.stdout))
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert [message for message, _ in outputs[0]] == [
+            "requirement cycle: gateway -> broker -> analytics -> gateway",
+            "requirement cycle: a -> b -> a",
+            "requirement cycle: c -> d -> c"]
 
     def test_acyclic_connections_ok(self):
         service = ServiceTemplate(name="chain")

@@ -64,7 +64,12 @@ def reference_evaluate(application, platform, mapping):
     proc_free = {p.name: 0.0 for p in platform.processors}
     finish = {}
     busy_energy = 0.0
-    for task_name in nx.topological_sort(application.graph):
+    graph = nx.DiGraph()
+    for task in application.tasks:
+        graph.add_node(task.name)
+        graph.add_edges_from((pred, task.name)
+                             for pred in application.predecessors(task.name))
+    for task_name in nx.topological_sort(graph):
         task = application.task(task_name)
         proc = platform.processor(assignment[task_name])
         ready = 0.0

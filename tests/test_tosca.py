@@ -295,6 +295,19 @@ class TestValidator:
         problems = ToscaValidator().check(svc)
         assert any("hosting cycle" in p for p in problems)
 
+    def test_every_hosting_cycle_named(self):
+        """Two disjoint HostedOn cycles are two problems, in template
+        order, each reading as a lone cycle always did."""
+        svc = ServiceTemplate(name="hosts")
+        for name, host in (("a", "b"), ("b", "a"), ("c", "d"), ("d", "c")):
+            template = NodeTemplate(name, "myrtus.nodes.Container",
+                                    {"image": f"{name}:1"})
+            template.requirements.append(Requirement("host", host))
+            svc.add_node(template)
+        assert [p for p in ToscaValidator().check(svc)
+                if "cycle" in p] == ["hosting cycle: a -> b",
+                                     "hosting cycle: c -> d"]
+
     def test_unknown_policy_type(self):
         svc = valid_service()
         svc.add_policy(Policy("p", "nope.Policy", ["feed"]))
