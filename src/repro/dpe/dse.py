@@ -116,6 +116,11 @@ class MappingEvaluator:
     dict lookups and the schedule's arithmetic, in the same order as
     reading the models on every call. Build a new evaluator after
     changing either model.
+
+    ``evaluations`` counts the mappings :meth:`evaluate` has actually
+    computed. The genetic and annealing explorers evaluate each
+    distinct mapping once per explore, so after one of them it is the
+    number of distinct mappings, not the length of the returned list.
     """
 
     def __init__(self, application: Application, platform: PlatformModel):
@@ -201,58 +206,94 @@ class ExhaustiveExplorer:
         return results
 
 
+#: What a stochastic explorer can minimise.
+_OBJECTIVES = ("latency", "energy", "edp")
+
+
+def _check_objective(objective: str) -> str:
+    if objective not in _OBJECTIVES:
+        raise ConfigurationError(f"unknown objective {objective!r}; "
+                                 f"expected one of {_OBJECTIVES}")
+    return objective
+
+
+def _fitness(result: EvaluationResult, objective: str) -> float:
+    """The value *objective* minimises: latency, energy or their
+    product (EDP)."""
+    if objective == "latency":
+        return result.latency_s
+    if objective == "energy":
+        return result.energy_j
+    return result.latency_s * result.energy_j
+
+
+def _memo_scorer(evaluator: MappingEvaluator, tasks: list[str],
+                 objective: str):
+    """Score genomes (processor names in *tasks*' order) once each.
+
+    Returns ``score(genome) -> (fitness, result)``. The memo belongs to
+    one explore: a GA or an annealing walk revisits many mappings, and a
+    revisit returns the first result object instead of evaluating again.
+    """
+    memo: dict[tuple[str, ...], tuple[float, EvaluationResult]] = {}
+
+    def score(genome: tuple[str, ...]) -> tuple[float, EvaluationResult]:
+        scored = memo.get(genome)
+        if scored is None:
+            result = evaluator.evaluate(Mapping.of(dict(zip(tasks, genome))))
+            scored = memo[genome] = (_fitness(result, objective), result)
+        return scored
+
+    return score
+
+
 class GeneticExplorer:
-    """GA over mappings: tournament selection, crossover, mutation."""
+    """GA over mappings: truncation selection, crossover, mutation."""
 
     def __init__(self, evaluator: MappingEvaluator, rng: random.Random,
                  population: int = 30, generations: int = 25,
                  mutation_rate: float = 0.15,
                  objective: str = "latency"):
-        if objective not in ("latency", "energy", "edp"):
-            raise ConfigurationError(f"unknown objective {objective!r}")
+        if population < 1:
+            raise ConfigurationError(
+                f"population must be at least 1, got {population}")
         self.evaluator = evaluator
         self.rng = rng
         self.population_size = population
         self.generations = generations
         self.mutation_rate = mutation_rate
-        self.objective = objective
-
-    def _fitness(self, result: EvaluationResult) -> float:
-        if self.objective == "latency":
-            return result.latency_s
-        if self.objective == "energy":
-            return result.energy_j
-        return result.latency_s * result.energy_j  # EDP
+        self.objective = _check_objective(objective)
 
     def explore(self) -> list[EvaluationResult]:
+        """Every score in order, duplicates included; a mapping met
+        again is the same result object."""
+        rng = self.rng
         tasks = [t.name for t in self.evaluator.application.tasks]
         procs = [p.name for p in self.evaluator.platform.processors]
-        population = [
-            {t: self.rng.choice(procs) for t in tasks}
-            for _ in range(self.population_size)
-        ]
+        score = _memo_scorer(self.evaluator, tasks, self.objective)
         evaluated: list[EvaluationResult] = []
 
-        def score(genome: dict[str, str]) -> EvaluationResult:
-            result = self.evaluator.evaluate(Mapping.of(genome))
+        def entry(genome: tuple[str, ...]):
+            value, result = score(genome)
             evaluated.append(result)
-            return result
+            return value, genome
 
-        scored = [(score(g), g) for g in population]
+        scored = [entry(tuple(rng.choice(procs) for _ in tasks))
+                  for _ in range(self.population_size)]
         for _ in range(self.generations):
-            scored.sort(key=lambda pair: self._fitness(pair[0]))
+            scored.sort(key=lambda pair: pair[0])
             survivors = scored[: max(2, self.population_size // 2)]
             children = []
             while len(children) + len(survivors) < self.population_size:
-                pa = self.rng.choice(survivors)[1]
-                pb = self.rng.choice(survivors)[1]
-                child = {t: (pa if self.rng.random() < 0.5 else pb)[t]
-                         for t in tasks}
-                for t in tasks:
-                    if self.rng.random() < self.mutation_rate:
-                        child[t] = self.rng.choice(procs)
-                children.append(child)
-            scored = survivors + [(score(c), c) for c in children]
+                pa = rng.choice(survivors)[1]
+                pb = rng.choice(survivors)[1]
+                child = [a if rng.random() < 0.5 else b
+                         for a, b in zip(pa, pb)]
+                for i in range(len(child)):
+                    if rng.random() < self.mutation_rate:
+                        child[i] = rng.choice(procs)
+                children.append(tuple(child))
+            scored = survivors + [entry(c) for c in children]
         return evaluated
 
 
@@ -262,37 +303,43 @@ class AnnealingExplorer:
     def __init__(self, evaluator: MappingEvaluator, rng: random.Random,
                  iterations: int = 500, initial_temp: float = 1.0,
                  cooling: float = 0.995, objective: str = "latency"):
+        if not initial_temp > 0:
+            raise ConfigurationError(
+                f"initial_temp must be positive, got {initial_temp}")
+        if not 0 < cooling <= 1:
+            raise ConfigurationError(
+                f"cooling must be in (0, 1], got {cooling}")
         self.evaluator = evaluator
         self.rng = rng
         self.iterations = iterations
         self.initial_temp = initial_temp
         self.cooling = cooling
-        self.objective = objective
-
-    def _fitness(self, result: EvaluationResult) -> float:
-        if self.objective == "energy":
-            return result.energy_j
-        if self.objective == "edp":
-            return result.latency_s * result.energy_j
-        return result.latency_s
+        self.objective = _check_objective(objective)
 
     def explore(self) -> list[EvaluationResult]:
+        """Every score in order, duplicates included; a mapping met
+        again is the same result object."""
+        rng = self.rng
         tasks = [t.name for t in self.evaluator.application.tasks]
         procs = [p.name for p in self.evaluator.platform.processors]
-        current = {t: self.rng.choice(procs) for t in tasks}
-        current_result = self.evaluator.evaluate(Mapping.of(current))
+        position = {task: i for i, task in enumerate(tasks)}
+        score = _memo_scorer(self.evaluator, tasks, self.objective)
+        current = tuple(rng.choice(procs) for _ in tasks)
+        current_value, current_result = score(current)
         evaluated = [current_result]
         temp = self.initial_temp
-        scale = max(self._fitness(current_result), 1e-12)
+        scale = max(current_value, 1e-12)
         for _ in range(self.iterations):
-            candidate = dict(current)
-            candidate[self.rng.choice(tasks)] = self.rng.choice(procs)
-            result = self.evaluator.evaluate(Mapping.of(candidate))
+            candidate = list(current)
+            # The processor is drawn before the task, as the statement
+            # evaluates its right-hand side first.
+            candidate[position[rng.choice(tasks)]] = rng.choice(procs)
+            candidate = tuple(candidate)
+            value, result = score(candidate)
             evaluated.append(result)
-            delta = (self._fitness(result)
-                     - self._fitness(current_result)) / scale
-            if delta <= 0 or self.rng.random() < math.exp(-delta / temp):
-                current, current_result = candidate, result
+            delta = (value - current_value) / scale
+            if delta <= 0 or rng.random() < math.exp(-delta / temp):
+                current, current_value = candidate, value
             temp *= self.cooling
         return evaluated
 

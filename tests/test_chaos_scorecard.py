@@ -3,8 +3,10 @@ partition-heal recovery, and the repro-chaos CLI contract."""
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -176,12 +178,19 @@ class TestPartitionRecovery:
         assert heals[0].time_s > cuts[0].time_s
 
 
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
 class TestCli:
     def _run(self, *argv):
+        """``python -m repro.chaos`` from this checkout's ``src``."""
+        src = str(REPO_ROOT / "src")
+        pythonpath = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src if not pythonpath
+               else src + os.pathsep + pythonpath}
         return subprocess.run(
             [sys.executable, "-m", "repro.chaos", *argv],
-            capture_output=True, text=True, env={"PYTHONPATH": "src"},
-            cwd="/root/repo")
+            capture_output=True, text=True, env=env, cwd=REPO_ROOT)
 
     def test_run_is_byte_identical_across_invocations(self):
         args = ("run", "--campaign", "smoke", "--seed", "7",

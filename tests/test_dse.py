@@ -1,5 +1,6 @@
 """Tests for the design-space exploration engine (mocasin analogue)."""
 
+import hashlib
 import math
 import random
 
@@ -22,6 +23,8 @@ from repro.dpe.dse import (
     export_operating_points,
     pareto_front,
 )
+from repro.dpe.modeling import DEFAULT_PLATFORM
+from repro.usecases import mobility, telerehab
 
 
 def small_platform():
@@ -288,6 +291,41 @@ class TestExplorers:
             GeneticExplorer(evaluator, random.Random(0),
                             objective="vibes")
 
+    @pytest.mark.parametrize("objective", ["vibes", "EDP"])
+    def test_annealing_unknown_objective_rejected(self, objective):
+        evaluator = MappingEvaluator(chain_app(2), small_platform())
+        with pytest.raises(ConfigurationError, match="objective"):
+            AnnealingExplorer(evaluator, random.Random(0),
+                              objective=objective)
+
+    @pytest.mark.parametrize("initial_temp", [0.0, -1.0, math.nan])
+    def test_non_positive_initial_temp_rejected(self, initial_temp):
+        evaluator = MappingEvaluator(chain_app(2), small_platform())
+        with pytest.raises(ConfigurationError, match="initial_temp"):
+            AnnealingExplorer(evaluator, random.Random(0),
+                              initial_temp=initial_temp)
+
+    @pytest.mark.parametrize("cooling", [0.0, -0.5, 1.5, math.nan])
+    def test_cooling_outside_unit_interval_rejected(self, cooling):
+        evaluator = MappingEvaluator(chain_app(2), small_platform())
+        with pytest.raises(ConfigurationError, match="cooling"):
+            AnnealingExplorer(evaluator, random.Random(0), cooling=cooling)
+
+    @pytest.mark.parametrize("population", [0, -3])
+    def test_empty_population_rejected(self, population):
+        evaluator = MappingEvaluator(chain_app(2), small_platform())
+        with pytest.raises(ConfigurationError, match="population"):
+            GeneticExplorer(evaluator, random.Random(0),
+                            population=population)
+
+    def test_boundary_parameters_accepted(self):
+        evaluator = MappingEvaluator(chain_app(2), small_platform())
+        assert len(AnnealingExplorer(evaluator, random.Random(0),
+                                     iterations=10,
+                                     cooling=1.0).explore()) == 11
+        assert len(GeneticExplorer(evaluator, random.Random(0),
+                                   population=1).explore()) == 1
+
 
 class TestPareto:
     def test_front_is_non_dominated(self):
@@ -377,3 +415,157 @@ class TestOperatingPointExport:
         results = ExhaustiveExplorer(evaluator).explore()
         with pytest.raises(ConfigurationError, match="max_points"):
             export_operating_points(results, max_points=max_points)
+
+
+#: DesignFlow's two GA configurations (``estimate_kpis``' and
+#: ``DesignFlow.run``'s) and a default simulated annealing.
+_EXPLORERS = {
+    "ga-16x10-latency": lambda evaluator, rng: GeneticExplorer(
+        evaluator, rng, population=16, generations=10),
+    "ga-24x15-edp": lambda evaluator, rng: GeneticExplorer(
+        evaluator, rng, population=24, generations=15, objective="edp"),
+    "sa-default": lambda evaluator, rng: AnnealingExplorer(evaluator, rng),
+}
+
+_USE_CASES = {"mobility": mobility, "telerehab": telerehab}
+
+
+def _explore(case, seed, config):
+    """``(evaluator, explorer, results, rng)`` of one explore on the
+    use case's application and the DPE's default platform."""
+    scenario = _USE_CASES[case].build_scenario()
+    evaluator = MappingEvaluator(scenario.to_application(), DEFAULT_PLATFORM)
+    rng = random.Random(seed)
+    explorer = _EXPLORERS[config](evaluator, rng)
+    return evaluator, explorer, explorer.explore(), rng
+
+
+def _explorer_pin(case, seed, config):
+    """``(sha256 of the results, rng.random().hex() after explore())``.
+
+    The digest covers every result in order: its mapping, and latency
+    and energy as ``float.hex``. The draw after the explore pins how
+    many draws it made."""
+    _, _, results, rng = _explore(case, seed, config)
+    rows = [(r.mapping.assignment, r.latency_s.hex(), r.energy_j.hex())
+            for r in results]
+    return hashlib.sha256(repr(rows).encode()).hexdigest(), \
+        rng.random().hex()
+
+
+class TestPinnedExplorers:
+    #: ``_explorer_pin`` for both use cases x seeds 0-3 x each config,
+    #: as recorded when this pin was added. A change to a result, to
+    #: their order or count, or to the RNG draws moves it; re-pin only
+    #: with the reason for the change.
+    PINNED = {
+        ("mobility", 0, "ga-16x10-latency"): (
+            "90b52be0d4d4b590b7ad5e427d9bb1de475a31bdb58843a641e4239217fcc23f",
+            "0x1.0977a5423b57cp-2"),
+        ("mobility", 0, "ga-24x15-edp"): (
+            "63894688d49de7aa975c48b46b3a727eaf9e1f1d1523c8698d7536418ac966ce",
+            "0x1.e1991de98bd17p-1"),
+        ("mobility", 0, "sa-default"): (
+            "3c533ae7749b0446214290c2a22c128abe495820b36dd36929f4e2da09e65cea",
+            "0x1.25f8a2fadbba8p-2"),
+        ("mobility", 1, "ga-16x10-latency"): (
+            "1a97d04e1abbd8d495e4e12d7c67273735495b73c1e617cd331c2930270f9940",
+            "0x1.0ec4b927e0b98p-3"),
+        ("mobility", 1, "ga-24x15-edp"): (
+            "4d6e213fbb585cb9a489311736d50e6c5d8fb56d9de916110fecf37246bd0b32",
+            "0x1.dfc5589a8e700p-7"),
+        ("mobility", 1, "sa-default"): (
+            "20daf9e0b6391c35de04104313e1cc60797beef75e39b225146236f5491ac206",
+            "0x1.1ab033f77dcc4p-2"),
+        ("mobility", 2, "ga-16x10-latency"): (
+            "8450b4fbd7462a6436bfc881f9fd51a263412edc6a293c0066c96fadf56c49af",
+            "0x1.b2f6334990d88p-2"),
+        ("mobility", 2, "ga-24x15-edp"): (
+            "60fbe05a22820403be2be1e53492a1365e63fcd43de9c7c0dec822cd07ea526e",
+            "0x1.867ff73bdbe37p-1"),
+        ("mobility", 2, "sa-default"): (
+            "58cecd8de2076a18d3560f5412ffe80c0655e430e4f96e25ff1da38d6a13b42a",
+            "0x1.35d2b29dcf0d4p-2"),
+        ("mobility", 3, "ga-16x10-latency"): (
+            "ba565a7eaff32d12af6829294607d76455bd62237586d535efabca58379e6f4a",
+            "0x1.51d6e45311187p-1"),
+        ("mobility", 3, "ga-24x15-edp"): (
+            "c8a084f05fe7d42107278f116256cbd8dc6d6716bf1ba30f13d78b2b5c19a55a",
+            "0x1.5e2f4d156b636p-2"),
+        ("mobility", 3, "sa-default"): (
+            "d0872213db9f809aca2e5c73b23301e3164732418ffb1b9210bc806ddcd76cc6",
+            "0x1.102b7b94f9260p-3"),
+        ("telerehab", 0, "ga-16x10-latency"): (
+            "f49e95495ae7c47aca991861d4428b6b4b8d1395b2741178e9758f2bc8fbd9e2",
+            "0x1.0977a5423b57cp-2"),
+        ("telerehab", 0, "ga-24x15-edp"): (
+            "c9181b9033e47f5a2dbad0d7af21897a44c87eeebb52f8a156e441e48bbc7cb8",
+            "0x1.e1991de98bd17p-1"),
+        ("telerehab", 0, "sa-default"): (
+            "31fbb4ae9853891aa322ebd231b9de05f3f815de3483536b7f8a8e6214f92e5d",
+            "0x1.da8d37c4f47a9p-1"),
+        ("telerehab", 1, "ga-16x10-latency"): (
+            "839b86126d5b673d120da136d9f41f49d1fabbf50a072e14e24472ba69254700",
+            "0x1.0ec4b927e0b98p-3"),
+        ("telerehab", 1, "ga-24x15-edp"): (
+            "4d1b871a2ce4da5a56fcb649ea5ae305d60f8f81bf82a3c7e837f9d40c086c25",
+            "0x1.dfc5589a8e700p-7"),
+        ("telerehab", 1, "sa-default"): (
+            "c20f4bbd41868c475cc1dc868c30f7ba543bec4adee1969eb21b2fca4922f068",
+            "0x1.98ac99acc05a6p-1"),
+        ("telerehab", 2, "ga-16x10-latency"): (
+            "7c452becbbde7ece11d5f98b59e9a06e2decd065d39467dcafcf9f1ce1f596fa",
+            "0x1.b2f6334990d88p-2"),
+        ("telerehab", 2, "ga-24x15-edp"): (
+            "a07888b34764c31bb76d5e46ba32daa79d1cff4a05545c5caf873c7130b86665",
+            "0x1.867ff73bdbe37p-1"),
+        ("telerehab", 2, "sa-default"): (
+            "419fa6b20b046b0402944de614aecb7ef0e502df7e44e3ab96eafca5daf7e17b",
+            "0x1.781c950e34455p-1"),
+        ("telerehab", 3, "ga-16x10-latency"): (
+            "647d2ef5bd6c50303ba8dfc6d78eda56bd6d8c99a873598d196f60dd5731a7dd",
+            "0x1.51d6e45311187p-1"),
+        ("telerehab", 3, "ga-24x15-edp"): (
+            "1977c149e41d80a2531742f8c4fc04bbaae7ae2a0e91bff4c6bd420a1213cb31",
+            "0x1.5e2f4d156b636p-2"),
+        ("telerehab", 3, "sa-default"): (
+            "fcf4fea0a1db8e3e0371f0b2c6577f9126f700421eef83d7ed150108b23a3383",
+            "0x1.debe4b209205ap-1"),
+    }
+
+    @pytest.mark.parametrize("config", sorted(_EXPLORERS))
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("case", sorted(_USE_CASES))
+    def test_results_and_rng_draws_match_pin(self, case, seed, config):
+        assert _explorer_pin(case, seed, config) \
+            == self.PINNED[case, seed, config]
+
+    @pytest.mark.parametrize("case", sorted(_USE_CASES))
+    @pytest.mark.parametrize("config", ["ga-16x10-latency", "ga-24x15-edp"])
+    def test_ga_evaluates_each_distinct_mapping_once(self, case, config):
+        evaluator, explorer, results, _ = _explore(case, 0, config)
+        population = explorer.population_size
+        survivors = max(2, population // 2)
+        assert len(results) == population \
+            + explorer.generations * (population - survivors)
+        distinct = {r.mapping for r in results}
+        assert evaluator.evaluations == len(distinct) < len(results)
+        # A mapping met again is the first result object.
+        assert len({id(r) for r in results}) == len(distinct)
+
+    @pytest.mark.parametrize("case", sorted(_USE_CASES))
+    def test_annealing_evaluates_each_distinct_mapping_once(self, case):
+        evaluator, explorer, results, _ = _explore(case, 0, "sa-default")
+        assert len(results) == explorer.iterations + 1
+        distinct = {r.mapping for r in results}
+        assert evaluator.evaluations == len(distinct) < len(results)
+        assert len({id(r) for r in results}) == len(distinct)
+
+    def test_memo_does_not_outlive_an_explore(self):
+        evaluator, explorer, first, _ = _explore("mobility", 0,
+                                                 "ga-16x10-latency")
+        explorer.rng = random.Random(0)
+        again = explorer.explore()
+        assert [r.mapping for r in again] == [r.mapping for r in first]
+        assert evaluator.evaluations == 2 * len({r.mapping for r in first})
+        assert not {id(r) for r in again} & {id(r) for r in first}
