@@ -26,7 +26,7 @@ from repro.core.rng import RngRegistry
 from repro.obs.metrics import METRICS_TOPIC, MetricsRegistry
 from repro.obs.profiler import PROFILE_TOPIC
 from repro.obs.spans import Tracer
-from repro.runtime.trace import TraceRecorder
+from repro.runtime.trace import TraceRecorder, jsonify
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.continuum.simulator import Simulator
@@ -88,14 +88,21 @@ class TracedEventBus(EventBus):
             self.current_pub = prev
 
     def publish_organic(self, topic: str,  # perf: hot
-                        payload: Any = None) -> int:
+                        payload: Any = None, recorded: Any = None) -> int:
         """Publish a message the epoch relay carried in from another
         zone: recorded and counted exactly like :meth:`publish`, but
         delivered past the relay taps, so it is never forwarded again.
-        It takes no publish id — only taps read those."""
+        It takes no publish id — only taps read those.
+
+        *recorded* is the trace's copy of *payload*, already normalized
+        by the relay tap and shared by every destination zone's record;
+        it is recorded as given. Handlers still receive *payload*.
+        Without it, *payload* is normalized here."""
         stack = self._span_stack
-        self._trace.record(self._clock(), topic, payload,
-                           stack[-1].envelope if stack else None)
+        self._trace.record_normalized(
+            float(self._clock()), topic,
+            jsonify(payload) if recorded is None else recorded,
+            stack[-1].envelope if stack else None)
         counter = self._publish_counter
         if counter is not None:
             counter.value += 1

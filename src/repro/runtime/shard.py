@@ -49,7 +49,7 @@ import json
 from collections import deque
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.core.errors import ConfigurationError, NotFoundError
 from repro.core.rng import derive_seed
@@ -57,7 +57,7 @@ from repro.obs.metrics import METRICS_TOPIC, MetricsRegistry, payload_delta
 from repro.obs.profiler import SHARD_PROFILE_TOPIC, ShardProfiler
 from repro.obs.spans import SPAN_TOPIC, SpanContext, _RelayScope
 from repro.runtime.context import RuntimeContext
-from repro.runtime.trace import TraceRecord
+from repro.runtime.trace import TraceRecord, jsonify
 
 _INF = float("inf")
 
@@ -147,11 +147,19 @@ def _fan_out_tap(src: ZoneRuntime, targets: list):
     id, so a publish matching several tapped patterns is buffered once
     per pair.
 
-    Alongside ``(send_s, topic, payload)`` the tap captures the open
-    span context: bus delivery is synchronous, so the publisher's span
-    is still ambient when the tap fires. It is shipped as a plain
-    ``(trace_id, span_id)`` tuple (picklable — with workers, buffers
-    cross pipes) and resumed in the destination zone by
+    The buffered message is ``(send_s, topic, payload, span,
+    recorded)``, one tuple shared by every outbox it lands in.
+    *recorded* is the payload normalized (:func:`~repro.runtime.trace.
+    jsonify`) once, when the tap first buffers the publish: every
+    destination zone's trace record holds that one copy, while handlers
+    still receive *payload* itself. Normalizing at publish time also
+    makes the recorded bytes independent of the executor when a
+    publisher mutates its payload after publishing.
+
+    *span* is the open span context: bus delivery is synchronous, so
+    the publisher's span is still ambient when the tap fires. It is
+    shipped as a plain ``(trace_id, span_id)`` tuple (picklable — with
+    workers, buffers cross pipes) and resumed in the destination zone by
     :func:`relay_deliver`, which is how one fault's causal tree crosses
     zones and worker processes."""
     bus = src.ctx.bus
@@ -186,7 +194,7 @@ def _fan_out_tap(src: ZoneRuntime, targets: list):
                         last[1] = shipped
                 else:
                     shipped = None
-                msg = (sim.now, topic, payload, shipped)
+                msg = (sim.now, topic, payload, shipped, jsonify(payload))
             outbox.append(msg)
     return tap
 
@@ -202,12 +210,19 @@ _RELAY_SPAN_TEMPLATE = {
 
 
 def relay_deliver(dest: ZoneRuntime, topic: str, payload: Any,
-                  span: tuple | None = None) -> None:
+                  span: tuple | None = None,
+                  recorded: Any = None) -> None:
     """Publish a relayed message on *dest*'s bus without re-forwarding:
     the publish is traced and counted as usual but reaches only organic
     subscribers (:meth:`~repro.runtime.context.TracedEventBus.
     publish_organic`), never a relay tap. Publishes its handlers make
     are ordinary ones and relay on.
+
+    Handlers receive *payload*; the trace records *recorded*, the copy
+    the tap normalized when it buffered the publish, as given — so the
+    records of one publish in every destination zone share one payload
+    object. Without *recorded* (a direct call), *payload* is normalized
+    here.
 
     When the buffered publish carried a span context, the delivery
     resumes it and opens a ``shard.relay.deliver`` child span around the
@@ -220,7 +235,7 @@ def relay_deliver(dest: ZoneRuntime, topic: str, payload: Any,
     bus = dest.ctx.bus
     tracer = dest.ctx.tracer
     if span is None or not tracer.enabled:
-        bus.publish_organic(topic, payload)
+        bus.publish_organic(topic, payload, recorded)
         return
     # Hand-inlined equivalent of
     #     with tracer.resume(SpanContext(span[0], span[1])):
@@ -245,7 +260,7 @@ def relay_deliver(dest: ZoneRuntime, topic: str, payload: Any,
     stack.append(scope)
     status = "ok"
     try:
-        bus.publish_organic(topic, payload)
+        bus.publish_organic(topic, payload, recorded)
     except BaseException:
         status = "error"
         raise
@@ -260,17 +275,14 @@ def relay_deliver(dest: ZoneRuntime, topic: str, payload: Any,
         rec["end_s"] = now
         rec["status"] = status
         rec["attrs"] = {"topic": topic, "zone": dest.name}
-        # TraceRecorder.record, inlined minus the jsonify walk (the
-        # payload is already JSON-primitive and `now` already a float).
-        trace = tracer._trace
-        trace._records.append(TraceRecord(trace._seq, now, SPAN_TOPIC,
-                                          rec))
-        trace._seq += 1
+        # Already JSON-primitive, and `now` already a float.
+        tracer._trace.record_normalized(now, SPAN_TOPIC, rec)
 
 
 def _relay_arrival(event: Any) -> None:
     """The one callback of every relay arrival event: deliver the
-    ``(dest, topic, payload, span)`` message the event carries."""
+    ``(dest, topic, payload, span, recorded)`` message the event
+    carries."""
     relay_deliver(*event._value)
 
 
@@ -278,23 +290,26 @@ def flush_zone_inbox(dest: ZoneRuntime, batches: Iterable[list],
                      latency: float, epoch: int, t_barrier: float,
                      record_barrier: bool) -> int:
     """Barrier injection for one destination zone: schedule every
-    buffered message (batches already in source-rank order, messages in
-    send order) as a DES event at its true arrival time, then publish
-    the relay/barrier bookkeeping records. Returns messages injected."""
+    buffered ``(send_s, topic, payload, span, recorded)`` message
+    (batches already in source-rank order, messages in send order) as a
+    DES event at its true arrival time, then publish the relay/barrier
+    bookkeeping records. The event carries the tap's normalized copy
+    *recorded* on to :func:`relay_deliver`, so every destination's
+    record shares it. Returns messages injected."""
     timeout = dest.ctx.sim.timeout
     now = dest.ctx.sim.now
     count = 0
     spans = 0
     for batch in batches:
-        for send_s, topic, payload, span in batch:
+        for send_s, topic, payload, span, recorded in batch:
             # Mathematically send + latency >= barrier; clamp the
             # one-ulp float shortfall when the sum rounds below
             # the epoch-grid boundary (same clamp on every shard
             # count — the grid is computed identically).
             delay = send_s + latency - now
             timeout(delay if delay > 0.0 else 0.0,
-                    (dest, topic, payload, span)).callbacks.append(
-                        _relay_arrival)
+                    (dest, topic, payload, span, recorded)
+                    ).callbacks.append(_relay_arrival)
             count += 1
             if span is not None:
                 spans += 1
@@ -632,7 +647,6 @@ class ShardedContext:
         # is pure waste.
         self._merge_watermark: Any = None
         self._merged: list[tuple[str, TraceRecord]] = []
-        self._jsonl: str | None = None
         self._digest: str | None = None
 
         #: Coordinator-side observability (runtime.shard.*): epoch
@@ -929,25 +943,25 @@ class ShardedContext:
                 # digest's peak memory by several MB at 100k devices.
                 self._merged = [(names[rank], TraceRecord(*row))
                                 for _, rank, _, row in keyed]
-            self._jsonl = None
             self._digest = None
             self._merge_watermark = watermark
         return self._merged
 
+    def _jsonl_lines(self) -> Iterator[str]:
+        """The merged trace's JSONL lines (global seq, zone tag), one at
+        a time — the one renderer behind :meth:`to_jsonl` and
+        :meth:`digest`, so the exported bytes and the fingerprint cannot
+        drift apart."""
+        for seq, (name, rec) in enumerate(self.merged_records()):
+            obj = {"seq": seq, "zone": name, "time_s": rec.time_s,
+                   "topic": rec.topic, "payload": rec.payload}
+            if rec.span is not None:
+                obj["span"] = rec.span
+            yield json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
     def to_jsonl(self) -> str:
         """The merged trace as deterministic JSONL (global seq, zone tag)."""
-        merged = self.merged_records()
-        if self._jsonl is None:
-            lines = []
-            for seq, (name, rec) in enumerate(merged):
-                obj = {"seq": seq, "zone": name, "time_s": rec.time_s,
-                       "topic": rec.topic, "payload": rec.payload}
-                if rec.span is not None:
-                    obj["span"] = rec.span
-                lines.append(json.dumps(obj, sort_keys=True,
-                                        separators=(",", ":")))
-            self._jsonl = "\n".join(lines)
-        return self._jsonl
+        return "\n".join(self._jsonl_lines())
 
     def export_jsonl(self, path: str | Path, *,
                      observability: bool = False) -> int:
@@ -979,10 +993,18 @@ class ShardedContext:
 
     def digest(self) -> str:
         """SHA-256 over the merged trace bytes — the replay fingerprint
-        the scale example and CI pin."""
-        text = self.to_jsonl()
+        the scale example and CI pin. Equal to hashing
+        ``to_jsonl().encode()``, but streamed line by line: the JSONL
+        text is never held whole. Memoized like :meth:`merged_records`.
+        """
+        self.merged_records()  # drops the memo if records landed since
         if self._digest is None:
-            self._digest = hashlib.sha256(text.encode()).hexdigest()
+            sha = hashlib.sha256()
+            sep = b""
+            for line in self._jsonl_lines():
+                sha.update(sep + line.encode())
+                sep = b"\n"
+            self._digest = sha.hexdigest()
         return self._digest
 
     # -- aggregated observability ------------------------------------------

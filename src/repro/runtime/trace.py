@@ -81,10 +81,15 @@ class TraceRecord:
     """One time-stamped, topic-tagged observation.
 
     The payload is normalized (:func:`jsonify`) when the record is
-    created — deferring that would let callers mutate a recorded dict
-    after the fact and break byte-identical replay — but serialization
-    to JSON text stays lazy: :meth:`to_json` renders on demand, so
-    recording costs no string formatting unless the trace is exported.
+    created or earlier, never later — deferring it would let callers
+    mutate a recorded dict after the fact and break byte-identical
+    replay. "Earlier" is the epoch relay: its tap normalizes a relayed
+    publish once, when it buffers it, and every destination zone's
+    record holds that one copy (:meth:`TraceRecorder.
+    record_normalized`), so a payload may be shared between records
+    and must never be mutated. Serialization to JSON text stays lazy:
+    :meth:`to_json` renders on demand, so recording costs no string
+    formatting unless the trace is exported.
 
     A plain ``__slots__`` class rather than a (frozen) dataclass: one
     is constructed per bus publish and per finished span, and the
@@ -149,8 +154,16 @@ class TraceRecorder:
         :attr:`dropped` to detect that the *retained* window no
         longer starts at seq 0.
         """
-        rec = TraceRecord(self._seq, float(time_s), topic,
-                          jsonify(payload), span)
+        return self.record_normalized(float(time_s), topic,
+                                      jsonify(payload), span)
+
+    def record_normalized(self, time_s: float, topic: str,  # perf: hot
+                          payload: Any = None,
+                          span: Any = None) -> TraceRecord:
+        """Append one record whose *payload* is already normalized
+        (:func:`jsonify` output) and whose *time_s* is already a float,
+        as given: no copy, so records may share one payload object."""
+        rec = TraceRecord(self._seq, time_s, topic, payload, span)
         self._seq += 1
         self._records.append(rec)
         return rec

@@ -7,13 +7,16 @@ streams *byte-identical* to the in-process reference, for workers in
 {1, 2, 4} over random zone counts, fleet sizes and seeds. Alongside it:
 failure surfacing (a dying or raising worker raises
 ``ShardWorkerError``, never hangs the barrier), lifecycle shape,
-memoization and coordinator metrics on both executors, and the packaged
-scale scenario's cross-executor contract.
+memoization and coordinator metrics on both executors, the packaged
+scale scenario's cross-executor contract, the relay's one recorded copy
+per publish (shared by every destination, and taken at the publish, so
+a later mutation cannot reach the trace) and the streamed digest.
 
 Builders live at module level so they stay picklable under any
 multiprocessing start method.
 """
 
+import hashlib
 import os
 
 import pytest
@@ -310,8 +313,9 @@ class TestSequentialMemoization:
                 assert sharded.now == 20.0
             # Closed: the trace cannot change anymore.
             assert sharded.merged_records() is sharded.merged_records()
-            assert sharded.to_jsonl() is sharded.to_jsonl()
             assert sharded.digest() is sharded.digest()
+            # Rendered afresh each call (only the digest is memoized).
+            assert sharded.to_jsonl() == sharded.to_jsonl()
 
     def test_new_records_invalidate(self):
         for workers in EXECUTORS:
@@ -323,3 +327,157 @@ class TestSequentialMemoization:
                 assert sharded.merged_records() is not first_merged
                 assert len(sharded.merged_records()) > len(first_merged)
                 assert sharded.digest() != first_digest
+
+
+def _build_mutating_zone(ctx, zone: str, mutate_at: float):
+    """Zone ``a`` publishes the dict ``state`` at t=0.5 and sets
+    ``state["n"] = 99`` at *mutate_at*, after publishing it; zone ``b``
+    subscribes, so the publish relays there and arrives at t=1.5.
+    Returns ``a``'s state dict and the payloads ``b``'s handler saw."""
+    if zone == "a":
+        state = {"n": 0}
+
+        def publisher():
+            yield ctx.sim.timeout(0.5)
+            ctx.publish("app.state", state)
+            yield ctx.sim.timeout(mutate_at - 0.5)
+            state["n"] = 99
+
+        ctx.sim.process(publisher())
+        return state
+    seen: list = []
+    ctx.subscribe("app.state", lambda topic, payload: seen.append(payload))
+    return seen
+
+
+def _finalize_as_is(state, zone: str, args):
+    return state
+
+
+class TestPublishThenMutate:
+    """A publisher that mutates its payload after publishing it: the
+    relay records the payload as it was when published, so the merged
+    trace does not depend on the executor. Mutating before the arrival
+    (t=1.2) once recorded the mutation in process but not through a
+    worker pipe, which pickled the message at the barrier; mutating
+    after it (t=1.7) once recorded it with two heaps, where zone a runs
+    its whole epoch before zone b, but not with one."""
+
+    @pytest.mark.parametrize("mutate_at", [1.2, 1.7])
+    def test_every_executor_records_the_published_state(self, mutate_at):
+        digests = set()
+        for executor in ({"n_shards": 1}, {"n_shards": 2}, {"workers": 2}):
+            with ShardedContext(
+                    seed=0, zones=("a", "b"), link_latency_s=1.0,
+                    zone_builder=_build_mutating_zone,
+                    zone_args=mutate_at, zone_finalizer=_finalize_as_is,
+                    **executor) as sharded:
+                sharded.run(until=3.0)
+                results = sharded.finalize()
+            recorded = [(zone, rec.time_s, rec.payload)
+                        for zone, rec in sharded.merged_records()
+                        if rec.topic == "app.state"]
+            assert recorded == [("a", 0.5, {"n": 0}),
+                                ("b", 1.5, {"n": 0})]
+            digests.add(sharded.digest())
+            if "n_shards" in executor:
+                # Handlers still receive the published object itself.
+                (delivered,) = results["b"]
+                assert delivered is results["a"]
+        assert len(digests) == 1
+
+
+class TestRelaySharesOneCopy:
+    """The tap normalizes a relayed publish once: the records of one
+    origin telemetry publish in every destination zone hold one payload
+    object, equal to the origin record's. Through worker pipes the
+    copies are equal, not shared."""
+
+    CONFIG = ScaleConfig(devices=800, zones=4, shards=4, horizon_s=100.0,
+                         telemetry_period_s=2.0, link_latency_s=10.0,
+                         barrier_record_every=10)
+
+    def _groups(self, sharded):
+        """Per origin telemetry publish: its origin record's payload and
+        the payloads of its relayed records, which share one arrival
+        time. The merged trace is time-ordered, so both lists are in
+        send order."""
+        origins: dict[str, list] = {}
+        arrivals: dict[str, dict[float, list]] = {}
+        for zone, rec in sharded.merged_records():
+            if not rec.topic.startswith("shard.fleet.telemetry."):
+                continue
+            if rec.topic.endswith("." + zone):
+                origins.setdefault(rec.topic, []).append(rec)
+            else:
+                arrivals.setdefault(rec.topic, {}).setdefault(
+                    rec.time_s, []).append(rec.payload)
+        groups = []
+        for topic, recs in origins.items():
+            for origin, (arrival, payloads) in zip(
+                    recs, arrivals[topic].items()):
+                assert arrival == pytest.approx(
+                    origin.time_s + self.CONFIG.link_latency_s)
+                groups.append((origin.payload, payloads))
+        return groups
+
+    @pytest.mark.parametrize("n_shards", [1, 4])
+    def test_destinations_share_one_payload(self, n_shards):
+        result = run_scale_scenario(self.CONFIG, n_shards=n_shards,
+                                    workers=0)
+        groups = self._groups(result.sharded)
+        assert len(groups) > 100
+        for origin, payloads in groups:
+            assert len(payloads) == self.CONFIG.zones - 1
+            assert all(payload is payloads[0] for payload in payloads)
+            assert payloads[0] == origin
+
+    def test_worker_copies_are_equal(self):
+        result = run_scale_scenario(self.CONFIG, workers=2)
+        groups = self._groups(result.sharded)
+        assert len(groups) > 100
+        for origin, payloads in groups:
+            assert len(payloads) == self.CONFIG.zones - 1
+            assert all(payload == origin for payload in payloads)
+
+
+def _build_silent_zone(ctx, zone: str, args) -> None:
+    """Drops the zone's ``shard.partition.assign`` record, so a context
+    of silent zones starts with an empty merged trace."""
+    ctx.trace.clear()
+
+
+class TestStreamingDigest:
+    """digest() hashes the merged JSONL line by line; it must equal the
+    SHA-256 of ``to_jsonl()`` on both executors."""
+
+    @staticmethod
+    def _sha(text: str) -> str:
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    @pytest.mark.parametrize("workers", EXECUTORS)
+    @pytest.mark.parametrize("jsonl_first", [False, True])
+    def test_digest_is_sha256_of_jsonl(self, workers, jsonl_first):
+        with _fleet_context(2, _zone_names(2), workers, 3) as sharded:
+            sharded.run(until=10.0)
+            if jsonl_first:
+                text = sharded.to_jsonl()
+                digest = sharded.digest()
+            else:
+                digest = sharded.digest()
+                text = sharded.to_jsonl()
+            assert text
+            assert digest == self._sha(text)
+            # Both refresh once run() lands more records.
+            sharded.run(until=20.0)
+            longer = sharded.to_jsonl()
+            assert len(longer) > len(text)
+            assert sharded.digest() == self._sha(longer) != digest
+
+    @pytest.mark.parametrize("workers", EXECUTORS)
+    def test_empty_trace_digests_to_sha256_of_nothing(self, workers):
+        with ShardedContext(seed=0, zones=_zone_names(2), workers=workers,
+                            zone_builder=_build_silent_zone) as sharded:
+            assert sharded.merged_records() == []
+            assert sharded.to_jsonl() == ""
+            assert sharded.digest() == hashlib.sha256(b"").hexdigest()
