@@ -3,7 +3,9 @@
 Each benchmark regenerates one paper artifact (table or figure) from the
 running system. Because pytest captures stdout, the regenerated rows are
 also persisted under ``benchmarks/results/<name>.txt`` so they survive a
-quiet run and feed EXPERIMENTS.md.
+quiet run and feed EXPERIMENTS.md. Wall-clock rows go to a separate
+``<name>.timing.txt`` (:func:`emit_timing`), so every committed file is
+deterministic and a regeneration that changes one is a changed result.
 """
 
 from __future__ import annotations
@@ -21,6 +23,17 @@ def emit(name: str, lines: list[str]) -> str:
     print()
     print(text)
     return text
+
+
+def emit_timing(name: str, lines: list[str]) -> str:
+    """Persist wall-clock *lines* as ``<name>.timing.txt``.
+
+    Timings differ on every run and host, so those files are not
+    committed; the deterministic ``<name>.txt`` carries the returned
+    line pointing at them instead.
+    """
+    emit(f"{name}.timing", lines)
+    return f"(wall-clock rows: {name}.timing.txt, host-dependent)"
 
 
 def table(header: list[str], rows: list[list[str]],

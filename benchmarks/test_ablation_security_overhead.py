@@ -14,7 +14,7 @@ import pytest
 
 from repro.security import Identity, SecureChannel, SecurityLevel
 
-from _report import emit, table
+from _report import emit, emit_timing, table
 
 
 @pytest.fixture(scope="module")
@@ -50,13 +50,16 @@ def test_record_protection_overhead_by_level(channels, benchmark):
     results = benchmark.pedantic(measure_messaging,
                                  args=(channels, 256), rounds=1,
                                  iterations=1)
-    rows = [[level, f"{r['ms_per_msg']:.2f}",
-             str(r["overhead_bytes"])]
-            for level, r in results.items()]
-    lines = ["ABLATION: AEAD record protection per level",
-             "(256-byte telemetry messages, 20 messages)", ""]
-    lines += table(["level", "ms/message", "overhead B"], rows)
-    emit("ablation_security_records", lines)
+    title = ["ABLATION: AEAD record protection per level",
+             "(256-byte telemetry messages, 20 messages)"]
+    note = emit_timing("ablation_security_records", title + [""] + table(
+        ["level", "ms/message"],
+        [[level, f"{r['ms_per_msg']:.2f}"]
+         for level, r in results.items()]))
+    emit("ablation_security_records", title + [note, ""] + table(
+        ["level", "overhead B"],
+        [[level, str(r["overhead_bytes"])]
+         for level, r in results.items()]))
     # All levels carry the same small record overhead (counter + tag);
     # the differentiation is in handshakes and compute.
     for r in results.values():
@@ -122,11 +125,12 @@ def test_tiering_saves_versus_high_everywhere(channels, benchmark):
 
     tiered, all_high = benchmark.pedantic(measure, rounds=1,
                                           iterations=1)
-    lines = ["ABLATION: tiered levels vs HIGH-everywhere",
-             "(mixed traffic: 50 LOW + 10 MEDIUM + 5 HIGH messages)",
-             "",
-             f"tiered:          {tiered * 1e3:.1f} ms",
-             f"HIGH everywhere: {all_high * 1e3:.1f} ms",
-             f"tiering saves:   {(1 - tiered / all_high):.0%}"]
-    emit("ablation_security_tiering", lines)
+    title = ["ABLATION: tiered levels vs HIGH-everywhere",
+             "(mixed traffic: 50 LOW + 10 MEDIUM + 5 HIGH messages)"]
+    note = emit_timing("ablation_security_tiering", title + [
+        "",
+        f"tiered:          {tiered * 1e3:.1f} ms",
+        f"HIGH everywhere: {all_high * 1e3:.1f} ms",
+        f"tiering saves:   {(1 - tiered / all_high):.0%}"])
+    emit("ablation_security_tiering", title + [note])
     assert tiered < all_high

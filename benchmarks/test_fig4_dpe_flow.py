@@ -25,7 +25,7 @@ from repro.dpe.mlir import Base2Type, Interpreter, Module
 from repro.tosca import CsarArchive, ToscaValidator
 from repro.usecases import mobility, telerehab
 
-from _report import emit, table
+from _report import emit, emit_timing, table
 
 
 def run_flow(case, seed=3):
@@ -55,10 +55,13 @@ def test_fig4_flow_per_use_case(case, benchmark):
         run_flow, args=(case,), rounds=1, iterations=1)
     artifact_rows = [[path, str(size)]
                      for path, size in spec.artifact_inventory.items()]
-    lines = [f"FIGURE 4 (reproduced): DPE flow on {scenario.name}", ""]
-    lines += [f"{stage}: {seconds * 1e3:.0f} ms"
-              for stage, seconds in timings.items()]
-    lines += [
+    name = f"fig4_dpe_flow_{scenario.name}"
+    title = f"FIGURE 4 (reproduced): DPE flow on {scenario.name}"
+    lines = [
+        title,
+        emit_timing(name, [title, ""] + [
+            f"{stage}: {seconds * 1e3:.0f} ms"
+            for stage, seconds in timings.items()]),
         "",
         f"step 1 outputs:",
         f"  KPI estimate: {kpis.latency_s * 1e3:.1f} ms / "
@@ -77,7 +80,7 @@ def test_fig4_flow_per_use_case(case, benchmark):
         f"step 3 outputs ({len(spec.csar_bytes)}-byte CSAR):",
     ]
     lines += table(["artifact", "bytes"], artifact_rows)
-    emit(f"fig4_dpe_flow_{scenario.name}", lines)
+    emit(name, lines)
     # The deployment specification must be complete and loadable.
     archive = CsarArchive.from_bytes(spec.csar_bytes)
     assert "meta/operating-points.json" in archive.artifacts

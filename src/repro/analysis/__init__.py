@@ -10,9 +10,10 @@ cache (:mod:`repro.analysis.cache`) and one CLI
   seed derivation from RNG floats or ``hash()``, plus general hygiene
   (mutable defaults, overbroad excepts).
 - **MLIR dataflow analyses** (:mod:`repro.analysis.mlir`) — def-use
-  chains, use-before-def, dead values, CFG liveness and a type/arity
-  checker for ``repro.dpe.mlir`` modules, run after every rewrite
-  pass.
+  chains, dead values and CFG liveness for ``repro.dpe.mlir`` modules,
+  reported with the problems of the IR's one verifier
+  (``repro.dpe.mlir.ir.verify_function``), which the rewrite passes
+  run themselves.
 - **static TOSCA/CSAR checking** (:mod:`repro.analysis.tosca_check`)
   — validates templates and archives without deploying them.
 - **topic-flow & DES contracts** (:mod:`repro.analysis.flow`) — a

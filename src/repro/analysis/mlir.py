@@ -1,16 +1,13 @@
 """Dataflow analyses for the mini-MLIR (`repro.dpe.mlir`).
 
-The IR verifier in ``repro.dpe.mlir.ir`` enforces SSA dominance and
-per-op structural rules; this module adds the classic dataflow
-analyses on top: def-use chains, use-before-def and dead-value
-detection, backward liveness over an explicit control-flow graph, and a
-type/arity consistency checker that is stricter than the dialect
-verifiers (element kinds for arith ops, result types of base2/select,
-cmp operand agreement).
-
-``check_function`` combines the blocking analyses and is invoked from
-``repro.dpe.mlir.passes`` after every rewrite, so each lowering stage
-of the DPE flow is statically checked — not just interpreted.
+The IR's one verifier, ``repro.dpe.mlir.ir.verify_function``, checks
+SSA dominance and runs each op's dialect verifier; the DPE passes call
+it after every rewrite, so each lowering stage of the DPE flow is
+statically checked, not just interpreted. This module adds the classic
+dataflow analyses on top: def-use chains, dead-value detection and
+backward liveness over an explicit control-flow graph.
+``analyze_module`` reports the verifier's problems and the dead values
+as findings.
 """
 
 from __future__ import annotations
@@ -19,21 +16,15 @@ from dataclasses import dataclass, field
 
 from repro.core.errors import CompilationError
 from repro.dpe.mlir.ir import (
-    OP_VERIFIERS,
-    Base2Type,
+    SIDE_EFFECT_PREFIXES,
     Function,
     Module,
     Operation,
-    ScalarType,
-    TensorType,
     Value,
+    verify_function,
 )
 
 from repro.analysis.findings import Finding, Severity, assign_occurrences
-
-#: Ops kept alive regardless of result uses (side effects on channels /
-#: configuration state) — mirrors the DCE rule in passes.py.
-_SIDE_EFFECT_PREFIXES = ("dfg.", "cgra.")
 
 
 # -- def-use chains ----------------------------------------------------------------
@@ -75,36 +66,6 @@ def def_use_chains(function: Function) -> dict[Value, DefUse]:
     return chains
 
 
-def use_before_def(function: Function) -> list[str]:
-    """Report operands read before (or without ever being) defined."""
-    problems: list[str] = []
-    defined: set[int] = {id(a) for a in function.arguments}
-    all_defs: set[int] = set(defined)
-    for op in function.ops:
-        for res in op.results:
-            all_defs.add(id(res))
-    for position, op in enumerate(function.ops):
-        for operand in op.operands:
-            if id(operand) in defined:
-                continue
-            if id(operand) in all_defs:
-                problems.append(
-                    f"{function.name}: op #{position} ({op.name}) uses "
-                    f"%{operand.name} before its definition")
-            else:
-                problems.append(
-                    f"{function.name}: op #{position} ({op.name}) uses "
-                    f"%{operand.name} which is never defined")
-        for res in op.results:
-            defined.add(id(res))
-    for ret in function.returns:
-        if id(ret) not in defined:
-            problems.append(
-                f"{function.name}: returns %{ret.name} which is never "
-                "defined")
-    return problems
-
-
 def dead_values(function: Function) -> list[Value]:
     """Values produced but never consumed nor returned.
 
@@ -116,7 +77,7 @@ def dead_values(function: Function) -> list[Value]:
         if not info.is_dead or info.is_argument:
             continue
         if info.producer is not None and \
-                info.producer.name.startswith(_SIDE_EFFECT_PREFIXES):
+                info.producer.name.startswith(SIDE_EFFECT_PREFIXES):
             continue
         dead.append(info.value)
     return dead
@@ -228,126 +189,12 @@ def cfg_of_function(function: Function) -> ControlFlowGraph:
     return cfg
 
 
-# -- type / arity consistency -------------------------------------------------------
-
-#: op name -> (operand count, result count); None = unconstrained.
-_ARITY: dict[str, tuple[int | None, int | None]] = {
-    "arith.constant": (0, 1),
-    "arith.cmp": (2, 1),
-    "arith.select": (3, 1),
-    "tensor.constant": (0, 1),
-    "tensor.matmul": (2, 1),
-    "tensor.add": (2, 1),
-    "tensor.mul": (2, 1),
-    "tensor.relu": (1, 1),
-    "tensor.reshape": (1, 1),
-    "base2.quantize": (1, 1),
-    "base2.dequantize": (1, 1),
-    "base2.add": (2, 1),
-    "base2.mul": (2, 1),
-    "base2.matmul": (2, 1),
-    "base2.relu": (1, 1),
-}
-for _name in ("arith.addi", "arith.subi", "arith.muli", "arith.addf",
-              "arith.subf", "arith.mulf", "arith.divf", "arith.maxf",
-              "arith.minf"):
-    _ARITY[_name] = (2, 1)
-
-_INT_ARITH = frozenset({"arith.addi", "arith.subi", "arith.muli"})
-_FLOAT_ARITH = frozenset({"arith.addf", "arith.subf", "arith.mulf",
-                          "arith.divf", "arith.maxf", "arith.minf"})
-
-
-def _element_of(type_):
-    return type_.element if isinstance(type_, TensorType) else type_
-
-
-def check_types(function: Function) -> list[str]:
-    """Arity + type consistency beyond the dialect verifiers.
-
-    Runs the registered per-op verifier, then checks the stricter rules
-    the dialects leave open: scalar kind of arith int/float ops, cmp
-    operand agreement, select result type, and base2 result elements.
-    """
-    problems: list[str] = []
-
-    def bad(op: Operation, message: str) -> None:
-        problems.append(f"{function.name}: {op.name}: {message}")
-
-    for op in function.ops:
-        arity = _ARITY.get(op.name)
-        if arity is not None:
-            want_operands, want_results = arity
-            if want_operands is not None \
-                    and len(op.operands) != want_operands:
-                bad(op, f"expects {want_operands} operands, has "
-                        f"{len(op.operands)}")
-                continue
-            if want_results is not None \
-                    and len(op.results) != want_results:
-                bad(op, f"expects {want_results} results, has "
-                        f"{len(op.results)}")
-                continue
-        verifier = OP_VERIFIERS.get(op.name)
-        if verifier is not None:
-            try:
-                verifier(op)
-            except CompilationError as exc:
-                bad(op, str(exc))
-                continue
-        if op.name in _INT_ARITH or op.name in _FLOAT_ARITH:
-            elem = _element_of(op.operands[0].type)
-            if isinstance(elem, ScalarType):
-                if op.name in _INT_ARITH and not elem.is_integer:
-                    bad(op, f"integer arith on non-integer type {elem}")
-                if op.name in _FLOAT_ARITH and not elem.is_float:
-                    bad(op, f"float arith on non-float type {elem}")
-        elif op.name == "arith.cmp":
-            lhs, rhs = op.operands
-            if lhs.type != rhs.type:
-                bad(op, f"cmp operand types differ: {lhs.type} vs "
-                        f"{rhs.type}")
-        elif op.name == "arith.select":
-            if op.results[0].type != op.operands[1].type:
-                bad(op, "select result type must match branch type")
-        elif op.name in ("base2.add", "base2.mul", "base2.matmul",
-                         "base2.relu"):
-            elem = _element_of(op.results[0].type)
-            if not isinstance(elem, Base2Type):
-                bad(op, f"base2 op result element is {elem}, "
-                        "expected a base2 type")
-        elif op.name == "base2.dequantize":
-            elem = _element_of(op.results[0].type)
-            if isinstance(elem, Base2Type):
-                bad(op, "dequantize result must be a float/scalar type")
-    return problems
-
-
-# -- combined checks (the pass entry points) ------------------------------------------
-
-
-def check_function(function: Function) -> list[str]:
-    """Blocking checks: use-before-def + type/arity consistency."""
-    return use_before_def(function) + check_types(function)
-
-
-def check_module(module: Module) -> None:
-    """Raise :class:`CompilationError` when any function fails."""
-    problems: list[str] = []
-    for function in module.functions.values():
-        problems += check_function(function)
-    if problems:
-        raise CompilationError(
-            f"module {module.name!r} failed dataflow checks: "
-            + "; ".join(problems))
-
-
 def analyze_module(module: Module) -> list[Finding]:
     """Full report as findings (blocking problems + dead-value warnings)."""
     findings: list[Finding] = []
     for function in module.functions.values():
         path = f"mlir:{module.name}/{function.name}"
-        for problem in check_function(function):
+        for problem in verify_function(function):
             findings.append(Finding(
                 tool="mlir", rule="dataflow", path=path, line=0,
                 message=problem, severity=Severity.ERROR,

@@ -1,14 +1,20 @@
-"""Dialect definitions: arith, tensor, base2 and their verifiers.
+"""Dialect definitions: arith, tensor, base2, dfg, cgra and their verifiers.
 
-Each op is registered with a structural verifier; the interpreter in
-:mod:`repro.dpe.mlir.interp` gives them executable semantics so every
+Each op is registered with its verifier, the one home of the op's rules:
+:func:`repro.dpe.mlir.ir.verify_function` runs it on every op. A
+verifier checks the operand and result counts first, so the op's type
+rules after it can index both safely. The interpreter in
+:mod:`repro.dpe.mlir.interp` gives the ops executable semantics so every
 lowering can be checked for functional equivalence.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.core.errors import CompilationError
 from repro.dpe.mlir.ir import (
+    I1,
     Base2Type,
     Operation,
     ScalarType,
@@ -16,9 +22,7 @@ from repro.dpe.mlir.ir import (
     register_op,
 )
 
-
-def _same_type(a, b) -> bool:
-    return a == b
+Rule = Callable[[Operation], None]
 
 
 def _require(cond: bool, message: str) -> None:
@@ -26,70 +30,99 @@ def _require(cond: bool, message: str) -> None:
         raise CompilationError(message)
 
 
-# -- arith dialect ----------------------------------------------------------------
+def _element(type_):
+    """A tensor's element type; a scalar or base2 type is its own."""
+    return type_.element if isinstance(type_, TensorType) else type_
 
 
-def _verify_binary_same(op: Operation) -> None:
-    _require(len(op.operands) == 2, "needs exactly two operands")
-    _require(len(op.results) == 1, "produces exactly one result")
-    lhs, rhs = op.operands
-    _require(_same_type(lhs.type, rhs.type),
-             f"operand types differ: {lhs.type} vs {rhs.type}")
-    _require(_same_type(lhs.type, op.results[0].type),
-             "result type must match operand type")
+def _verifier(operands: int, results: int, *rules: Rule) -> Rule:
+    """An op verifier: the operand and result counts, then *rules*."""
+
+    def verify(op: Operation) -> None:
+        _require(len(op.operands) == operands,
+                 f"expects {operands} operands, has {len(op.operands)}")
+        _require(len(op.results) == results,
+                 f"expects {results} results, has {len(op.results)}")
+        for rule in rules:
+            rule(op)
+
+    return verify
 
 
-def _verify_const(op: Operation) -> None:
-    _require(len(op.operands) == 0, "constants take no operands")
+def _constant(op: Operation) -> None:
     _require("value" in op.attributes, "constant needs a 'value' attribute")
 
 
-def _verify_cmp(op: Operation) -> None:
-    _require(len(op.operands) == 2, "needs exactly two operands")
+# -- arith dialect ----------------------------------------------------------------
+
+
+def _same_types(op: Operation) -> None:
+    lhs, rhs = op.operands
+    _require(lhs.type == rhs.type,
+             f"operand types differ: {lhs.type} vs {rhs.type}")
+    _require(lhs.type == op.results[0].type,
+             "result type must match operand type")
+
+
+def _integer_kind(op: Operation) -> None:
+    elem = _element(op.operands[0].type)
+    _require(not isinstance(elem, ScalarType) or elem.is_integer,
+             f"integer arith on non-integer type {elem}")
+
+
+def _float_kind(op: Operation) -> None:
+    elem = _element(op.operands[0].type)
+    _require(not isinstance(elem, ScalarType) or elem.is_float,
+             f"float arith on non-float type {elem}")
+
+
+def _cmp(op: Operation) -> None:
     _require(op.attributes.get("predicate") in
              ("eq", "ne", "lt", "le", "gt", "ge"),
              "cmp needs a valid 'predicate' attribute")
-    _require(op.results[0].type == ScalarType("i1"),
-             "cmp result must be i1")
+    lhs, rhs = op.operands
+    _require(lhs.type == rhs.type,
+             f"cmp operand types differ: {lhs.type} vs {rhs.type}")
+    _require(op.results[0].type == I1, "cmp result must be i1")
 
 
-def _verify_select(op: Operation) -> None:
-    _require(len(op.operands) == 3, "select takes cond, a, b")
-    _require(op.operands[0].type == ScalarType("i1"),
-             "select condition must be i1")
-    _require(_same_type(op.operands[1].type, op.operands[2].type),
+def _select(op: Operation) -> None:
+    cond, then, other = op.operands
+    _require(cond.type == I1, "select condition must be i1")
+    _require(then.type == other.type,
              "select branches must have the same type")
+    _require(op.results[0].type == then.type,
+             "select result type must match branch type")
 
 
-for _name in ("arith.addi", "arith.subi", "arith.muli",
-              "arith.addf", "arith.subf", "arith.mulf", "arith.divf",
+for _name in ("arith.addi", "arith.subi", "arith.muli"):
+    register_op(_name, _verifier(2, 1, _same_types, _integer_kind))
+for _name in ("arith.addf", "arith.subf", "arith.mulf", "arith.divf",
               "arith.maxf", "arith.minf"):
-    register_op(_name, _verify_binary_same)
-register_op("arith.constant", _verify_const)
-register_op("arith.cmp", _verify_cmp)
-register_op("arith.select", _verify_select)
+    register_op(_name, _verifier(2, 1, _same_types, _float_kind))
+register_op("arith.constant", _verifier(0, 1, _constant))
+register_op("arith.cmp", _verifier(2, 1, _cmp))
+register_op("arith.select", _verifier(3, 1, _select))
 
 
 # -- tensor dialect (NN kernels; the torch-MLIR/ONNX entry point) -------------------
 
 
-def _verify_matmul(op: Operation) -> None:
-    _require(len(op.operands) == 2, "matmul takes two operands")
-    a, b = op.operands
-    _require(isinstance(a.type, TensorType) and isinstance(b.type, TensorType),
+def _matmul(op: Operation) -> None:
+    a, b = (operand.type for operand in op.operands)
+    _require(isinstance(a, TensorType) and isinstance(b, TensorType),
              "matmul operands must be tensors")
-    _require(len(a.type.shape) == 2 and len(b.type.shape) == 2,
+    _require(len(a.shape) == 2 and len(b.shape) == 2,
              "matmul needs rank-2 tensors")
-    _require(a.type.shape[1] == b.type.shape[0],
-             f"matmul inner dims differ: {a.type.shape} x {b.type.shape}")
+    _require(a.shape[1] == b.shape[0],
+             f"matmul inner dims differ: {a.shape} x {b.shape}")
     result = op.results[0].type
     _require(isinstance(result, TensorType)
-             and result.shape == (a.type.shape[0], b.type.shape[1]),
+             and result.shape == (a.shape[0], b.shape[1]),
              "matmul result shape mismatch")
 
 
-def _verify_elementwise(op: Operation) -> None:
-    _require(len(op.operands) >= 1, "needs at least one operand")
+def _elementwise(op: Operation) -> None:
     first = op.operands[0].type
     _require(isinstance(first, TensorType), "operands must be tensors")
     for other in op.operands[1:]:
@@ -98,8 +131,7 @@ def _verify_elementwise(op: Operation) -> None:
              "elementwise result type mismatch")
 
 
-def _verify_reshape(op: Operation) -> None:
-    _require(len(op.operands) == 1, "reshape takes one operand")
+def _reshape(op: Operation) -> None:
     src = op.operands[0].type
     dst = op.results[0].type
     _require(isinstance(src, TensorType) and isinstance(dst, TensorType),
@@ -108,54 +140,49 @@ def _verify_reshape(op: Operation) -> None:
              "reshape must preserve element count")
 
 
-register_op("tensor.matmul", _verify_matmul)
-register_op("tensor.add", _verify_elementwise)
-register_op("tensor.mul", _verify_elementwise)
-register_op("tensor.relu", _verify_elementwise)
-register_op("tensor.reshape", _verify_reshape)
-register_op("tensor.constant", _verify_const)
+register_op("tensor.matmul", _verifier(2, 1, _matmul))
+register_op("tensor.add", _verifier(2, 1, _elementwise))
+register_op("tensor.mul", _verifier(2, 1, _elementwise))
+register_op("tensor.relu", _verifier(1, 1, _elementwise))
+register_op("tensor.reshape", _verifier(1, 1, _reshape))
+register_op("tensor.constant", _verifier(0, 1, _constant))
 
 
 # -- base2 dialect (fixed-point numerals [25]) ----------------------------------------
 
 
-def _verify_quantize(op: Operation) -> None:
-    _require(len(op.operands) == 1, "quantize takes one operand")
-    dst = op.results[0].type
-    elem = dst.element if isinstance(dst, TensorType) else dst
-    _require(isinstance(elem, Base2Type),
+def _quantize(op: Operation) -> None:
+    _require(isinstance(_element(op.results[0].type), Base2Type),
              "quantize result must be a base2 type")
 
 
-def _verify_dequantize(op: Operation) -> None:
-    _require(len(op.operands) == 1, "dequantize takes one operand")
-    src = op.operands[0].type
-    elem = src.element if isinstance(src, TensorType) else src
-    _require(isinstance(elem, Base2Type),
+def _dequantize(op: Operation) -> None:
+    _require(isinstance(_element(op.operands[0].type), Base2Type),
              "dequantize operand must be a base2 type")
+    _require(not isinstance(_element(op.results[0].type), Base2Type),
+             "dequantize result must be a float/scalar type")
 
 
-def _verify_fixed_binary(op: Operation) -> None:
-    _require(len(op.operands) == 2, "needs exactly two operands")
+def _fixed_point(op: Operation) -> None:
     for operand in op.operands:
-        t = operand.type
-        elem = t.element if isinstance(t, TensorType) else t
-        _require(isinstance(elem, Base2Type),
+        _require(isinstance(_element(operand.type), Base2Type),
                  "fixed-point op needs base2 operands")
+    elem = _element(op.results[0].type)
+    _require(isinstance(elem, Base2Type),
+             f"base2 op result element is {elem}, expected a base2 type")
 
 
-register_op("base2.quantize", _verify_quantize)
-register_op("base2.dequantize", _verify_dequantize)
-register_op("base2.add", _verify_fixed_binary)
-register_op("base2.mul", _verify_fixed_binary)
-register_op("base2.matmul", _verify_fixed_binary)
-register_op("base2.relu", lambda op: None)
+register_op("base2.quantize", _verifier(1, 1, _quantize))
+register_op("base2.dequantize", _verifier(1, 1, _dequantize))
+for _name in ("base2.add", "base2.mul", "base2.matmul"):
+    register_op(_name, _verifier(2, 1, _fixed_point))
+register_op("base2.relu", _verifier(1, 1, _fixed_point))
 
 
 # -- dfg dialect markers (graph structure lives in repro.dpe.mlir.dataflow) ------------
 
-register_op("dfg.push", lambda op: None)
-register_op("dfg.pull", lambda op: None)
+register_op("dfg.push")
+register_op("dfg.pull")
 
 
 # -- cgra dialect ------------------------------------------------------------------

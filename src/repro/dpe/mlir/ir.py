@@ -4,8 +4,9 @@ The DPE's node-level optimization step builds "a common interoperability
 framework based on MLIR" (paper Sec. V) with dialects for dataflow
 (dfg-mlir), binary numeral types (base2) and CGRAs (cgra-mlir). This
 module provides the IR core those dialects plug into: types, SSA values,
-operations with attributes, functions, modules, a builder, and a
-verifier enforcing SSA dominance and per-op type rules.
+operations with attributes, functions, modules, a builder, and the IR's
+one verifier: SSA dominance here, each op's rules in the verifier its
+dialect registers.
 """
 
 from __future__ import annotations
@@ -238,6 +239,12 @@ class Builder:
 #: name -> (verify_fn(op) -> None). Dialect modules register here.
 OP_VERIFIERS: dict[str, Callable[[Operation], None]] = {}
 
+#: Name prefixes of the dialects whose ops act on channels (dfg) or on
+#: configuration state (cgra): dead-code elimination keeps them, the
+#: dead-value analysis ignores their unread results, and HLS prices
+#: none of them.
+SIDE_EFFECT_PREFIXES = ("dfg.", "cgra.")
+
 
 def register_op(name: str,
                 verifier: Callable[[Operation], None] | None = None) -> None:
@@ -246,28 +253,41 @@ def register_op(name: str,
 
 
 def verify_function(function: Function) -> list[str]:
-    """SSA dominance + per-op checks; returns a list of problems."""
+    """The IR's one verifier; returns every problem it finds.
+
+    A single walk reports operands read before their defining op or
+    never defined at all, returns of undefined values, unregistered
+    ops, and whatever each op's registered dialect verifier rejects.
+    """
     problems: list[str] = []
+    name = function.name
     defined: set[int] = {id(a) for a in function.arguments}
-    for op in function.ops:
+    for position, op in enumerate(function.ops):
         for operand in op.operands:
-            if id(operand) not in defined:
+            if id(operand) in defined:
+                continue
+            where = f"{name}: op #{position} ({op.name}) uses"
+            if any(operand in later.results
+                   for later in function.ops[position:]):
                 problems.append(
-                    f"{function.name}: op {op.name} uses undefined value "
-                    f"%{operand.name}")
-        if op.name not in OP_VERIFIERS:
-            problems.append(f"{function.name}: unregistered op {op.name}")
+                    f"{where} %{operand.name} before its definition")
+            else:
+                problems.append(f"{where} undefined value "
+                                f"%{operand.name} (never defined)")
+        verifier = OP_VERIFIERS.get(op.name)
+        if verifier is None:
+            problems.append(f"{name}: unregistered op {op.name}")
         else:
             try:
-                OP_VERIFIERS[op.name](op)
+                verifier(op)
             except CompilationError as exc:
-                problems.append(f"{function.name}: {op.name}: {exc}")
+                problems.append(f"{name}: {op.name}: {exc}")
         for res in op.results:
             defined.add(id(res))
     for ret in function.returns:
         if id(ret) not in defined:
-            problems.append(
-                f"{function.name}: returns undefined value %{ret.name}")
+            problems.append(f"{name}: returns undefined value "
+                            f"%{ret.name} (never defined)")
     return problems
 
 

@@ -14,13 +14,14 @@ import numpy as np
 
 from repro.core.errors import CompilationError
 from repro.dpe.mlir.ir import (
+    SIDE_EFFECT_PREFIXES,
     Base2Type,
     Function,
     Module,
     Operation,
-    ScalarType,
     TensorType,
     Value,
+    verify_function,
 )
 from repro.dpe.mlir.interp import Interpreter
 
@@ -101,12 +102,13 @@ def _hashable(value: Any):
 
 
 def eliminate_dead_code(function: Function) -> int:
-    """Drop ops whose results are never used; returns ops removed."""
+    """Drop unused ops free of side effects; returns ops removed."""
     live: set[int] = {id(v) for v in function.returns}
     kept_reversed: list[Operation] = []
     removed = 0
     for op in reversed(function.ops):
-        if any(id(r) in live for r in op.results) or op.name.startswith("dfg."):
+        if any(id(r) in live for r in op.results) \
+                or op.name.startswith(SIDE_EFFECT_PREFIXES):
             kept_reversed.append(op)
             for operand in op.operands:
                 live.add(id(operand))
@@ -179,16 +181,14 @@ def simplify_algebraic(function: Function) -> int:
 
 
 def statically_check(function: Function) -> None:
-    """Run the dataflow analyses; raise when the function is broken.
+    """Verify a pass's output; raise when the function is broken.
 
     Every pass calls this on its output, so a rewrite that produces a
     use-before-def or a type inconsistency fails immediately at the
     stage that introduced it instead of surfacing as a wrong number in
     the interpreter (or not at all).
     """
-    from repro.analysis.mlir import check_function
-
-    problems = check_function(function)
+    problems = verify_function(function)
     if problems:
         raise CompilationError(
             f"pass output failed static checks: " + "; ".join(problems))

@@ -36,6 +36,7 @@ from repro.mirto.placement import (
     PlacementStrategy,
     SolveSession,
     _DEFAULT_ENERGY_WEIGHT,
+    _objective,
     _warm_incumbent,
     placement_cost,
 )
@@ -92,9 +93,9 @@ class _ExactSession(SolveSession):
         for task in tasks:
             devices = strategy._eligible_or_raise(task, infra,
                                                   request.constraints)
-            devices.sort(key=lambda d: (
-                (1 - w) * d.estimate_duration(task)
-                + w * d.estimate_energy(task) / 100.0, d.name))
+            devices.sort(key=lambda d: (_objective(
+                d.estimate_duration(task), d.estimate_energy(task), w),
+                d.name))
             self._options.append(devices)
         self._min_dur = [
             min(d.estimate_duration(t) for d in opts)
@@ -186,8 +187,8 @@ class _ExactSession(SolveSession):
             future[task.name] = end
             if end > lb_makespan:
                 lb_makespan = end
-        return (1 - self._w) * lb_makespan \
-            + self._w * (energy + self._suffix_energy[depth + 1]) / 100.0
+        return _objective(lb_makespan,
+                          energy + self._suffix_energy[depth + 1], self._w)
 
     # -- DFS state machine --------------------------------------------------
 

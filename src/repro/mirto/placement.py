@@ -174,6 +174,14 @@ def estimate_placement_kpis(application: Application,  # perf: hot
 _DEFAULT_ENERGY_WEIGHT = 0.3
 
 
+def _objective(latency: float, energy: float, energy_weight: float
+               ) -> float:
+    """``latency * (1 - w) + w * energy / 100``: the one formula behind
+    every solver's cost, the exact search's child order and its lower
+    bound, so all of them round alike."""
+    return latency * (1 - energy_weight) + energy_weight * energy / 100.0
+
+
 def placement_cost(application: Application,
                    infrastructure: Infrastructure,
                    assignment: dict[str, str], *,
@@ -191,7 +199,7 @@ def placement_cost(application: Application,
     latency, energy = estimate_placement_kpis(
         application, Placement(dict(assignment), strategy),
         infrastructure, source_device)
-    return latency * (1 - energy_weight) + energy_weight * energy / 100.0
+    return _objective(latency, energy, energy_weight)
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,6 @@ deterministic ``(epoch, zone_rank, seq)`` delivery order.
 from __future__ import annotations
 
 import hashlib
-import json
 from collections import deque
 from operator import itemgetter
 from pathlib import Path
@@ -57,7 +56,7 @@ from repro.obs.metrics import METRICS_TOPIC, MetricsRegistry, payload_delta
 from repro.obs.profiler import SHARD_PROFILE_TOPIC, ShardProfiler
 from repro.obs.spans import SPAN_TOPIC, SpanContext, _RelayScope
 from repro.runtime.context import RuntimeContext
-from repro.runtime.trace import TraceRecord, jsonify
+from repro.runtime.trace import TraceRecord, canonical_json, jsonify
 
 _INF = float("inf")
 
@@ -957,7 +956,7 @@ class ShardedContext:
                    "topic": rec.topic, "payload": rec.payload}
             if rec.span is not None:
                 obj["span"] = rec.span
-            yield json.dumps(obj, sort_keys=True, separators=(",", ":"))
+            yield canonical_json(obj)
 
     def to_jsonl(self) -> str:
         """The merged trace as deterministic JSONL (global seq, zone tag)."""
@@ -982,10 +981,9 @@ class ShardedContext:
             if "profile" in snapshot:
                 rows.append((SHARD_PROFILE_TOPIC, snapshot["profile"]))
             for topic, payload in rows:
-                lines.append(json.dumps(
+                lines.append(canonical_json(
                     {"seq": seq, "time_s": self._now, "topic": topic,
-                     "payload": payload}, sort_keys=True,
-                    separators=(",", ":")))
+                     "payload": payload}))
                 seq += 1
             text = "\n".join(lines)
         Path(path).write_text(text + ("\n" if text else ""))

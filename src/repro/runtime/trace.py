@@ -22,6 +22,13 @@ from repro.core.errors import ConfigurationError
 from repro.core.events import topic_matches
 
 
+#: The one renderer of trace rows as JSON text: sorted keys, no spaces.
+#: ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` builds
+#: exactly this encoder on every call; one shared instance renders the
+#: same bytes without the per-row construction.
+canonical_json = json.JSONEncoder(sort_keys=True,
+                                  separators=(",", ":")).encode
+
 # Exact types the fast path passes through untouched. Subclasses (bool
 # aside — it IS one of these) deliberately miss: an IntEnum or numpy
 # scalar must take the slow path so its normalization stays identical
@@ -129,7 +136,7 @@ class TraceRecord:
                "payload": self.payload}
         if self.span is not None:
             obj["span"] = self.span
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        return canonical_json(obj)
 
 
 class TraceRecorder:

@@ -5,26 +5,32 @@ import pytest
 from repro.core.errors import CompilationError
 from repro.dpe.mlir import (
     Builder,
+    CgraModel,
     F32,
     I32,
     Module,
     canonicalize,
+    emit_config_op,
+    map_function,
     quantize_to_base2,
 )
-from repro.dpe.mlir.ir import I1, Base2Type, Operation, TensorType, Value
+from repro.dpe.mlir.ir import (
+    I1,
+    Base2Type,
+    Operation,
+    TensorType,
+    Value,
+    verify_function,
+    verify_module,
+)
 from repro.analysis.findings import Severity
 from repro.analysis.mlir import (
-    Block,
     ControlFlowGraph,
     analyze_module,
     cfg_of_function,
-    check_function,
-    check_module,
-    check_types,
     dead_values,
     def_use_chains,
     liveness,
-    use_before_def,
 )
 
 
@@ -80,7 +86,7 @@ class TestDefUse:
 class TestUseBeforeDef:
     def test_clean_function_passes(self):
         _, func = simple_function()
-        assert use_before_def(func) == []
+        assert verify_function(func) == []
 
     def test_deliberately_broken_module_caught(self):
         module = Module("broken")
@@ -89,11 +95,11 @@ class TestUseBeforeDef:
         op = make_op("arith.addi", [builder.args[0], phantom], [I32])
         module.function("f").ops.append(op)
         module.function("f").returns = [op.results[0]]
-        problems = use_before_def(module.function("f"))
+        problems = verify_function(module.function("f"))
         assert len(problems) == 1
         assert "never defined" in problems[0]
         with pytest.raises(CompilationError):
-            check_module(module)
+            verify_module(module)
 
     def test_use_before_definition_order(self):
         module = Module("m")
@@ -105,7 +111,7 @@ class TestUseBeforeDef:
         func = module.function("f")
         func.ops = [early, late]
         func.returns = [early.results[0]]
-        problems = use_before_def(func)
+        problems = verify_function(func)
         assert any("before its definition" in p for p in problems)
 
     def test_undefined_return_caught(self):
@@ -113,7 +119,7 @@ class TestUseBeforeDef:
         Builder(module, "f", [I32])
         func = module.function("f")
         func.returns = [Value(I32, "ghost")]
-        problems = use_before_def(func)
+        problems = verify_function(func)
         assert any("never defined" in p for p in problems)
 
 
@@ -191,7 +197,7 @@ class TestTypeChecker:
         builder = Builder(module, "f", [F32, F32])
         builder.op("arith.addi", list(builder.args), [F32])
         builder.ret([])
-        problems = check_types(module.function("f"))
+        problems = verify_function(module.function("f"))
         assert any("non-integer" in p for p in problems)
 
     def test_float_arith_on_integer_flagged(self):
@@ -199,7 +205,7 @@ class TestTypeChecker:
         builder = Builder(module, "f", [I32, I32])
         builder.op("arith.mulf", list(builder.args), [I32])
         builder.ret([])
-        problems = check_types(module.function("f"))
+        problems = verify_function(module.function("f"))
         assert any("non-float" in p for p in problems)
 
     def test_arity_mismatch_flagged(self):
@@ -208,7 +214,7 @@ class TestTypeChecker:
         func = module.function("f")
         bad = make_op("arith.addi", [builder.args[0]], [I32])
         func.ops.append(bad)
-        problems = check_types(func)
+        problems = verify_function(func)
         assert any("expects 2 operands" in p for p in problems)
 
     def test_cmp_operand_mismatch_flagged(self):
@@ -216,7 +222,7 @@ class TestTypeChecker:
         builder = Builder(module, "f", [I32, F32])
         builder.op("arith.cmp", list(builder.args), [I1],
                    {"predicate": "eq"})
-        problems = check_types(module.function("f"))
+        problems = verify_function(module.function("f"))
         assert any("operand types differ" in p for p in problems)
 
     def test_matmul_shape_mismatch_flagged(self):
@@ -226,7 +232,7 @@ class TestTypeChecker:
         builder = Builder(module, "f", [t_a, t_bad])
         builder.op("tensor.matmul", list(builder.args),
                    [TensorType((2, 5), F32)])
-        problems = check_types(module.function("f"))
+        problems = verify_function(module.function("f"))
         assert any("inner dims differ" in p for p in problems)
 
     def test_base2_result_element_checked(self):
@@ -234,12 +240,12 @@ class TestTypeChecker:
         fixed = Base2Type(8, 4)
         builder = Builder(module, "f", [fixed, fixed])
         builder.op("base2.add", list(builder.args), [F32])  # wrong
-        problems = check_types(module.function("f"))
+        problems = verify_function(module.function("f"))
         assert any("expected a base2" in p for p in problems)
 
     def test_clean_function_has_no_problems(self):
         _, func = simple_function()
-        assert check_types(func) == []
+        assert verify_function(func) == []
 
 
 class TestPassWiring:
@@ -256,6 +262,23 @@ class TestPassWiring:
         totals = canonicalize(func)
         assert totals["dce"] >= 1  # the planted dead add is removed
 
+    def test_canonicalize_keeps_cgra_config(self):
+        """DCE and the dead-value analysis share one side-effect rule:
+        a mapped function's cgra.config op survives canonicalize."""
+        module = Module("m")
+        builder = Builder(module, "f", [I32, I32])
+        a, b = builder.args
+        add = builder.op("arith.addi", [a, b], [I32])
+        mul = builder.op("arith.muli", [add.result(), a], [I32])
+        builder.ret([mul.result()])
+        config_op = emit_config_op(
+            module, map_function(module, "f", CgraModel(2, 2)))
+        func = module.function("f")
+        assert dead_values(func) == []
+        assert canonicalize(func)["dce"] == 0
+        assert config_op in func.ops
+        assert dead_values(func) == []
+
     def test_quantize_output_statically_checked(self):
         module = Module("m")
         t = TensorType((2, 2), F32)
@@ -263,7 +286,7 @@ class TestPassWiring:
         mm = builder.op("tensor.matmul", list(builder.args), [t])
         builder.ret([mm.result()])
         fixed_fn = quantize_to_base2(module, "net", Base2Type(16, 8))
-        assert check_function(fixed_fn) == []
+        assert verify_function(fixed_fn) == []
 
 
 class TestAnalyzeModule:

@@ -1,7 +1,11 @@
 """Tests for ADT synthesis, FREVO evolution, HLS/MDC, ONNX flow and the
 full three-step DPE pipeline."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +44,8 @@ from repro.dpe.mlir import (
 from repro.dpe.modeling import _pseudo_bitstream
 from repro.security.primitives import sha2
 from repro.tosca import CsarArchive, ToscaValidator
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def sha2_filler(header: bytes, seed: bytes, size: int) -> bytes:
@@ -390,6 +396,23 @@ class TestDesignFlow:
         assert all(p["latency_s"] > 0 for p in points)
         if len(points) >= 2:
             assert points[0]["latency_s"] <= points[-1]["latency_s"]
+
+    def test_flow_loads_no_lint_tool(self):
+        """Verifying IR is the mini-MLIR's own job: a fresh interpreter
+        that runs the whole flow never imports ``repro.analysis``."""
+        probe = (
+            "import sys\n"
+            "from repro.dpe import DesignFlow\n"
+            "from repro.usecases import telerehab\n"
+            "DesignFlow(seed=0).run(telerehab.build_scenario(),"
+            " telerehab.build_adt(), defence_budget=8.0)\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.split('.')[:2] == ['repro', 'analysis']))\n")
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def test_flow_without_adt(self):
         spec = DesignFlow(seed=0).run(telerehab_scenario())

@@ -24,7 +24,7 @@ from repro.dpe.mlir import (
     quantize_to_base2,
     verify_module,
 )
-from repro.dpe.mlir.ir import verify_function
+from repro.dpe.mlir.ir import I1, verify_function
 
 
 def scalar_func(module, name="f"):
@@ -122,6 +122,29 @@ class TestVerifier:
         builder.ret([])
         problems = verify_function(builder.function)
         assert any("inner dims differ" in p for p in problems)
+
+    def test_cmp_without_result_reported(self):
+        module = Module("m")
+        builder = Builder(module, "bad", [I32, I32])
+        builder.op("arith.cmp", list(builder.args), [],
+                   {"predicate": "eq"})
+        builder.ret([])
+        problems = verify_function(builder.function)
+        assert any("expects 1 results, has 0" in p for p in problems)
+
+    @pytest.mark.parametrize("name,operand_types,result_type,message", [
+        ("arith.addi", [F32, F32], F32, "non-integer"),
+        ("arith.cmp", [I32, F32], I1, "operand types differ"),
+    ])
+    def test_module_verify_rejects_operand_kinds(self, name, operand_types,
+                                                 result_type, message):
+        module = Module("m")
+        builder = Builder(module, "bad", operand_types)
+        builder.op(name, list(builder.args), [result_type],
+                   {"predicate": "eq"} if name == "arith.cmp" else {})
+        builder.ret([])
+        with pytest.raises(CompilationError, match=message):
+            verify_module(module)
 
     def test_module_verify_raises(self):
         module = Module("m")
