@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import gc
 import json
+import os
+import platform
 import statistics
 import time
 from dataclasses import dataclass
@@ -157,11 +159,21 @@ def run_all(quick: bool = False, only: list[str] | None = None,
     return results
 
 
+def host_block() -> dict:
+    """The environment the timings were taken on."""
+    import numpy
+    return {"cpus": os.cpu_count(), "python": platform.python_version(),
+            "numpy": numpy.__version__, "platform": platform.platform()}
+
+
 def write_results(results: dict[str, BenchResult],
                   path: str | Path, quick: bool) -> None:
-    """Write ``BENCH_perf.json`` (stable key order, stable schema)."""
+    """Write ``BENCH_perf.json`` (stable key order, stable schema) with
+    the host it was measured on; :func:`compare` reads only the
+    scenarios."""
     payload = {
         "schema": SCHEMA_VERSION,
+        "host": host_block(),
         "mode": "quick" if quick else "full",
         "unit": "ns/op (median of repeats)",
         "scenarios": {name: results[name].to_dict()

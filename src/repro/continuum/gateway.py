@@ -160,10 +160,10 @@ class GatewayHub:
         message = Message(src=src, dst=self.name, topic=topic,
                           payload=payload)
         # Leg 1: sender -> hub, in the sender's protocol.
+        size = len(message.encode())
         yield self.sim.process(self.network.transfer(
-            src, self.name, len(message.encode()),
-            wire_overhead=ingress.wire_bytes(message)
-            - len(message.encode())))
+            src, self.name, size,
+            wire_overhead=ingress.wire_bytes(message) - size))
         processed = self._process(topic, payload)
         if processed is None:
             return None  # filtered by local processing
@@ -214,9 +214,9 @@ class GatewayHub:
                 f"gateway {self.name} dropped message to "
                 f"{message.dst!r} (brownout)")
         wire = egress.wire_bytes(message)
+        size = len(message.encode())
         yield self.sim.process(self.network.transfer(
-            self.name, message.dst, len(message.encode()),
-            wire_overhead=wire - len(message.encode())))
+            self.name, message.dst, size, wire_overhead=wire - size))
         # Span covers only the synchronous completion (record + publish):
         # the transfer above yields into the DES, where an ambient span
         # would leak onto unrelated interleaved events.
@@ -227,7 +227,7 @@ class GatewayHub:
                 src=original_src, dst=message.dst, topic=message.topic,
                 ingress_protocol=ingress_name,
                 egress_protocol=egress.name,
-                payload_bytes=len(message.encode()),
+                payload_bytes=size,
                 wire_bytes=wire, buffered=buffered,
                 delivered_at_s=self.sim.now)
             self.deliveries.append(record)

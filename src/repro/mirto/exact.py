@@ -1,11 +1,13 @@
 """Exact placement: depth-first branch-and-bound with admissible bounds.
 
 The search assigns devices to tasks in the application's topological
-order, mirroring :func:`repro.mirto.placement.estimate_placement_kpis`
-incrementally: because that estimator list-schedules tasks in a fixed
-order, a prefix's finish times never change when the suffix is filled
-in, so the prefix makespan/energy are exact and any completion costs at
-least
+order by pushing them onto one :class:`repro.mirto.placement.ListSchedule`
+and popping them on the way back. That schedule is the cost model
+itself, and it schedules tasks in a fixed order, so a prefix's finish
+times never change when the suffix is filled in: the prefix
+makespan/energy are exact, a leaf's cost is read off the full schedule
+(bit-identical to :func:`~repro.mirto.placement.placement_cost`), and
+any completion costs at least
 
 ``(1 - w) * max(prefix makespan, critical-path LB over remaining tasks)
 + w * (prefix energy + sum of per-task cheapest energies) / 100``
@@ -30,6 +32,7 @@ from __future__ import annotations
 import math
 
 from repro.mirto.placement import (
+    ListSchedule,
     Placement,
     PlacementRequest,
     PlacementResult,
@@ -38,11 +41,7 @@ from repro.mirto.placement import (
     _DEFAULT_ENERGY_WEIGHT,
     _objective,
     _warm_incumbent,
-    placement_cost,
 )
-
-#: Sentinel for "device had no scheduled-free entry before this apply".
-_MISSING = object()
 
 
 class ExactPlacement(PlacementStrategy):
@@ -79,13 +78,13 @@ class _ExactSession(SolveSession):
         self._limit = strategy.node_budget if limit is None else limit
         app = request.application
         infra = request.infrastructure
-        self._transfer = infra.network.estimate_transfer_time
-        self._source = request.constraints.source_device
-        tasks = app.tasks
-        self._tasks = tasks
+        #: The current DFS path's assignments, scheduled in task order
+        #: (pushed on descent, popped on prune, leaf and backtrack).
+        self._prefix = ListSchedule(app, infra,
+                                    request.constraints.source_device)
+        tasks = self._prefix.tasks
         self._n = len(tasks)
         self._preds = {t.name: app.predecessors(t.name) for t in tasks}
-        self._devices = infra.devices
         w = self._w
         # Children ordered by myopic per-task score so the first dive
         # is greedy-ish and the incumbent tightens the bound early.
@@ -105,19 +104,12 @@ class _ExactSession(SolveSession):
             suffix[i] = suffix[i + 1] + min(
                 d.estimate_energy(tasks[i]) for d in self._options[i])
         self._suffix_energy = suffix
-        # Incremental list-schedule state (undone on backtrack).
-        self._assignment: dict[str, str] = {}
-        self._finish: dict[str, float] = {}
-        self._device_free: dict[str, float] = {}
-        self._prefix_mk = [0.0] * (self._n + 1)
-        self._prefix_en = [0.0] * (self._n + 1)
         self._choice = [-1] * self._n
-        self._undo: list[tuple | None] = [None] * self._n
         self._depth = 0
         self._bound = math.inf
         self._complete = self._n == 0
         self._done = self._complete
-        self._root_lb = self._lower_bound(-1, 0.0, 0.0, None, 0.0)
+        self._root_lb = self._lower_bound(0)
         warm = _warm_incumbent(request, self._w)
         if warm is not None:
             self.tighten(warm[1])
@@ -131,51 +123,17 @@ class _ExactSession(SolveSession):
         if bound < self._bound:
             self._bound = bound
 
-    # -- scheduling arithmetic (mirrors estimate_placement_kpis) ------------
+    # -- DFS state machine --------------------------------------------------
 
-    def _schedule(self, depth: int, device) -> tuple[float, float, float]:
-        """(finish, prefix makespan, prefix energy) if *device* runs
-        the depth-th task, without mutating state."""
-        task = self._tasks[depth]
-        device_name = device.name
-        ready = 0.0
-        preds = self._preds[task.name]
-        if not preds and self._source is not None \
-                and self._source != device_name:
-            ready = self._transfer(self._source, device_name,
-                                   task.input_bytes)
-        app = self._request.application
-        for pred in preds:
-            arrival = self._finish[pred]
-            pred_device = self._assignment[pred]
-            if pred_device != device_name:
-                arrival += self._transfer(pred_device, device_name,
-                                          app.edge_bytes(pred,
-                                                         task.name))
-            if arrival > ready:
-                ready = arrival
-        free = self._device_free.get(device_name)
-        if free is None:
-            free = device.backlog_seconds()
-        start = ready if ready > free else free
-        end = start + device.estimate_duration(task)
-        makespan = self._prefix_mk[depth]
-        if end > makespan:
-            makespan = end
-        energy = self._prefix_en[depth] + device.estimate_energy(task)
-        return end, makespan, energy
-
-    def _lower_bound(self, depth: int, makespan: float, energy: float,
-                     candidate_task: str | None,
-                     candidate_end: float) -> float:
-        """Admissible bound on any completion of the current prefix
-        plus the candidate assignment at *depth* (not yet applied)."""
-        finish = self._finish
-        future = {} if candidate_task is None \
-            else {candidate_task: candidate_end}
-        lb_makespan = makespan
-        for j in range(depth + 1, self._n):
-            task = self._tasks[j]
+    def _lower_bound(self, scheduled: int) -> float:
+        """Admissible bound on any completion of the first *scheduled*
+        tasks, as the prefix schedule holds them."""
+        prefix = self._prefix
+        finish = prefix.finish
+        future = {}
+        lb_makespan = prefix.makespan
+        for j in range(scheduled, self._n):
+            task = prefix.tasks[j]
             ready = 0.0
             for pred in self._preds[task.name]:
                 at = finish.get(pred)
@@ -188,44 +146,19 @@ class _ExactSession(SolveSession):
             if end > lb_makespan:
                 lb_makespan = end
         return _objective(lb_makespan,
-                          energy + self._suffix_energy[depth + 1], self._w)
-
-    # -- DFS state machine --------------------------------------------------
-
-    def _apply(self, depth: int, device, end: float, makespan: float,
-               energy: float) -> None:
-        task_name = self._tasks[depth].name
-        device_name = device.name
-        prev_free = self._device_free.get(device_name, _MISSING)
-        self._device_free[device_name] = end
-        self._finish[task_name] = end
-        self._assignment[task_name] = device_name
-        self._prefix_mk[depth + 1] = makespan
-        self._prefix_en[depth + 1] = energy
-        self._undo[depth] = (task_name, device_name, prev_free)
-
-    def _revert(self, depth: int) -> None:
-        task_name, device_name, prev_free = self._undo[depth]
-        if prev_free is _MISSING:
-            del self._device_free[device_name]
-        else:
-            self._device_free[device_name] = prev_free
-        del self._finish[task_name]
-        del self._assignment[task_name]
-        self._undo[depth] = None
+                          prefix.energy + self._suffix_energy[scheduled],
+                          self._w)
 
     def _leaf(self) -> None:
-        # Leaf cost comes from the shared estimator, not the
-        # incremental prefix, so reported costs are bit-identical to
-        # what every other backend computes for the same assignment.
+        # The prefix is the whole schedule now: the same pushes, in the
+        # same order, as placement_cost makes for this assignment, so
+        # the cost is bit-identical to every other backend's.
         self._stats.evaluations += 1
-        cost = placement_cost(
-            self._request.application, self._request.infrastructure,
-            self._assignment, strategy=self._strategy.name,
-            source_device=self._source, energy_weight=self._w)
+        prefix = self._prefix
+        cost = _objective(prefix.makespan, prefix.energy, self._w)
         if cost < self._bound or self._best is None:
             self.tighten(cost)
-            self._offer(Placement(dict(self._assignment),
+            self._offer(Placement(dict(prefix.assignment),
                                   self._strategy.name), cost)
 
     def _advance_one(self) -> bool:
@@ -234,27 +167,25 @@ class _ExactSession(SolveSession):
         depth = self._depth
         if depth < 0:
             return False
-        if self._undo[depth] is not None:
-            self._revert(depth)
+        prefix = self._prefix
         options = self._options[depth]
         index = self._choice[depth] + 1
         if index >= len(options):
             self._choice[depth] = -1
             self._depth = depth - 1
+            if depth:
+                prefix.pop()  # the parent's choice
             return self._depth >= 0
         self._choice[depth] = index
         self._stats.nodes += 1
-        device = options[index]
-        end, makespan, energy = self._schedule(depth, device)
-        lb = self._lower_bound(depth, makespan, energy,
-                               self._tasks[depth].name, end)
-        if lb >= self._bound:
+        prefix.push(options[index])
+        if self._lower_bound(depth + 1) >= self._bound:
             self._stats.pruned += 1
+            prefix.pop()
             return True
-        self._apply(depth, device, end, makespan, energy)
         if depth + 1 == self._n:
             self._leaf()
-            self._revert(depth)
+            prefix.pop()
             return True
         self._depth = depth + 1
         self._choice[self._depth] = -1

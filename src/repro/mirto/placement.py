@@ -114,58 +114,104 @@ class Placement:
         return self.assignment[task_name]
 
 
-def estimate_placement_kpis(application: Application,  # perf: hot
-                            placement: Placement,
-                            infrastructure: Infrastructure,
-                            source_device: str | None = None
-                            ) -> tuple[float, float]:
-    """Analytic (latency, energy) estimate of a placement.
+class ListSchedule:
+    """The one analytic model of a placed DAG: an ASAP list schedule.
 
-    List-schedules the DAG over the assigned devices, including network
-    transfer estimates for cross-device edges — the model the cognitive
-    strategies optimize against before committing. When *source_device*
-    is given, root tasks pay for moving their input data from it (input
-    data originates somewhere concrete — usually an edge sensor).
+    Tasks run in ``application.tasks`` order, each once its inputs have
+    arrived (cross-device edges and, given *source_device*, root inputs
+    pay the network's transfer estimate) and its device is free. A
+    device's free time is seeded lazily with its backlog, so only the
+    devices the schedule touches are consulted. :meth:`push` schedules
+    the next task and :meth:`pop` takes the last one back;
+    ``assignment``, ``finish``, ``makespan`` and ``energy`` describe
+    the scheduled prefix.
     """
-    transfer_of = infrastructure.network.estimate_transfer_time
-    devices = infrastructure.devices
-    # Device availability is seeded lazily with the current backlog so
-    # the estimate is load-aware (interference on a device is visible);
-    # only devices the placement actually touches are consulted.
-    device_free: dict[str, float] = {}
-    finish: dict[str, float] = {}
-    energy = 0.0
-    makespan = 0.0
-    assignment = placement.assignment
-    for task in application.tasks:
+
+    def __init__(self, application: Application,
+                 infrastructure: Infrastructure,
+                 source_device: str | None = None):
+        self.tasks = application.tasks
+        self.assignment: dict[str, str] = {}
+        self.finish: dict[str, float] = {}
+        self.makespan = 0.0
+        self.energy = 0.0
+        self._application = application
+        self._transfer = infrastructure.network.estimate_transfer_time
+        self._source = source_device
+        self._free: dict[str, float] = {}
+        #: Per scheduled task: (previous free time or None, makespan,
+        #: energy) before it was pushed.
+        self._undo: list[tuple[float | None, float, float]] = []
+
+    def push(self, device: Device) -> float:  # perf: hot
+        """Schedule the next task on *device*; return its finish time."""
+        undo = self._undo
+        task = self.tasks[len(undo)]
         name = task.name
-        device = devices[assignment[name]]
         device_name = device.name
+        application = self._application
+        transfer = self._transfer
+        finish = self.finish
+        assignment = self.assignment
         ready = 0.0
         preds = application.predecessors(name)
-        if not preds and source_device is not None \
-                and source_device != device_name:
-            ready = transfer_of(source_device, device_name,
-                                task.input_bytes)
+        if not preds and self._source is not None \
+                and self._source != device_name:
+            ready = transfer(self._source, device_name, task.input_bytes)
         for pred in preds:
             arrival = finish[pred]
             pred_device = assignment[pred]
             if pred_device != device_name:
-                arrival += transfer_of(pred_device, device_name,
-                                       application.edge_bytes(pred, name))
+                arrival += transfer(pred_device, device_name,
+                                    application.edge_bytes(pred, name))
             if arrival > ready:
                 ready = arrival
-        free = device_free.get(device_name)
+        free = self._free.get(device_name)
+        undo.append((free, self.makespan, self.energy))
         if free is None:
             free = device.backlog_seconds()
         start = ready if ready > free else free
         end = start + device.estimate_duration(task)
         finish[name] = end
-        device_free[device_name] = end
-        if end > makespan:
-            makespan = end
-        energy += device.estimate_energy(task)
-    return makespan, energy
+        assignment[name] = device_name
+        self._free[device_name] = end
+        if end > self.makespan:
+            self.makespan = end
+        self.energy += device.estimate_energy(task)
+        return end
+
+    def pop(self) -> None:
+        """Take the last scheduled task back."""
+        free, self.makespan, self.energy = self._undo.pop()
+        name = self.tasks[len(self._undo)].name
+        del self.finish[name]
+        device_name = self.assignment.pop(name)
+        if free is None:
+            del self._free[device_name]
+        else:
+            self._free[device_name] = free
+
+    def end_on(self, device: Device) -> float:
+        """Finish time the next task would have on *device*."""
+        end = self.push(device)
+        self.pop()
+        return end
+
+
+def estimate_placement_kpis(application: Application,  # perf: hot
+                            placement: Placement,
+                            infrastructure: Infrastructure,
+                            source_device: str | None = None
+                            ) -> tuple[float, float]:
+    """Analytic (latency, energy) estimate of a placement: its
+    :class:`ListSchedule`'s makespan and energy — the model the
+    cognitive strategies optimize against before committing."""
+    schedule = ListSchedule(application, infrastructure, source_device)
+    devices = infrastructure.devices
+    assignment = placement.assignment
+    for task in schedule.tasks:
+        schedule.push(devices[assignment[task.name]])
+    return schedule.makespan, schedule.energy
 
 
 #: Objective weight on energy shared by every solver backend; the
@@ -185,7 +231,6 @@ def _objective(latency: float, energy: float, energy_weight: float
 def placement_cost(application: Application,
                    infrastructure: Infrastructure,
                    assignment: dict[str, str], *,
-                   strategy: str = "candidate",
                    source_device: str | None = None,
                    energy_weight: float = _DEFAULT_ENERGY_WEIGHT
                    ) -> float:
@@ -197,7 +242,7 @@ def placement_cost(application: Application,
     costs are directly comparable bit for bit.
     """
     latency, energy = estimate_placement_kpis(
-        application, Placement(dict(assignment), strategy),
+        application, Placement(assignment, "candidate"),
         infrastructure, source_device)
     return _objective(latency, energy, energy_weight)
 
@@ -379,7 +424,6 @@ def _warm_incumbent(request: PlacementRequest, energy_weight: float
         assignment[task.name] = device
     cost = placement_cost(
         request.application, request.infrastructure, assignment,
-        strategy=warm.strategy,
         source_device=request.constraints.source_device,
         energy_weight=energy_weight)
     return Placement(assignment, warm.strategy), cost
@@ -402,7 +446,7 @@ class _OneShotSession(SolveSession):
                                           request.constraints)
         cost = placement_cost(
             request.application, request.infrastructure,
-            placement.assignment, strategy=placement.strategy,
+            placement.assignment,
             source_device=request.constraints.source_device)
         stats = self._stats
         stats.nodes += 1
@@ -621,43 +665,14 @@ class GreedyPlacement(PlacementStrategy):
     name = "greedy"
 
     def _place(self, application, infrastructure, constraints) -> Placement:
-        assignment: dict[str, str] = {}
-        device_free: dict[str, float] = {
-            name: dev.backlog_seconds()
-            for name, dev in infrastructure.devices.items()
-        }
-        finish: dict[str, float] = {}
-        for task in application.tasks:
+        schedule = ListSchedule(application, infrastructure,
+                                constraints.source_device)
+        for task in schedule.tasks:
             devices = self._eligible_or_raise(task, infrastructure,
                                               constraints)
-            best_device = None
-            best_finish = float("inf")
-            for device in devices:
-                ready = 0.0
-                preds = application.predecessors(task.name)
-                if not preds and constraints.source_device is not None \
-                        and constraints.source_device != device.name:
-                    ready = infrastructure.network \
-                        .estimate_transfer_time(
-                            constraints.source_device, device.name,
-                            task.input_bytes)
-                for pred in preds:
-                    arrival = finish[pred]
-                    if assignment[pred] != device.name:
-                        arrival += infrastructure.network \
-                            .estimate_transfer_time(
-                                assignment[pred], device.name,
-                                application.edge_bytes(pred, task.name))
-                    ready = max(ready, arrival)
-                start = max(ready, device_free.get(device.name, 0.0))
-                candidate = start + device.estimate_duration(task)
-                if candidate < best_finish:
-                    best_finish = candidate
-                    best_device = device
-            assignment[task.name] = best_device.name
-            finish[task.name] = best_finish
-            device_free[best_device.name] = best_finish
-        return Placement(assignment, self.name)
+            # min() keeps the first of equal finish times.
+            schedule.push(min(devices, key=schedule.end_on))
+        return Placement(schedule.assignment, self.name)
 
 
 class _CognitiveBase(PlacementStrategy):
@@ -701,7 +716,6 @@ class _CognitiveBase(PlacementStrategy):
         (memo hits are free by design).
         """
         names = [task.name for task in tasks]
-        strategy = self.name
         energy_weight = self.energy_weight
         memo: dict[tuple[int, ...], float] = {}
 
@@ -716,7 +730,7 @@ class _CognitiveBase(PlacementStrategy):
                     assignment[names[i]] = options[i][choice].name
                 score = placement_cost(
                     application, infrastructure, assignment,
-                    strategy=strategy, source_device=source_device,
+                    source_device=source_device,
                     energy_weight=energy_weight)
                 memo[key] = score
             return score

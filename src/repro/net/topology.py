@@ -10,11 +10,14 @@ transfer starts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.core.errors import ConfigurationError, NotFoundError
 from repro.core.graph import dijkstra_paths
-from repro.continuum.simulator import Simulator
 from repro.runtime import RuntimeContext
+
+if TYPE_CHECKING:  # pragma: no cover - repro.continuum imports us
+    from repro.continuum.simulator import Simulator
 
 
 @dataclass

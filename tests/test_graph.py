@@ -3,9 +3,11 @@
 Each property builds a networkx graph in the same insertion order as
 the program's own structure and requires the same answer *and* the
 same order, since task order, routes and findings feed byte-pinned
-outputs. A last test imports every module with networkx blocked.
+outputs. A last test imports every module, each as a process's first
+``repro`` import, with networkx blocked.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -239,18 +241,30 @@ class TestHostingCycleText:
 
 def test_every_module_imports_without_networkx():
     """The runtime needs no networkx: with its import blocked, every
-    module of the package still imports."""
+    module of the package still imports, and each one imports as the
+    first ``repro`` module of a process (every ``repro`` entry is
+    dropped from ``sys.modules`` before each import, so an import cycle
+    that only some entry points close cannot hide behind walk order)."""
     probe = (
-        "import importlib, pkgutil, sys\n"
+        "import importlib, json, pkgutil, sys\n"
         "sys.modules['networkx'] = None\n"
         "import repro\n"
         "names = [m.name for m in pkgutil.walk_packages(repro.__path__,"
         " 'repro.') if not m.name.endswith('__main__')]\n"
+        "failed = []\n"
         "for name in names:\n"
-        "    importlib.import_module(name)\n"
-        "print(len(names))\n")
+        "    for loaded in [m for m in sys.modules"
+        " if m == 'repro' or m.startswith('repro.')]:\n"
+        "        del sys.modules[loaded]\n"
+        "    try:\n"
+        "        importlib.import_module(name)\n"
+        "    except ImportError as exc:\n"
+        "        failed.append(f'{name}: {exc}')\n"
+        "print(json.dumps([len(names), failed]))\n")
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert int(done.stdout) > 100
+    count, failed = json.loads(done.stdout)
+    assert failed == []
+    assert count > 100

@@ -33,6 +33,7 @@ from repro.mirto.placement import (
     AcoPlacement,
     FireflyPlacement,
     GreedyPlacement,
+    ListSchedule,
     Placement,
     PlacementConstraints,
     PlacementRequest,
@@ -41,6 +42,7 @@ from repro.mirto.placement import (
     RoundRobinPlacement,
     SolveBudget,
     eligible_devices,
+    estimate_placement_kpis,
     make_strategy,
     placement_cost,
 )
@@ -383,6 +385,206 @@ class TestSolverProperties:
                 request_for(app, infrastructure, budget=budget))
             runs.append(result.to_json())
         assert runs[0] == runs[1]
+
+
+def _reference_kpis(application, placement, infrastructure,
+                    source_device=None):
+    """The stand-alone KPI loop the shared schedule replaced, verbatim:
+    an oracle for :func:`estimate_placement_kpis`."""
+    transfer_of = infrastructure.network.estimate_transfer_time
+    devices = infrastructure.devices
+    device_free: dict[str, float] = {}
+    finish: dict[str, float] = {}
+    energy = 0.0
+    makespan = 0.0
+    assignment = placement.assignment
+    for task in application.tasks:
+        name = task.name
+        device = devices[assignment[name]]
+        device_name = device.name
+        ready = 0.0
+        preds = application.predecessors(name)
+        if not preds and source_device is not None \
+                and source_device != device_name:
+            ready = transfer_of(source_device, device_name,
+                                task.input_bytes)
+        for pred in preds:
+            arrival = finish[pred]
+            pred_device = assignment[pred]
+            if pred_device != device_name:
+                arrival += transfer_of(pred_device, device_name,
+                                       application.edge_bytes(pred, name))
+            if arrival > ready:
+                ready = arrival
+        free = device_free.get(device_name)
+        if free is None:
+            free = device.backlog_seconds()
+        start = ready if ready > free else free
+        end = start + device.estimate_duration(task)
+        finish[name] = end
+        device_free[device_name] = end
+        if end > makespan:
+            makespan = end
+        energy += device.estimate_energy(task)
+    return makespan, energy
+
+
+def _reference_greedy(application, infrastructure, constraints):
+    """The stand-alone greedy pass the shared schedule replaced,
+    verbatim: an oracle for :class:`GreedyPlacement`."""
+    assignment: dict[str, str] = {}
+    device_free: dict[str, float] = {
+        name: dev.backlog_seconds()
+        for name, dev in infrastructure.devices.items()
+    }
+    finish: dict[str, float] = {}
+    for task in application.tasks:
+        devices = GreedyPlacement()._eligible_or_raise(
+            task, infrastructure, constraints)
+        best_device = None
+        best_finish = float("inf")
+        for device in devices:
+            ready = 0.0
+            preds = application.predecessors(task.name)
+            if not preds and constraints.source_device is not None \
+                    and constraints.source_device != device.name:
+                ready = infrastructure.network \
+                    .estimate_transfer_time(
+                        constraints.source_device, device.name,
+                        task.input_bytes)
+            for pred in preds:
+                arrival = finish[pred]
+                if assignment[pred] != device.name:
+                    arrival += infrastructure.network \
+                        .estimate_transfer_time(
+                            assignment[pred], device.name,
+                            application.edge_bytes(pred, task.name))
+                ready = max(ready, arrival)
+            start = max(ready, device_free.get(device.name, 0.0))
+            candidate = start + device.estimate_duration(task)
+            if candidate < best_finish:
+                best_finish = candidate
+                best_device = device
+        assignment[task.name] = best_device.name
+        finish[task.name] = best_finish
+        device_free[best_device.name] = best_finish
+    return assignment
+
+
+def _loaded_infra(seed):
+    """The reference infrastructure with a random backlog on about half
+    of its devices."""
+    infrastructure = infra()
+    rng = random.Random(seed)
+    for device in infrastructure.devices.values():
+        if rng.random() < 0.5:
+            device.pending_megaops = rng.uniform(1.0, 5000.0)
+    return infrastructure
+
+
+def _schedule_of(app, infrastructure, assignment, source_device):
+    schedule = ListSchedule(app, infrastructure, source_device)
+    for task in schedule.tasks:
+        schedule.push(infrastructure.devices[assignment[task.name]])
+    return schedule
+
+
+def _bits(schedule):
+    return (schedule.makespan.hex(), schedule.energy.hex(),
+            list(schedule.assignment.items()),
+            [(name, end.hex()) for name, end in schedule.finish.items()])
+
+
+#: Instances for the schedule tests: random DAGs, loaded devices, with
+#: and without a data source.
+_instances = st.tuples(st.integers(0, 10_000), st.integers(2, 6),
+                       st.sampled_from([None, "mc-00-0", "cloud-01"]))
+
+
+class TestListSchedule:
+    @settings(max_examples=25, deadline=None)
+    @given(instance=_instances)
+    def test_kpis_match_reference_loop(self, instance):
+        seed, n_tasks, source = instance
+        infrastructure = _loaded_infra(seed)
+        app = _random_instance(seed, n_tasks)
+        rng = random.Random(seed)
+        placement = Placement({
+            task.name: rng.choice(eligible_devices(
+                task, infrastructure, PlacementConstraints())).name
+            for task in app.tasks}, "probe")
+        ours = estimate_placement_kpis(app, placement, infrastructure,
+                                       source)
+        reference = _reference_kpis(app, placement, infrastructure,
+                                    source)
+        assert [x.hex() for x in ours] == [x.hex() for x in reference]
+
+    @settings(max_examples=25, deadline=None)
+    @given(instance=_instances)
+    def test_greedy_matches_reference_pass(self, instance):
+        seed, n_tasks, source = instance
+        infrastructure = _loaded_infra(seed)
+        app = _random_instance(seed, n_tasks)
+        constraints = PlacementConstraints(source_device=source)
+        placement = GreedyPlacement()._place(app, infrastructure,
+                                             constraints)
+        reference = _reference_greedy(app, infrastructure, constraints)
+        assert list(placement.assignment.items()) == \
+            list(reference.items())
+
+    @settings(max_examples=25, deadline=None)
+    @given(instance=_instances, data=st.data())
+    def test_pop_then_push_equals_fresh_schedule(self, instance, data):
+        seed, n_tasks, source = instance
+        infrastructure = _loaded_infra(seed)
+        app = _random_instance(seed, n_tasks)
+        options = [eligible_devices(task, infrastructure,
+                                    PlacementConstraints())
+                   for task in app.tasks]
+        schedule = ListSchedule(app, infrastructure, source)
+        for opts in options:
+            schedule.push(data.draw(st.sampled_from(opts)))
+        k = data.draw(st.integers(0, n_tasks))
+        for _ in range(k):
+            schedule.pop()
+        for opts in options[n_tasks - k:]:
+            schedule.push(data.draw(st.sampled_from(opts)))
+        fresh = _schedule_of(app, infrastructure, schedule.assignment,
+                             source)
+        assert _bits(schedule) == _bits(fresh)
+        assert (schedule.makespan, schedule.energy) == _reference_kpis(
+            app, Placement(schedule.assignment, "probe"),
+            infrastructure, source)
+
+    def test_end_on_leaves_schedule_unchanged(self):
+        infrastructure = _loaded_infra(3)
+        app = _random_instance(3, 4)
+        schedule = ListSchedule(app, infrastructure, "mc-00-0")
+        first = infrastructure.devices["cloud-00"]
+        schedule.push(first)
+        before = _bits(schedule)
+        for device in infrastructure.devices.values():
+            schedule.end_on(device)
+        assert _bits(schedule) == before
+        schedule.pop()
+        assert _bits(schedule) == ("0x0.0p+0", "0x0.0p+0", [], [])
+
+    @settings(max_examples=25, deadline=None)
+    @given(instance=_instances)
+    def test_exact_incumbents_cost_like_placement_cost(self, instance):
+        seed, n_tasks, source = instance
+        infrastructure = _loaded_infra(seed)
+        app = _random_instance(seed, min(n_tasks, 4))
+        seen = []
+        ExactPlacement().solve(PlacementRequest(
+            application=app, infrastructure=infrastructure,
+            constraints=PlacementConstraints(source_device=source),
+            on_incumbent=lambda p, c, b: seen.append(
+                (dict(p.assignment), c))))
+        assert seen
+        for assignment, cost in seen:
+            assert cost == placement_cost(app, infrastructure, assignment,
+                                          source_device=source)
 
 
 def _solver_digest(seeds) -> str:
