@@ -410,13 +410,23 @@ class RaftNode:
         if self.restore_fn is None:
             raise ConsensusError(
                 f"{self.name}: received a snapshot but has no restore_fn")
-        self.restore_fn(copy.deepcopy(msg.state))
+        if msg.snapshot_index <= self.last_log_index() and \
+                self._term_at(msg.snapshot_index) == msg.snapshot_term:
+            # The log already holds the snapshot's last entry: drop only
+            # the prefix it covers and keep the suffix, which may hold
+            # entries the leader counted toward commitment (Raft Sec. 7).
+            del self.log[:msg.snapshot_index - self.snapshot_index]
+        else:
+            self.log = []
+        if msg.snapshot_index > self.last_applied:
+            self.restore_fn(copy.deepcopy(msg.state))
+            self.last_applied = msg.snapshot_index
         self.snapshot_state = copy.deepcopy(msg.state)
         self.snapshot_index = msg.snapshot_index
         self.snapshot_term = msg.snapshot_term
-        self.log = []
-        self.commit_index = msg.snapshot_index
-        self.last_applied = msg.snapshot_index
+        # A delayed snapshot may trail what this node already committed
+        # and applied: neither index ever moves back.
+        self.commit_index = max(self.commit_index, msg.snapshot_index)
         self.snapshots_installed += 1
         send(msg.leader, AppendEntriesReply(
             term=self.current_term, follower=self.name,

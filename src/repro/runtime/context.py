@@ -69,23 +69,33 @@ class TracedEventBus(EventBus):
         #: publishes nested messages mid-dispatch.
         self.pub_seq = 0
         self.current_pub = 0
+        #: The normalized payload (:func:`~repro.runtime.trace.jsonify`)
+        #: the trace recorded for the publish currently being delivered,
+        #: saved and restored with :attr:`current_pub`. Relay taps ship
+        #: it, so every relayed record shares the origin record's copy.
+        self.current_recorded: Any = None
 
     def publish(self, topic: str, payload: Any = None) -> int:  # perf: hot
         self.pub_seq = pub = self.pub_seq + 1
         stack = self._span_stack
-        self._trace.record(self._clock(), topic, payload,
-                           stack[-1].envelope if stack else None)
+        recorded = jsonify(payload)
+        self._trace.record_normalized(
+            float(self._clock()), topic, recorded,
+            stack[-1].envelope if stack else None)
         counter = self._publish_counter
         if counter is not None:
             counter.value += 1
             labels = counter.labels
             labels[topic] = labels.get(topic, 0) + 1
         prev = self.current_pub
+        prev_recorded = self.current_recorded
         self.current_pub = pub
+        self.current_recorded = recorded
         try:
             return super().publish(topic, payload)
         finally:
             self.current_pub = prev
+            self.current_recorded = prev_recorded
 
     def publish_organic(self, topic: str,  # perf: hot
                         payload: Any = None, recorded: Any = None) -> int:

@@ -45,8 +45,10 @@ deterministic ``(epoch, zone_rank, seq)`` delivery order.
 from __future__ import annotations
 
 import hashlib
+import heapq
 from collections import deque
-from operator import itemgetter
+from itertools import repeat, starmap
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -56,7 +58,7 @@ from repro.obs.metrics import METRICS_TOPIC, MetricsRegistry, payload_delta
 from repro.obs.profiler import SHARD_PROFILE_TOPIC, ShardProfiler
 from repro.obs.spans import SPAN_TOPIC, SpanContext, _RelayScope
 from repro.runtime.context import RuntimeContext
-from repro.runtime.trace import TraceRecord, canonical_json, jsonify
+from repro.runtime.trace import TraceRecord, canonical_json
 
 _INF = float("inf")
 
@@ -148,12 +150,15 @@ def _fan_out_tap(src: ZoneRuntime, targets: list):
 
     The buffered message is ``(send_s, topic, payload, span,
     recorded)``, one tuple shared by every outbox it lands in.
-    *recorded* is the payload normalized (:func:`~repro.runtime.trace.
-    jsonify`) once, when the tap first buffers the publish: every
-    destination zone's trace record holds that one copy, while handlers
-    still receive *payload* itself. Normalizing at publish time also
-    makes the recorded bytes independent of the executor when a
-    publisher mutates its payload after publishing.
+    *recorded* is the normalized copy (:func:`~repro.runtime.trace.
+    jsonify`) the origin zone's trace record already holds, which the
+    bus exposes as :attr:`~repro.runtime.context.TracedEventBus.
+    current_recorded` while it delivers the publish: every destination
+    zone's trace record shares that one copy, while handlers still
+    receive *payload* itself. A copy made at publish time keeps the
+    recorded bytes independent of the executor when a publisher mutates
+    its payload after publishing, and equal to the origin record when a
+    handler mutates it during dispatch, before the tap runs.
 
     *span* is the open span context: bus delivery is synchronous, so
     the publisher's span is still ambient when the tap fires. It is
@@ -193,7 +198,8 @@ def _fan_out_tap(src: ZoneRuntime, targets: list):
                         last[1] = shipped
                 else:
                     shipped = None
-                msg = (sim.now, topic, payload, shipped, jsonify(payload))
+                msg = (sim.now, topic, payload, shipped,
+                       bus.current_recorded)
             outbox.append(msg)
     return tap
 
@@ -218,10 +224,10 @@ def relay_deliver(dest: ZoneRuntime, topic: str, payload: Any,
     are ordinary ones and relay on.
 
     Handlers receive *payload*; the trace records *recorded*, the copy
-    the tap normalized when it buffered the publish, as given — so the
-    records of one publish in every destination zone share one payload
-    object. Without *recorded* (a direct call), *payload* is normalized
-    here.
+    the origin zone's trace record holds, as given — so the records of
+    one publish in the origin zone and in every destination zone share
+    one payload object. Without *recorded* (a direct call), *payload*
+    is normalized here.
 
     When the buffered publish carried a span context, the delivery
     resumes it and opens a ``shard.relay.deliver`` child span around the
@@ -641,11 +647,12 @@ class ShardedContext:
         self._closed = False
         self._final: dict[str, Any] | None = None
 
-        # Merged-trace memoization: --check twin comparisons call
-        # digest()/scorecard() repeatedly; re-sorting an unchanged trace
-        # is pure waste.
+        # Merged-trace memos, each against its own watermark: --check
+        # twin comparisons call digest()/scorecard() repeatedly, and
+        # re-merging an unchanged trace is pure waste.
         self._merge_watermark: Any = None
         self._merged: list[tuple[str, TraceRecord]] = []
+        self._digest_watermark: Any = None
         self._digest: str | None = None
 
         #: Coordinator-side observability (runtime.shard.*): epoch
@@ -905,53 +912,65 @@ class ShardedContext:
             return sum(sim.processed_events for sim in self._host.sims)
         return sum(self._events)
 
+    def _watermark(self) -> Any:
+        """Changes whenever a zone's retained records do: per live ring
+        its sequence counter and length, or the replicas' streamed row
+        count."""
+        if self._host is not None:
+            return tuple((zone.ctx.trace._seq, len(zone.ctx.trace))
+                         for zone in self._host.zones)
+        return self._streamed
+
+    def _merged_stream(self) -> Iterator[tuple[str, TraceRecord]]:
+        """Every zone's retained records as ``(zone, record)`` in
+        ``(time_s, zone_rank, zone_seq)`` order, one at a time.
+
+        Each zone's ring (in process the live ring, with workers its
+        replica) is already in seq order, so a stable sort on
+        ``time_s`` makes it a run in ``(time_s, seq)`` order — one
+        linear pass unless a record was stamped out of time order
+        (``Tracer.record_span`` with an explicit ``end_s``).
+        ``heapq.merge`` takes the runs in rank order and breaks equal
+        times by run, i.e. by rank. The runs only reference what the
+        rings hold, and the merge holds one pending record per zone:
+        no key tuples, no merged list. Replica rows (``(seq, time_s,
+        topic, payload, span)``) become :class:`TraceRecord` objects
+        one at a time, as the merge pulls them."""
+        if self._host is not None:
+            runs = [zip(repeat(zone.name),
+                        sorted(zone.ctx.trace, key=attrgetter("time_s")))
+                    for zone in self._host.zones]
+        else:
+            runs = [zip(repeat(name),
+                        starmap(TraceRecord,
+                                sorted(ring, key=itemgetter(1))))
+                    for name, ring in zip(self._names, self._rings)]
+        return heapq.merge(*runs, key=lambda pair: pair[1].time_s)
+
     def merged_records(self) -> list[tuple[str, TraceRecord]]:
-        """Every zone's retained records as one globally ordered stream.
+        """Every zone's retained records as one globally ordered list.
 
         Sorted by ``(time_s, zone_rank, zone_seq)`` — a total order that
         is a pure function of the per-zone record streams, hence
         shard- and worker-count-invariant. In process the live zone
         rings are read in place; with workers, their streamed replicas.
         Memoized until the next record lands; treat the returned list as
-        read-only.
+        read-only. The renderers (:meth:`digest`, :meth:`to_jsonl`,
+        :meth:`export_jsonl`) never build this list: they stream the
+        same order.
         """
-        live = self._host is not None
-        if live:
-            traces = [zone.ctx.trace for zone in self._host.zones]
-            watermark: Any = tuple((trace._seq, len(trace))
-                                   for trace in traces)
-        else:
-            watermark = self._streamed
+        watermark = self._watermark()
         if watermark != self._merge_watermark:
-            if live:
-                keyed = [(rec.time_s, rank, rec.seq, rec)
-                         for rank, trace in enumerate(traces)
-                         for rec in trace]
-            else:
-                keyed = [(row[1], rank, row[0], row)
-                         for rank, ring in enumerate(self._rings)
-                         for row in ring]
-            keyed.sort(key=lambda item: (item[0], item[1], item[2]))
-            names = self._names
-            if live:
-                self._merged = [(names[rank], rec)
-                                for _, rank, _, rec in keyed]
-            else:
-                # Replica rows become records only after the sort: made
-                # before it, they fragment the heap and lift the
-                # digest's peak memory by several MB at 100k devices.
-                self._merged = [(names[rank], TraceRecord(*row))
-                                for _, rank, _, row in keyed]
-            self._digest = None
+            self._merged = list(self._merged_stream())
             self._merge_watermark = watermark
         return self._merged
 
     def _jsonl_lines(self) -> Iterator[str]:
         """The merged trace's JSONL lines (global seq, zone tag), one at
-        a time — the one renderer behind :meth:`to_jsonl` and
-        :meth:`digest`, so the exported bytes and the fingerprint cannot
-        drift apart."""
-        for seq, (name, rec) in enumerate(self.merged_records()):
+        a time — the one renderer behind :meth:`to_jsonl`,
+        :meth:`export_jsonl` and :meth:`digest`, so the exported bytes
+        and the fingerprint cannot drift apart."""
+        for seq, (name, rec) in enumerate(self._merged_stream()):
             obj = {"seq": seq, "zone": name, "time_s": rec.time_s,
                    "topic": rec.topic, "payload": rec.payload}
             if rec.span is not None:
@@ -964,7 +983,8 @@ class ShardedContext:
 
     def export_jsonl(self, path: str | Path, *,
                      observability: bool = False) -> int:
-        """Write the merged trace to *path*; returns records written.
+        """Write the merged trace to *path* line by line; returns records
+        written.
 
         ``observability=True`` appends the aggregated metrics snapshot
         (and the profiler payload when profiling) as trailing rows,
@@ -972,37 +992,39 @@ class ShardedContext:
         subcommand. The digest stays over the pure event trace either
         way, so the profile's nondeterministic wall times never move
         it."""
-        text = self.to_jsonl()
-        if observability:
-            snapshot = self.snapshot_observability()
-            lines = [text] if text else []
-            seq = text.count("\n") + 1 if text else 0
-            rows = [(METRICS_TOPIC, snapshot["metrics"])]
-            if "profile" in snapshot:
-                rows.append((SHARD_PROFILE_TOPIC, snapshot["profile"]))
-            for topic, payload in rows:
-                lines.append(canonical_json(
-                    {"seq": seq, "time_s": self._now, "topic": topic,
-                     "payload": payload}))
+        seq = 0
+        with open(path, "w") as out:
+            for line in self._jsonl_lines():
+                out.write(line + "\n")
                 seq += 1
-            text = "\n".join(lines)
-        Path(path).write_text(text + ("\n" if text else ""))
-        return text.count("\n") + 1 if text else 0
+            if observability:
+                snapshot = self.snapshot_observability()
+                rows = [(METRICS_TOPIC, snapshot["metrics"])]
+                if "profile" in snapshot:
+                    rows.append((SHARD_PROFILE_TOPIC, snapshot["profile"]))
+                for topic, payload in rows:
+                    out.write(canonical_json(
+                        {"seq": seq, "time_s": self._now, "topic": topic,
+                         "payload": payload}) + "\n")
+                    seq += 1
+        return seq
 
     def digest(self) -> str:
         """SHA-256 over the merged trace bytes — the replay fingerprint
         the scale example and CI pin. Equal to hashing
-        ``to_jsonl().encode()``, but streamed line by line: the JSONL
-        text is never held whole. Memoized like :meth:`merged_records`.
+        ``to_jsonl().encode()``, but streamed line by line: neither the
+        JSONL text nor the merged order is ever held whole. Memoized
+        until the next record lands.
         """
-        self.merged_records()  # drops the memo if records landed since
-        if self._digest is None:
+        watermark = self._watermark()
+        if watermark != self._digest_watermark:
             sha = hashlib.sha256()
             sep = b""
             for line in self._jsonl_lines():
                 sha.update(sep + line.encode())
                 sep = b"\n"
             self._digest = sha.hexdigest()
+            self._digest_watermark = watermark
         return self._digest
 
     # -- aggregated observability ------------------------------------------

@@ -90,9 +90,9 @@ class TraceRecord:
     The payload is normalized (:func:`jsonify`) when the record is
     created or earlier, never later — deferring it would let callers
     mutate a recorded dict after the fact and break byte-identical
-    replay. "Earlier" is the epoch relay: its tap normalizes a relayed
-    publish once, when it buffers it, and every destination zone's
-    record holds that one copy (:meth:`TraceRecorder.
+    replay. "Earlier" is the epoch relay: the bus normalizes a publish
+    once, for the origin record, its tap ships that copy, and every
+    destination zone's record holds it too (:meth:`TraceRecorder.
     record_normalized`), so a payload may be shared between records
     and must never be mutated. Serialization to JSON text stays lazy:
     :meth:`to_json` renders on demand, so recording costs no string

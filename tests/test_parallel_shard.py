@@ -9,14 +9,17 @@ failure surfacing (a dying or raising worker raises
 ``ShardWorkerError``, never hangs the barrier), lifecycle shape,
 memoization and coordinator metrics on both executors, the packaged
 scale scenario's cross-executor contract, the relay's one recorded copy
-per publish (shared by every destination, and taken at the publish, so
-a later mutation cannot reach the trace) and the streamed digest.
+per publish (the origin record's, shared by every destination, so
+neither a later mutation nor a handler's mutation during dispatch can
+reach the trace), the streamed digest, the k-way merge's order against
+one global sort, and renderers that never build the merged list.
 
 Builders live at module level so they stay picklable under any
 multiprocessing start method.
 """
 
 import hashlib
+import json
 import os
 
 import pytest
@@ -475,9 +478,187 @@ class TestStreamingDigest:
             assert sharded.digest() == self._sha(longer) != digest
 
     @pytest.mark.parametrize("workers", EXECUTORS)
-    def test_empty_trace_digests_to_sha256_of_nothing(self, workers):
+    def test_empty_trace_digests_to_sha256_of_nothing(self, workers,
+                                                      tmp_path):
         with ShardedContext(seed=0, zones=_zone_names(2), workers=workers,
                             zone_builder=_build_silent_zone) as sharded:
             assert sharded.merged_records() == []
             assert sharded.to_jsonl() == ""
             assert sharded.digest() == hashlib.sha256(b"").hexdigest()
+            path = tmp_path / "empty.jsonl"
+            assert sharded.export_jsonl(path) == 0
+            assert path.read_text() == ""
+            # The metrics row alone, numbered from 0.
+            assert sharded.export_jsonl(path, observability=True) == 1
+            (row,) = [json.loads(line)
+                      for line in path.read_text().splitlines()]
+            assert (row["seq"], row["topic"]) == (0, "obs.metrics")
+
+
+def _build_drawn_zone(ctx, zone: str, drawn: dict) -> None:
+    """Records the zone's drawn ``(kind, time_s)`` list straight into
+    its trace: ``"at"`` a plain record stamped *time_s*, ``"span"`` a
+    span recorded after the fact with ``end_s=time_s`` — which may lie
+    before records already in the ring."""
+    for i, (kind, time_s) in enumerate(drawn[zone]):
+        if kind == "at":
+            ctx.trace.record(time_s, "test.drawn", {"i": i, "zone": zone})
+        else:
+            ctx.tracer.record_span("test.drawn", "test", start_s=0.0,
+                                   end_s=time_s, i=i)
+
+
+def _expected_order(sharded):
+    """The merged order by its definition: one global sort of every
+    live ring's records by ``(time_s, zone rank, zone seq)``."""
+    keyed = sorted(
+        ((rec.time_s, rank, rec.seq), zone.name, rec)
+        for rank, zone in enumerate(sharded.zone_runtimes)
+        for rec in zone.ctx.trace)
+    return [(name, rec) for _, name, rec in keyed]
+
+
+def _render(merged, extra_rows=()):
+    """JSONL as the merged trace renders it, from a ``(zone, record)``
+    list, plus trailing ``(time_s, topic, payload)`` rows."""
+    from repro.runtime.trace import canonical_json
+    lines = []
+    for seq, (name, rec) in enumerate(merged):
+        obj = {"seq": seq, "zone": name, "time_s": rec.time_s,
+               "topic": rec.topic, "payload": rec.payload}
+        if rec.span is not None:
+            obj["span"] = rec.span
+        lines.append(canonical_json(obj))
+    for time_s, topic, payload in extra_rows:
+        lines.append(canonical_json({"seq": len(lines), "time_s": time_s,
+                                     "topic": topic, "payload": payload}))
+    return "\n".join(lines)
+
+
+_DRAWN_ZONES = st.lists(
+    st.lists(st.tuples(st.sampled_from(["at", "at", "span"]),
+                       st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0])),
+             max_size=10),
+    min_size=1, max_size=4)
+
+
+class TestMergedStreamOrder:
+    """The k-way merge of per-zone runs yields exactly the global sort by
+    ``(time_s, zone rank, zone seq)``: equal times across zones (drawn
+    from five values), spans stamped before records already in the ring,
+    and rings small enough to evict."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(zones=_DRAWN_ZONES, capacity=st.integers(1, 12),
+           n_shards=st.integers(1, 4))
+    def test_live_rings(self, zones, capacity, n_shards):
+        names = _zone_names(len(zones))
+        drawn = dict(zip(names, zones))
+        sharded = ShardedContext(seed=3, zones=names, n_shards=n_shards,
+                                 trace_capacity=capacity)
+        for name in names:
+            _build_drawn_zone(sharded.zone(name), name, drawn)
+        expected = _expected_order(sharded)
+        merged = sharded.merged_records()
+        assert len(merged) == len(expected)
+        assert all(got[0] == want[0] and got[1] is want[1]
+                   for got, want in zip(merged, expected))
+        text = _render(expected)
+        assert sharded.to_jsonl() == text
+        assert sharded.digest() == hashlib.sha256(text.encode()).hexdigest()
+
+    @settings(max_examples=8, deadline=None)
+    @given(zones=_DRAWN_ZONES, capacity=st.integers(1, 12))
+    def test_worker_replicas(self, zones, capacity):
+        names = _zone_names(len(zones))
+        drawn = dict(zip(names, zones))
+        reference = ShardedContext(seed=3, zones=names,
+                                   trace_capacity=capacity)
+        for name in names:
+            _build_drawn_zone(reference.zone(name), name, drawn)
+        expected = _expected_order(reference)
+        with ShardedContext(seed=3, zones=names, workers=2,
+                            trace_capacity=capacity,
+                            zone_builder=_build_drawn_zone,
+                            zone_args=drawn) as sharded:
+            assert sharded.merged_records() == expected
+            assert sharded.to_jsonl() == _render(expected)
+            assert sharded.digest() == reference.digest()
+
+
+class TestRenderersStream:
+    """digest(), to_jsonl() and export_jsonl() render the merged trace
+    from the stream, never from merged_records()'s list: with that
+    method made to raise they still work, and their bytes equal a
+    render of the list."""
+
+    @pytest.mark.parametrize("workers", EXECUTORS)
+    def test_renderers_never_build_the_list(self, workers, tmp_path,
+                                            monkeypatch):
+        with _fleet_context(4, _zone_names(3), workers, 3) as sharded:
+            sharded.run(until=10.0)
+            merged = list(sharded.merged_records())
+            snapshot = sharded.snapshot_observability()
+
+            def forbidden(self):
+                raise AssertionError("merged_records() was called")
+
+            monkeypatch.setattr(ShardedContext, "merged_records", forbidden)
+            text = _render(merged)
+            assert sharded.digest() == \
+                hashlib.sha256(text.encode()).hexdigest()
+            assert sharded.to_jsonl() == text
+            plain = tmp_path / "plain.jsonl"
+            assert sharded.export_jsonl(plain) == len(merged)
+            assert plain.read_text() == text + "\n"
+            rows = [(sharded.now, "obs.metrics", snapshot["metrics"])]
+            full = tmp_path / "full.jsonl"
+            assert sharded.export_jsonl(full, observability=True) == \
+                len(merged) + 1
+            assert full.read_text() == _render(merged, rows) + "\n"
+
+
+def _build_mutating_handler_zone(ctx, zone: str, args) -> list:
+    """Zone ``a`` publishes ``{"n": 0}`` at t=0.5 to its own handler,
+    which sets ``n`` to 99 during dispatch — before the relay tap, which
+    is installed after every build-time subscription. Zone ``b``
+    subscribes, so the publish relays there."""
+    seen: list = []
+    if zone == "a":
+        def mutate(topic, payload):
+            payload["n"] = 99
+
+        ctx.subscribe("app.state", mutate)
+
+        def publisher():
+            yield ctx.sim.timeout(0.5)
+            ctx.publish("app.state", {"n": 0})
+
+        ctx.sim.process(publisher())
+    else:
+        ctx.subscribe("app.state",
+                      lambda topic, payload: seen.append(dict(payload)))
+    return seen
+
+
+class TestHandlerMutatesBeforeTap:
+    """The relay ships the origin record's normalized copy, so a handler
+    that mutates the payload during dispatch, before the tap runs,
+    cannot make the relayed record differ from the origin record."""
+
+    def test_relayed_record_equals_origin_record(self):
+        for executor in ({"n_shards": 1}, {"n_shards": 2}, {"workers": 2}):
+            with ShardedContext(
+                    seed=0, zones=("a", "b"), link_latency_s=1.0,
+                    zone_builder=_build_mutating_handler_zone,
+                    zone_finalizer=_finalize_as_is,
+                    **executor) as sharded:
+                sharded.run(until=3.0)
+                results = sharded.finalize()
+            recorded = [(zone, rec.time_s, rec.payload)
+                        for zone, rec in sharded.merged_records()
+                        if rec.topic == "app.state"]
+            assert recorded == [("a", 0.5, {"n": 0}),
+                                ("b", 1.5, {"n": 0})], executor
+            # The handler in b still receives the object as it is.
+            assert results["b"] == [{"n": 99}], executor

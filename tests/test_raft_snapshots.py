@@ -154,3 +154,75 @@ class TestKnowledgeBaseWithSnapshots:
         revision_before = kb.revision
         kb.put("k", 99)
         assert kb.revision == revision_before + 1
+
+
+class TestDelayedSnapshot:
+    """A snapshot that arrives after the follower's log already moved
+    past it (it was delayed, or overtaken by later AppendEntries) must
+    never roll the follower back (Raft Sec. 7)."""
+
+    def test_snapshot_behind_the_log_keeps_the_suffix(self):
+        from repro.kb.raft import InstallSnapshot
+        cluster, applied, state = make_cluster(n=3, seed=0, threshold=None)
+        for i in range(7):
+            cluster.propose(i)
+        cluster.tick(30)
+        leader_name = cluster.run_until_leader()
+        leader = cluster.nodes[leader_name]
+        name = next(n for n in cluster.nodes if n != leader_name)
+        follower = cluster.nodes[name]
+        # The leader's no-op at index 1, then the seven commands.
+        assert (follower.commit_index, follower.last_applied) == (8, 8)
+        assert follower.last_log_index() == 8
+        follower.handle(
+            InstallSnapshot(term=leader.current_term, leader=leader_name,
+                            snapshot_index=7,
+                            snapshot_term=follower._term_at(7),
+                            state={"sum": sum(range(6))}),
+            cluster.now, lambda dst, m: None)
+        assert follower.snapshot_index == 7
+        assert follower.commit_index == 8
+        assert follower.last_applied == 8
+        assert follower.last_log_index() == 8
+        assert [entry.command for entry in follower.log] == [6]
+        # Entry 8 stays applied: the state machine was not restored to
+        # the older snapshot.
+        assert state[name]["sum"] == sum(range(7))
+        assert applied[name] == list(range(7))
+
+    def test_snapshot_ahead_of_applied_but_on_the_log_restores(self):
+        """The log holds the snapshot's last entry but nothing past the
+        snapshot is applied yet: the state is restored, the suffix
+        kept, and commit and apply catch up to the snapshot."""
+        from repro.kb.raft import InstallSnapshot, LogEntry
+        cluster, _, state = make_cluster(n=3, seed=0, threshold=None)
+        name = "n1"
+        follower = cluster.nodes[name]
+        follower.current_term = 2
+        follower.log = [LogEntry(1, 10), LogEntry(1, 20), LogEntry(2, 30)]
+        follower.handle(
+            InstallSnapshot(term=2, leader="n0", snapshot_index=2,
+                            snapshot_term=1, state={"sum": 30}),
+            cluster.now, lambda dst, m: None)
+        assert (follower.snapshot_index, follower.snapshot_term) == (2, 1)
+        assert (follower.commit_index, follower.last_applied) == (2, 2)
+        assert follower.log == [LogEntry(2, 30)]
+        assert state[name]["sum"] == 30
+
+    def test_conflicting_log_is_replaced(self):
+        """A log whose entry at the snapshot index has another term is
+        discarded whole and the state restored."""
+        from repro.kb.raft import InstallSnapshot, LogEntry
+        cluster, _, state = make_cluster(n=3, seed=0, threshold=None)
+        name = "n1"
+        follower = cluster.nodes[name]
+        follower.current_term = 3
+        follower.log = [LogEntry(1, 10), LogEntry(1, 20), LogEntry(1, 30)]
+        follower.handle(
+            InstallSnapshot(term=3, leader="n0", snapshot_index=2,
+                            snapshot_term=2, state={"sum": 7}),
+            cluster.now, lambda dst, m: None)
+        assert follower.log == []
+        assert (follower.commit_index, follower.last_applied) == (2, 2)
+        assert follower.last_log_index() == 2
+        assert state[name]["sum"] == 7
