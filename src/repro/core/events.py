@@ -16,12 +16,6 @@ segment so a topic is only tested against wildcards that could match it
 every subscribe/unsubscribe. Publishing to a previously seen topic is a
 dict lookup plus the handler calls, independent of how many
 subscriptions exist.
-
-Subscriptions the sharded runtime installs as cross-zone relay taps are
-flagged :attr:`Subscription.tap`. :meth:`EventBus.publish_organic`
-delivers to every *other* matching subscription — the path a message
-takes when the epoch relay carries it into its destination zone, where
-re-forwarding it would be wrong — from a second per-topic cache.
 """
 
 from __future__ import annotations
@@ -43,7 +37,7 @@ _by_order = attrgetter("order")
 class Subscription:
     """Handle returned by :meth:`EventBus.subscribe`; use to unsubscribe."""
 
-    __slots__ = ("pattern", "handler", "active", "order", "matcher", "tap")
+    __slots__ = ("pattern", "handler", "active", "order", "matcher")
 
     def __init__(self, pattern: str, handler: Handler,
                  active: bool = True, order: int = 0):
@@ -55,10 +49,6 @@ class Subscription:
         #: Compiled matcher (None means the pattern is wildcard-free).
         self.matcher: Optional[Callable[[str], bool]] = \
             compile_pattern(pattern)
-        #: True for a cross-zone relay tap (set by the sharded runtime
-        #: when it installs one, never by scenario code): relayed
-        #: deliveries (:meth:`EventBus.publish_organic`) skip it.
-        self.tap = False
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "active" if self.active else "inactive"
@@ -199,8 +189,6 @@ class EventBus:
         self._wild_any: list[Subscription] = []
         #: topic -> ordered tuple of matching subscriptions (bounded).
         self._dispatch_cache: dict[str, tuple[Subscription, ...]] = {}
-        #: The same minus relay taps, for :meth:`publish_organic`.
-        self._organic_cache: dict[str, tuple[Subscription, ...]] = {}
         self._order = 0
         self._dead = 0
         self._delivered = 0
@@ -212,7 +200,6 @@ class EventBus:
         self._subs.append(sub)
         self._index(sub)
         self._dispatch_cache.clear()
-        self._organic_cache.clear()
         return sub
 
     def _index(self, sub: Subscription) -> None:
@@ -238,7 +225,6 @@ class EventBus:
         sub.active = False
         self._dead += 1
         self._dispatch_cache.clear()
-        self._organic_cache.clear()
         if self._dead * 2 > len(self._subs):
             self._compact()
 
@@ -270,34 +256,6 @@ class EventBus:
                 delivered += 1
         self._delivered += delivered
         return delivered
-
-    def publish_organic(self, topic: str,  # perf: hot
-                        payload: Any = None) -> int:
-        """:meth:`publish` minus relay taps: deliver to the matching
-        subscriptions whose :attr:`~Subscription.tap` is False, in
-        subscription order. A publish a handler makes from here goes
-        through :meth:`publish` as usual, taps included."""
-        subs = self._organic_cache.get(topic)
-        if subs is None:
-            subs = self._build_organic(topic)
-        delivered = 0
-        for sub in subs:
-            if sub.active:
-                sub.handler(topic, payload)
-                delivered += 1
-        self._delivered += delivered
-        return delivered
-
-    def _build_organic(self, topic: str) -> tuple[Subscription, ...]:
-        """Resolve and cache the tap-free delivery list for *topic*."""
-        subs = self._dispatch_cache.get(topic)
-        if subs is None:
-            subs = self._build_dispatch(topic)
-        organic = tuple(sub for sub in subs if not sub.tap)
-        if len(self._organic_cache) >= _DISPATCH_CACHE_MAX:
-            self._organic_cache.clear()
-        self._organic_cache[topic] = organic
-        return organic
 
     def _build_dispatch(self, topic: str) -> tuple[Subscription, ...]:
         """Resolve and cache the delivery list for *topic*."""

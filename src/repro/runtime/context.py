@@ -45,67 +45,46 @@ class TracedEventBus(EventBus):
     Each :meth:`publish` appends a trace record *before* delivery, so
     even topics nobody subscribes to are visible on the shared timeline.
     When a causal span is active (:class:`~repro.obs.spans.Tracer`),
-    its envelope is stamped onto the record, and when a metrics
-    registry is attached every publish bumps the per-topic
-    ``runtime.bus.publishes`` counter.
+    its envelope is stamped onto the record, and every publish bumps
+    the per-topic ``runtime.bus.publishes`` counter.
     """
 
     def __init__(self, clock: Callable[[], float], trace: TraceRecorder,
-                 tracer: "Tracer | None" = None,
-                 metrics: "MetricsRegistry | None" = None):
+                 tracer: Tracer, metrics: MetricsRegistry):
         super().__init__()
         self._clock = clock
         self._trace = trace
         # Bound once at construction so the hot path below pays plain
-        # attribute loads, not conditional registry lookups.
-        self._span_stack = tracer._stack if tracer is not None else None
+        # attribute loads, not registry lookups.
+        self._span_stack = tracer._stack
         self._publish_counter = metrics.counter(
             "runtime.bus.publishes", "bus publishes by topic",
-            label_key="topic") if metrics is not None else None
-        #: Monotonic per-bus publish id, and the id of the publish
-        #: currently being delivered. Relay taps key their dedup on
-        #: these — unlike the trace sequence, a publish id is stable for
-        #: the whole delivery even when a handler records spans or
-        #: publishes nested messages mid-dispatch.
-        self.pub_seq = 0
-        self.current_pub = 0
-        #: The normalized payload (:func:`~repro.runtime.trace.jsonify`)
-        #: the trace recorded for the publish currently being delivered,
-        #: saved and restored with :attr:`current_pub`. Relay taps ship
-        #: it, so every relayed record shares the origin record's copy.
-        self.current_recorded: Any = None
+            label_key="topic")
+        #: Cross-zone relay hook, ``relay(topic, payload, recorded)``:
+        #: None unless the sharded runtime installs one. :meth:`publish`
+        #: calls it once its handlers have run.
+        self.relay: Callable[[str, Any, Any], None] | None = None
 
     def publish(self, topic: str, payload: Any = None) -> int:  # perf: hot
-        self.pub_seq = pub = self.pub_seq + 1
-        stack = self._span_stack
+        """Record, count and deliver *payload*, then hand it to the
+        relay hook with the normalized copy
+        (:func:`~repro.runtime.trace.jsonify`) its trace record holds."""
         recorded = jsonify(payload)
-        self._trace.record_normalized(
-            float(self._clock()), topic, recorded,
-            stack[-1].envelope if stack else None)
-        counter = self._publish_counter
-        if counter is not None:
-            counter.value += 1
-            labels = counter.labels
-            labels[topic] = labels.get(topic, 0) + 1
-        prev = self.current_pub
-        prev_recorded = self.current_recorded
-        self.current_pub = pub
-        self.current_recorded = recorded
-        try:
-            return super().publish(topic, payload)
-        finally:
-            self.current_pub = prev
-            self.current_recorded = prev_recorded
+        delivered = self.publish_relayed(topic, payload, recorded)
+        relay = self.relay
+        if relay is not None:
+            relay(topic, payload, recorded)
+        return delivered
 
-    def publish_organic(self, topic: str,  # perf: hot
+    def publish_relayed(self, topic: str,  # perf: hot
                         payload: Any = None, recorded: Any = None) -> int:
         """Publish a message the epoch relay carried in from another
-        zone: recorded and counted exactly like :meth:`publish`, but
-        delivered past the relay taps, so it is never forwarded again.
-        It takes no publish id — only taps read those.
+        zone: recorded, counted and delivered exactly like
+        :meth:`publish`, but never handed to the relay hook, so it is
+        not forwarded again. Publishes its handlers make are ordinary.
 
-        *recorded* is the trace's copy of *payload*, already normalized
-        by the relay tap and shared by every destination zone's record;
+        *recorded* is the trace's copy of *payload*, normalized once in
+        the origin zone and shared by every destination zone's record;
         it is recorded as given. Handlers still receive *payload*.
         Without it, *payload* is normalized here."""
         stack = self._span_stack
@@ -114,11 +93,10 @@ class TracedEventBus(EventBus):
             jsonify(payload) if recorded is None else recorded,
             stack[-1].envelope if stack else None)
         counter = self._publish_counter
-        if counter is not None:
-            counter.value += 1
-            labels = counter.labels
-            labels[topic] = labels.get(topic, 0) + 1
-        return super().publish_organic(topic, payload)
+        counter.value += 1
+        labels = counter.labels
+        labels[topic] = labels.get(topic, 0) + 1
+        return EventBus.publish(self, topic, payload)
 
 
 class RuntimeContext:

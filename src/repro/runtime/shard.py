@@ -15,8 +15,8 @@ block of zones, and the coordinator drives it through :func:`serve`
 process, one host holds every zone on ``n_shards`` heaps and a command
 is a plain call; with ``workers=N`` each worker process
 (:mod:`repro.runtime.parallel`) runs one host with one heap and the same
-commands cross its pipe. Relay taps, delivery and barrier injection are
-therefore one implementation whichever executor runs them.
+commands cross its pipe. Relay buffering, delivery and barrier injection
+are therefore one implementation whichever executor runs them.
 
 Determinism argument (the invariant everything here serves): the *zone*,
 not the shard, is the unit of determinism. A zone's seed subtree is
@@ -53,6 +53,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.core.errors import ConfigurationError, NotFoundError
+from repro.core.events import _DISPATCH_CACHE_MAX, topic_matches
 from repro.core.rng import derive_seed
 from repro.obs.metrics import METRICS_TOPIC, MetricsRegistry, payload_delta
 from repro.obs.profiler import SHARD_PROFILE_TOPIC, ShardProfiler
@@ -113,95 +114,76 @@ class ZoneRuntime:
         self.relay_scope = _RelayScope({})
 
 
-# -- relay primitives: tap buffering, relay delivery, barrier injection --
+# -- relay primitives: relay buffering, relay delivery, barrier injection --
 #
 # ShardHost runs these in process and inside every worker process alike.
 # Byte-identity between the executors rests on there being ONE
 # implementation of them — do not fork copies.
 
-def add_relay_tap(round_taps: dict, src: ZoneRuntime, pattern: str,
-                  outbox: list, mark: list) -> None:
-    """Buffer *src*'s publishes matching *pattern* into one (src, dest)
-    pair's *outbox*.
-
-    Taps fan out: one refresh round installs a single tap per (source
-    zone, pattern) — *round_taps* maps ``(src rank, pattern)`` to its
-    ``(outbox, mark)`` targets — and each pair the round adds for that
-    pattern joins its target list, so an origin publish costs one tap
-    call however many zones it reaches. A round installs its taps
-    back to back with no organic subscription between them, so how
-    they are grouped cannot move a tap relative to scenario handlers.
-    The subscription is flagged :attr:`~repro.core.events.Subscription.
-    tap`, which is how :func:`relay_deliver` (and the host's pattern
-    report) tell it from scenario code."""
-    targets = round_taps.get((src.rank, pattern))
-    if targets is None:
-        targets = round_taps[(src.rank, pattern)] = []
-        sub = src.ctx.bus.subscribe(pattern, _fan_out_tap(src, targets))
-        sub.tap = True
-    targets.append((outbox, mark))
-
-
-def _fan_out_tap(src: ZoneRuntime, targets: list):
-    """Tap closure appending each matching publish to every target
-    outbox. A target's ``mark`` holds the pair's last relayed publish
-    id, so a publish matching several tapped patterns is buffered once
-    per pair.
+class _ZoneRelay:
+    """One source zone's relay: the hook its bus calls once a publish's
+    handlers have run (:attr:`~repro.runtime.context.TracedEventBus.
+    relay`). It maps each tapped pattern to the outboxes of the (src,
+    dest) pairs the pattern feeds, and caches per topic the *distinct*
+    outboxes its matching patterns feed, so a publish lands once in
+    each outbox it reaches, whatever its handlers publish meanwhile.
 
     The buffered message is ``(send_s, topic, payload, span,
-    recorded)``, one tuple shared by every outbox it lands in.
-    *recorded* is the normalized copy (:func:`~repro.runtime.trace.
-    jsonify`) the origin zone's trace record already holds, which the
-    bus exposes as :attr:`~repro.runtime.context.TracedEventBus.
-    current_recorded` while it delivers the publish: every destination
-    zone's trace record shares that one copy, while handlers still
-    receive *payload* itself. A copy made at publish time keeps the
-    recorded bytes independent of the executor when a publisher mutates
-    its payload after publishing, and equal to the origin record when a
-    handler mutates it during dispatch, before the tap runs.
+    recorded)``, one tuple shared by every outbox. *recorded* is the
+    normalized copy (:func:`~repro.runtime.trace.jsonify`) the origin
+    zone's trace record holds, so every destination zone's record
+    shares it, equal to the origin record even when a handler or the
+    publisher later mutates *payload*; handlers still receive
+    *payload*. *span* is the publisher's span context, ambient again
+    once the handlers have returned, shipped as a picklable
+    ``(trace_id, span_id)`` tuple (with workers, buffers cross pipes)
+    and resumed in the destination zone by :func:`relay_deliver`: that
+    is how one fault's causal tree crosses zones and worker processes.
+    """
 
-    *span* is the open span context: bus delivery is synchronous, so
-    the publisher's span is still ambient when the tap fires. It is
-    shipped as a plain ``(trace_id, span_id)`` tuple (picklable — with
-    workers, buffers cross pipes) and resumed in the destination zone by
-    :func:`relay_deliver`, which is how one fault's causal tree crosses
-    zones and worker processes."""
-    bus = src.ctx.bus
-    sim = src.ctx.sim
-    stack = src.ctx.tracer._stack
-    # One ambient span usually covers a burst of publishes (a fault and
-    # its fallout), so the shipped tuple is cached per context object.
-    # The cache holds a strong reference, so the id can't be recycled
-    # under the identity check.
-    last = [None, None]
+    __slots__ = ("_sim", "_stack", "_outboxes", "_cache")
 
-    def tap(topic: str, payload: Any) -> None:
-        # The bus publish id is unique per publish on this zone and —
-        # unlike the trace sequence — stable for the whole delivery
-        # even when an earlier handler records spans or publishes
-        # nested messages, so it dedupes a publish matching several
-        # tapped patterns.
-        pub = bus.current_pub
-        msg = None
-        for outbox, mark in targets:
-            if mark[0] == pub:
-                continue
-            mark[0] = pub
-            if msg is None:
-                if stack:
-                    context = stack[-1].context
-                    if context is last[0]:
-                        shipped = last[1]
-                    else:
-                        shipped = (context.trace_id, context.span_id)
-                        last[0] = context
-                        last[1] = shipped
-                else:
-                    shipped = None
-                msg = (sim.now, topic, payload, shipped,
-                       bus.current_recorded)
+    def __init__(self, ctx: RuntimeContext):
+        self._sim = ctx.sim
+        self._stack = ctx.tracer._stack
+        #: pattern -> outboxes of the pairs it feeds.
+        self._outboxes: dict[str, list[list]] = {}
+        #: topic -> distinct outboxes it feeds (bounded).
+        self._cache: dict[str, tuple[list, ...]] = {}
+
+    def add(self, pattern: str, outbox: list) -> None:
+        """Buffer publishes matching *pattern* into *outbox* too."""
+        self._outboxes.setdefault(pattern, []).append(outbox)
+        self._cache.clear()
+
+    def __call__(self, topic: str, payload: Any,  # perf: hot
+                 recorded: Any) -> None:
+        outboxes = self._cache.get(topic)
+        if outboxes is None:
+            outboxes = self._resolve(topic)
+        if not outboxes:
+            return
+        stack = self._stack
+        if stack:
+            context = stack[-1].context
+            span = (context.trace_id, context.span_id)
+        else:
+            span = None
+        msg = (self._sim.now, topic, payload, span, recorded)
+        for outbox in outboxes:
             outbox.append(msg)
-    return tap
+
+    def _resolve(self, topic: str) -> tuple[list, ...]:
+        """Resolve and cache the distinct outboxes *topic* feeds."""
+        distinct: dict[int, list] = {}
+        for pattern, targets in self._outboxes.items():
+            if topic_matches(pattern, topic):
+                for outbox in targets:
+                    distinct.setdefault(id(outbox), outbox)
+        if len(self._cache) >= _DISPATCH_CACHE_MAX:
+            self._cache.clear()
+        outboxes = self._cache[topic] = tuple(distinct.values())
+        return outboxes
 
 
 #: Prebuilt shape of the ``obs.span`` payload the relay fast path
@@ -218,10 +200,10 @@ def relay_deliver(dest: ZoneRuntime, topic: str, payload: Any,
                   span: tuple | None = None,
                   recorded: Any = None) -> None:
     """Publish a relayed message on *dest*'s bus without re-forwarding:
-    the publish is traced and counted as usual but reaches only organic
-    subscribers (:meth:`~repro.runtime.context.TracedEventBus.
-    publish_organic`), never a relay tap. Publishes its handlers make
-    are ordinary ones and relay on.
+    the publish is traced, counted and delivered as usual but never
+    reaches *dest*'s relay (:meth:`~repro.runtime.context.
+    TracedEventBus.publish_relayed`). Publishes its handlers make are
+    ordinary ones and relay on.
 
     Handlers receive *payload*; the trace records *recorded*, the copy
     the origin zone's trace record holds, as given — so the records of
@@ -240,14 +222,14 @@ def relay_deliver(dest: ZoneRuntime, topic: str, payload: Any,
     bus = dest.ctx.bus
     tracer = dest.ctx.tracer
     if span is None or not tracer.enabled:
-        bus.publish_organic(topic, payload, recorded)
+        bus.publish_relayed(topic, payload, recorded)
         return
     # Hand-inlined equivalent of
     #     with tracer.resume(SpanContext(span[0], span[1])):
     #         with tracer.start_span("shard.relay.deliver",
     #                                layer="runtime", topic=topic,
     #                                zone=dest.name):
-    #             <organic publish>
+    #             <relayed publish>
     # — same RNG draw, same stack visibility, byte-identical obs.span
     # record (pinned by a test). This runs once per relayed message;
     # the generic context managers would cost more than the relay, and
@@ -265,7 +247,7 @@ def relay_deliver(dest: ZoneRuntime, topic: str, payload: Any,
     stack.append(scope)
     status = "ok"
     try:
-        bus.publish_organic(topic, payload, recorded)
+        bus.publish_relayed(topic, payload, recorded)
     except BaseException:
         status = "error"
         raise
@@ -298,9 +280,9 @@ def flush_zone_inbox(dest: ZoneRuntime, batches: Iterable[list],
     buffered ``(send_s, topic, payload, span, recorded)`` message
     (batches already in source-rank order, messages in send order) as a
     DES event at its true arrival time, then publish the relay/barrier
-    bookkeeping records. The event carries the tap's normalized copy
-    *recorded* on to :func:`relay_deliver`, so every destination's
-    record shares it. Returns messages injected."""
+    bookkeeping records. The event carries the origin record's
+    normalized copy *recorded* on to :func:`relay_deliver`, so every
+    destination's record shares it. Returns messages injected."""
     timeout = dest.ctx.sim.timeout
     now = dest.ctx.sim.now
     count = 0
@@ -341,8 +323,8 @@ class _RelayModel:
     zone. A pass that emitted directives re-arms the next one (their
     taps are new patterns on the source buses). Only pattern
     *membership* is tracked, which suffices because tap behaviour is
-    membership-pure: any matching pattern buffers the same copy,
-    deduped per publish.
+    membership-pure: a zone's relay buffers a publish once per outbox
+    however many of its patterns match (:class:`_ZoneRelay`).
     """
 
     def __init__(self, n_zones: int):
@@ -435,12 +417,11 @@ class ShardHost:
         self._args = args
         self._finalizer = finalizer
         self._streaming = streaming
-        # Relay plumbing: one outbox/mark per (src, dest) pair, filled
-        # by taps on local sources. A local destination's outboxes are
+        # Relay plumbing: one outbox per (src, dest) pair, filled by the
+        # relay of a local source. A local destination's outboxes are
         # listed per dest in source rank order; pairs whose destination
         # lives on another host ride the advance reply instead.
         self._outbox: dict[tuple[int, int], list] = {}
-        self._marks: dict[tuple[int, int], list[int]] = {}
         self._sources: dict[int, list[tuple[int, list]]] = \
             {zone.rank: [] for zone in self.zones}
         self._remote: list[tuple[int, int]] = []
@@ -449,8 +430,8 @@ class ShardHost:
             {zone.rank: {} for zone in self.zones}
 
     def pattern_report(self) -> dict[int, list[str]]:
-        """Organic (non-tap) subscription patterns of each local zone
-        whose bus gained a subscription since the last report."""
+        """Subscription patterns of each local zone whose bus gained a
+        subscription since the last report."""
         report: dict[int, list[str]] = {}
         for zone in self.zones:
             bus = zone.ctx.bus
@@ -458,33 +439,29 @@ class ShardHost:
                 continue
             self._reported[zone.rank] = bus._order
             report[zone.rank] = list(dict.fromkeys(
-                sub.pattern for sub in bus._subs
-                if sub.active and not sub.tap))
+                sub.pattern for sub in bus._subs if sub.active))
         return report
 
     def advance(self, t_next: float, taps: list[tuple[int, int, str]]
                 ) -> tuple[list[int], dict[tuple[int, int], list]]:
-        """Install *taps* as one refresh round, run every heap to
-        *t_next*, and reply ``(per-heap wall ns, buffered messages bound
-        for other hosts)``. The heaps must run before the outboxes are
-        collected, or remote messages would miss their barrier."""
-        round_taps: dict[tuple[int, str], list] = {}
+        """Add each of *taps* to its source zone's relay, run every heap
+        to *t_next*, and reply ``(per-heap wall ns, buffered messages
+        bound for other hosts)``. The heaps must run before the outboxes
+        are collected, or remote messages would miss their barrier."""
         for src_rank, dest_rank, pattern in taps:
             pair = (src_rank, dest_rank)
-            if pair not in self._outbox:
+            outbox = self._outbox.get(pair)
+            if outbox is None:
                 outbox = self._outbox[pair] = []
-                self._marks[pair] = [-1]
                 if dest_rank in self._sources:
                     self._sources[dest_rank].append((src_rank, outbox))
                     self._sources[dest_rank].sort(key=_by_source)
                 else:
                     self._remote.append(pair)
-            src = self._by_rank[src_rank]
-            add_relay_tap(round_taps, src, pattern, self._outbox[pair],
-                          self._marks[pair])
-            # Installing a tap bumps the bus order; that must not
-            # masquerade as an organic subscription in the next report.
-            self._reported[src_rank] = src.ctx.bus._order
+            ctx = self._by_rank[src_rank].ctx
+            if ctx.bus.relay is None:
+                ctx.bus.relay = _ZoneRelay(ctx)
+            ctx.bus.relay.add(pattern, outbox)
         clock = ShardProfiler.clock
         heap_ns = []
         for sim in self.sims:
@@ -495,7 +472,7 @@ class ShardHost:
         for pair in self._remote:
             batch = self._outbox[pair]
             if batch:
-                # A snapshot: the tap closures hold the buffer itself.
+                # A snapshot: the relay holds the buffer itself.
                 remote[pair] = list(batch)
                 batch.clear()
         return heap_ns, remote

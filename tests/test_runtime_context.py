@@ -36,31 +36,37 @@ class TestRuntimeContext:
         assert ctx.bus.total_delivered == 0
         assert len(ctx.trace) == 1
 
-    def test_publish_organic_skips_relay_taps(self):
-        """The relayed-delivery path: traced and counted like publish,
-        delivered past the subscriptions flagged as relay taps, while
-        a handler's own publish reaches the taps as usual."""
+    def test_publish_relayed_skips_the_relay_hook(self):
+        """The relayed-delivery path: traced, counted and delivered like
+        publish but never handed to the relay hook, while a handler's
+        own publish reaches the hook after its handlers ran, with the
+        copy its trace record holds."""
         ctx = RuntimeContext()
         seen = []
-        tap = ctx.subscribe("a.**", lambda t, p: seen.append(("tap", t)))
-        tap.tap = True
+        ctx.bus.relay = lambda topic, payload, recorded: seen.append(
+            ("relay", topic, recorded))
 
-        def organic(topic, payload):
-            seen.append(("organic", topic))
-            ctx.publish("a.reply")
+        def answer(topic, payload):
+            seen.append(("answer", topic))
+            ctx.publish("a.reply", {"to": topic})
 
-        ctx.subscribe("a.b", organic)
-        assert ctx.bus.publish_organic("a.b", {"x": 1}) == 1
-        assert seen == [("organic", "a.b"), ("tap", "a.reply")]
+        ctx.subscribe("a.b", answer)
+        ctx.subscribe("a.reply", lambda t, p: seen.append(("reply", t)))
+        assert ctx.bus.publish_relayed("a.b", {"x": 1}) == 1
+        (reply,) = ctx.trace.records("a.reply")
+        assert seen == [("answer", "a.b"), ("reply", "a.reply"),
+                        ("relay", "a.reply", {"to": "a.b"})]
+        assert seen[-1][2] is reply.payload
         assert [r.topic for r in ctx.trace] == ["a.b", "a.reply"]
         publishes = ctx.metrics.to_payload()["runtime.bus.publishes"]
         assert publishes["labels"] == {"a.b": 1, "a.reply": 1}
-        # A later subscription invalidates the tap-free dispatch cache.
+        # A later subscription invalidates the dispatch cache.
         ctx.subscribe("a.b", lambda t, p: seen.append(("late", t)))
         seen.clear()
-        assert ctx.bus.publish_organic("a.b") == 2
-        assert seen == [("organic", "a.b"), ("tap", "a.reply"),
-                        ("late", "a.b")]
+        assert ctx.bus.publish_relayed("a.b") == 2
+        assert [entry[:2] for entry in seen] == [
+            ("answer", "a.b"), ("reply", "a.reply"), ("relay", "a.reply"),
+            ("late", "a.b")]
 
     def test_trace_stamped_with_sim_time(self):
         ctx = RuntimeContext()

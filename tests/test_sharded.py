@@ -13,6 +13,7 @@ serialization contract.
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,10 @@ from repro.runtime import RuntimeContext, ShardedContext
 #: Worker counts covering both executors: in process, and two worker
 #: processes.
 EXECUTORS = (0, 2)
+
+#: The end-to-end benchmark's pinned 100k-continuum digests.
+PINNED_100K = Path(__file__).resolve().parents[1] / "e2ebench" / \
+    "digests.json"
 
 
 def _fleet_run(seed: int, n_zones: int, n_shards: int,
@@ -95,6 +100,23 @@ class TestShardCountInvariance:
                              link_latency_s=1.0)
         for name in zones:
             assert many.zone(name).seed == one.zone(name).seed
+
+
+class TestPinned100k:
+    def test_default_seed_reproduces_the_benchmark_pin(self):
+        """``metro_100k`` seed 0 (100k devices, 16 zones, in process)
+        renders the trace, metrics and event count the end-to-end
+        benchmark pins; the metrics digest is taken as
+        ``e2ebench/pin_digests.py`` takes it."""
+        pinned = json.loads(PINNED_100K.read_text())["metro_100k"]["0"]
+        result = run_scale_scenario(ScaleConfig.metro_100k(seed=0),
+                                    workers=0)
+        metrics = json.dumps(
+            result.sharded.snapshot_observability()["metrics"],
+            sort_keys=True, separators=(",", ":"))
+        assert {"trace": result.digest(),
+                "metrics": hashlib.sha256(metrics.encode()).hexdigest(),
+                "events": result.sharded.events_executed} == pinned
 
 
 class TestLookaheadBound:
@@ -212,6 +234,78 @@ def _relay_run(workers: int, zones, subs: dict, sends=(),
         return sharded, sharded.finalize()
 
 
+def _build_answer_zone(ctx, zone: str, args: dict) -> list:
+    """Nested-publish fixture: zone ``a`` answers each ``app.ping`` with
+    an ``app.pong`` — from a handler subscribed at build, or, given
+    ``args["answer_at"]``, from a DES process at that time, after the
+    zone's first relay round — and publishes one ``app.ping`` at t=2.
+    Zone ``b`` logs each ``app.*`` message it receives as ``(time,
+    topic)``."""
+    log: list = []
+    if zone == "b":
+        ctx.subscribe("app.*", lambda topic, payload:
+                      log.append((ctx.now, topic)))
+        return log
+
+    def answer(topic, payload):
+        ctx.publish("app.pong", {"to": topic})
+
+    def pinger():
+        if args["answer_at"] is not None:
+            yield ctx.sim.timeout(args["answer_at"])
+            ctx.subscribe("app.ping", answer)
+        yield ctx.sim.timeout(2.0 - ctx.now)
+        ctx.publish("app.ping", {"n": 1})
+
+    if args["answer_at"] is None:
+        ctx.subscribe("app.ping", answer)
+    ctx.sim.process(pinger())
+    return log
+
+
+def _build_late_listener_zone(ctx, zone: str, args) -> list:
+    """Zone ``a`` publishes ``app.ping`` ``{"n": t}`` at t=1..5; zone
+    ``b`` subscribes ``app.other`` at build and ``app.ping`` from a DES
+    process at t=2.5, logging ``(time, n)``."""
+    log: list = []
+    if zone == "a":
+        def pinger():
+            for n in range(1, 6):
+                yield ctx.sim.timeout(n - ctx.now)
+                ctx.publish("app.ping", {"n": n})
+
+        ctx.sim.process(pinger())
+        return log
+    ctx.subscribe("app.other", lambda topic, payload: None)
+
+    def listen():
+        yield ctx.sim.timeout(2.5)
+        ctx.subscribe("app.ping", lambda topic, payload:
+                      log.append((ctx.now, payload["n"])))
+
+    ctx.sim.process(listen())
+    return log
+
+
+#: Both executors and both in-process shard counts.
+RELAY_EXECUTORS = ({"n_shards": 1}, {"n_shards": 2}, {"workers": 2})
+
+
+def _executor_runs(builder, args, until: float) -> list[tuple]:
+    """Run *builder*'s zones ``a`` and ``b`` on every executor; returns
+    (executor, b's log, digest) per executor."""
+    runs = []
+    for executor in RELAY_EXECUTORS:
+        with ShardedContext(seed=0, zones=("a", "b"), link_latency_s=1.0,
+                            zone_builder=builder, zone_args=args,
+                            zone_finalizer=_finalize_relay_zone,
+                            **executor) as sharded:
+            sharded.run(until=until)
+            runs.append((executor, sharded.finalize()["b"],
+                         sharded.digest()))
+    return runs
+
+
 class TestEpochRelay:
     def test_cross_zone_delivery_at_send_plus_latency(self):
         for workers in EXECUTORS:
@@ -283,6 +377,29 @@ class TestEpochRelay:
         # Every tick published after the subscription barrier relays,
         # the first epoch's included; the t=6 tick arrives past the run.
         assert got == [4.0, 5.0]
+
+    @pytest.mark.parametrize("answer_at", [None, 0.5],
+                             ids=["build-time", "late-handler"])
+    def test_publish_relays_once_after_its_handlers(self, answer_at):
+        """``a`` answers each ping from a handler subscribed at build, or
+        after its first relay round (its relay then gains ``app.ping``
+        next to ``app.*``). The relay runs after the handlers, so the
+        answer published during the ping's delivery reaches ``b``
+        first, and the ping reaches it once."""
+        digests = set()
+        for executor, log, digest in _executor_runs(
+                _build_answer_zone, {"answer_at": answer_at}, until=4.0):
+            assert log == [(3.0, "app.pong"), (3.0, "app.ping")], executor
+            digests.add(digest)
+        assert len(digests) == 1
+
+    def test_pattern_added_to_relay_reaches_seen_topic(self):
+        """``a``'s relay already answered ``app.ping`` (no outbox) before
+        ``b`` subscribed to it; the pattern added at the next barrier
+        must take effect for that topic too."""
+        for executor, log, _ in _executor_runs(
+                _build_late_listener_zone, None, until=6.0):
+            assert log == [(5.0, 4), (6.0, 5)], executor
 
 
 class TestShardedContextShape:
