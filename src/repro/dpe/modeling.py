@@ -46,7 +46,13 @@ from repro.dpe.dse import (
 from repro.dpe.hls import synthesize
 from repro.dpe.mlir.ir import Base2Type, Builder, F32, Module, TensorType
 from repro.dpe.mlir.passes import canonicalize, quantize_to_base2
-from repro.tosca.csar import CsarArchive
+from repro.tosca.csar import (
+    COMPONENT_PATHS,
+    COUNTERMEASURES_PATH,
+    OPERATING_POINTS_PATH,
+    CsarArchive,
+    bitstream_paths,
+)
 from repro.tosca.model import (
     NodeTemplate,
     Policy,
@@ -285,6 +291,7 @@ class DesignFlow:
                     module, component)
         # Step 3: node-level optimization and deployment.
         archive = CsarArchive(service)
+        bitstreams = bitstream_paths(service)
         fixed = Base2Type(16, 8)
         for component_name, func_name in kernel_functions.items():
             canonicalize(module.function(func_name))
@@ -294,15 +301,16 @@ class DesignFlow:
             # path ("the rest of the application is compiled with
             # standard compilers").
             from repro.dpe.codegen import emit_c
-            archive.add_artifact(f"src/{component_name}.c",
+            c_path, verilog_path, report_path = (
+                path.format(component_name) for path in COMPONENT_PATHS)
+            archive.add_artifact(c_path,
                                  emit_c(module, fixed_fn.name).encode())
-            archive.add_artifact(f"verilog/{component_name}.v",
-                                 hls.verilog.encode())
+            archive.add_artifact(verilog_path, hls.verilog.encode())
             archive.add_artifact(
-                f"bitstreams/{component_name}.bit",
+                bitstreams[component_name],
                 _pseudo_bitstream(component_name, hls.resources.luts))
             archive.add_artifact(
-                f"reports/{component_name}_hls.json",
+                report_path,
                 json.dumps({
                     "luts": hls.resources.luts,
                     "dsps": hls.resources.dsps,
@@ -315,12 +323,11 @@ class DesignFlow:
                                    population=24, generations=15,
                                    objective="edp")
         operating_points = export_operating_points(explorer.explore())
-        archive.add_artifact("meta/operating-points.json",
+        archive.add_artifact(OPERATING_POINTS_PATH,
                              json.dumps(operating_points).encode())
         if countermeasures:
-            archive.add_artifact(
-                "security/countermeasures.txt",
-                "\n".join(countermeasures).encode())
+            archive.add_artifact(COUNTERMEASURES_PATH,
+                                 "\n".join(countermeasures).encode())
         csar = archive.to_bytes()
         return DeploymentSpecification(
             service=service,

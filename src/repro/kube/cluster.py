@@ -20,9 +20,7 @@ from repro.core.errors import (
     OrchestrationError,
     ValidationError,
 )
-from repro.core.events import EventBus
 from repro.core.ids import IdGenerator
-from repro.obs import null_span
 from repro.runtime import RuntimeContext
 from repro.kube.objects import (
     Deployment,
@@ -48,29 +46,21 @@ class ClusterEvent:
 class KubeCluster:
     """One Kubernetes-style cluster.
 
-    The control plane no longer wires a private event bus: inject a
-    :class:`~repro.runtime.RuntimeContext` so pod/bind/evict events land
-    on the same timeline as device faults and MAPE decisions. A bare
-    ``bus`` is still accepted for isolated unit tests; with neither, a
-    private context is created (cluster events then live on their own
-    timeline).
+    Inject a :class:`~repro.runtime.RuntimeContext` so pod/bind/evict
+    events land on the same timeline as device faults and MAPE
+    decisions; without one, a private context is created (cluster
+    events then live on their own timeline).
     """
 
     def __init__(self, name: str, scheduler: Scheduler | None = None, *,
-                 bus: EventBus | None = None,
                  ctx: RuntimeContext | None = None):
         self.name = name
         self.scheduler = scheduler or Scheduler()
-        self.ctx = ctx
+        self.ctx = ctx or RuntimeContext()
         # Per-node circuit breakers on the bind path; armed by
         # enable_bind_breakers().
         self._bind_breakers: dict | None = None
         self._breaker_params: tuple[int, float] | None = None
-        if bus is None:
-            if self.ctx is None:
-                self.ctx = RuntimeContext()
-            bus = self.ctx.bus
-        self.bus = bus
         self.nodes: dict[str, Node] = {}
         self.pods: dict[str, Pod] = {}
         self.deployments: dict[str, Deployment] = {}
@@ -78,26 +68,18 @@ class KubeCluster:
         self._ids = IdGenerator()
         # Hook LIQO uses to forward pods bound to virtual nodes.
         self.offload_hooks: list[Callable[[Pod, Node], None]] = []
-        if self.ctx is not None:
-            metrics = self.ctx.metrics
-            self._reconciles = metrics.counter(
-                "kube.cluster.reconciles", "control-loop passes",
-                label_key="cluster")
-            self._pods_scheduled = metrics.counter(
-                "kube.cluster.pods_scheduled", "pods bound to nodes",
-                label_key="cluster")
-            self._pod_evictions = metrics.counter(
-                "kube.cluster.evictions", "pods evicted",
-                label_key="cluster")
-        else:
-            self._reconciles = None
-            self._pods_scheduled = None
-            self._pod_evictions = None
+        metrics = self.ctx.metrics
+        self._reconciles = metrics.counter(
+            "kube.cluster.reconciles", "control-loop passes",
+            label_key="cluster")
+        self._pods_scheduled = metrics.counter(
+            "kube.cluster.pods_scheduled", "pods bound to nodes",
+            label_key="cluster")
+        self._pod_evictions = metrics.counter(
+            "kube.cluster.evictions", "pods evicted", label_key="cluster")
 
     def _span(self, name: str, **attrs):
-        """A kube-layer span, or a no-op when running bus-only."""
-        if self.ctx is None:
-            return null_span()
+        """A kube-layer span."""
         return self.ctx.tracer.start_span(
             name, layer="kube", cluster=self.name, **attrs)
 
@@ -202,10 +184,6 @@ class KubeCluster:
         recovery window elapses, then probed half-open — the first pod
         that reaches RUNNING on it closes the breaker again.
         """
-        if self.ctx is None:
-            raise ConfigurationError(
-                "enable_bind_breakers() needs a RuntimeContext-injected "
-                "cluster (shared clock)")
         self._bind_breakers = {}
         self._breaker_params = (failure_threshold, recovery_time_s)
 
@@ -241,8 +219,7 @@ class KubeCluster:
             pod.restarts += 1
             pod.record(f"evicted: {reason}")
             self._emit("PodEvicted", pod.name, reason)
-        if self._pod_evictions is not None:
-            self._pod_evictions.inc(label=self.name)
+        self._pod_evictions.inc(label=self.name)
 
     # -- deployments -------------------------------------------------------------------
 
@@ -320,10 +297,9 @@ class KubeCluster:
                     if node.virtual:
                         for hook in self.offload_hooks:
                             hook(pod, node)
-        if self._reconciles is not None:
-            self._reconciles.inc(label=self.name)
-            if scheduled:
-                self._pods_scheduled.inc(scheduled, label=self.name)
+        self._reconciles.inc(label=self.name)
+        if scheduled:
+            self._pods_scheduled.inc(scheduled, label=self.name)
         return scheduled
 
     # -- introspection -------------------------------------------------------------------
@@ -348,11 +324,6 @@ class KubeCluster:
         again. This is the cross-layer glue that puts kube evictions on
         the same causal trace as the fault that caused them.
         """
-        if self.ctx is None:
-            raise ConfigurationError(
-                "watch_device_faults() needs a RuntimeContext-injected "
-                "cluster (shared bus)")
-
         def _on_fault(topic: str, payload) -> None:
             device = (payload or {}).get("device")
             if device in self.nodes:
@@ -362,6 +333,6 @@ class KubeCluster:
 
     def _emit(self, kind: str, obj: str, message: str) -> None:
         event = ClusterEvent(kind=kind, object_name=obj, message=message,
-                             time_s=self.ctx.now if self.ctx else 0.0)
+                             time_s=self.ctx.now)
         self.events.append(event)
-        self.bus.publish(f"kube.{self.name}.{kind}", event)
+        self.ctx.bus.publish(f"kube.{self.name}.{kind}", event)

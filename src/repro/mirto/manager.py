@@ -52,15 +52,12 @@ def service_to_application(service: ServiceTemplate) -> Application:
     """
     app = Application(service.name)
     privacy_by_target: dict[str, PrivacyClass] = {}
-    security_floor = "low"
     latency_budget = float("inf")
     for policy in service.policies:
         if policy.type == "myrtus.policies.Privacy":
             for target in policy.targets:
                 privacy_by_target[target] = PrivacyClass(
                     policy.properties["data_class"])
-        elif policy.type == "myrtus.policies.Security":
-            security_floor = policy.properties.get("min_level", "low")
         elif policy.type == "myrtus.policies.Latency":
             latency_budget = min(
                 latency_budget,
@@ -80,7 +77,7 @@ def service_to_application(service: ServiceTemplate) -> Application:
                 latency_budget_s=latency_budget,
                 privacy=privacy_by_target.get(template.name,
                                               PrivacyClass.PUBLIC),
-                min_security_level=security_floor,
+                min_security_level=service.security_floor(template.name),
             ),
         ))
     container_names = {t.name for t in service.containers()}
@@ -103,13 +100,7 @@ class PrivacySecurityManager:
                                  or (lambda: infrastructure.sim.now))
 
     def required_level(self, service: ServiceTemplate) -> SecurityLevel:
-        level = SecurityLevel.LOW
-        for policy in service.policies_of_type("myrtus.policies.Security"):
-            candidate = SecurityLevel.parse(
-                policy.properties.get("min_level", "low"))
-            if candidate.rank > level.rank:
-                level = candidate
-        return level
+        return SecurityLevel.parse(service.security_floor())
 
     def constraints_for(self, service: ServiceTemplate
                         ) -> PlacementConstraints:

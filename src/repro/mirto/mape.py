@@ -200,13 +200,7 @@ class MapeLoop:
                     self._degraded.add(name)
             if self._degraded and self._degradation_started is None:
                 self._degradation_started = self.ctx.now
-            for name in self.infrastructure.devices:
-                trust = self.manager.security.trust.trust(name)
-                if trust < self.trust_threshold:
-                    triggers.append(Trigger(
-                        "trust-drop", name, f"trust {trust:.2f}"))
-            return triggers
-        if self._degraded:
+        elif self._degraded:
             # Campaign over: restore every device we stepped down.
             # Skip the utilization pass this cycle — the devices are
             # still at low-power, so an "underload" trigger would undo
@@ -219,25 +213,20 @@ class MapeLoop:
                 self._degradation_accum += \
                     self.ctx.now - self._degradation_started
                 self._degradation_started = None
-            for name in self.infrastructure.devices:
-                trust = self.manager.security.trust.trust(name)
-                if trust < self.trust_threshold:
+        else:
+            for name, sample in samples.items():
+                utilization = sample["utilization"]
+                if utilization > self.overload_threshold:
                     triggers.append(Trigger(
-                        "trust-drop", name, f"trust {trust:.2f}"))
-            return triggers
-        for name, sample in samples.items():
-            utilization = sample["utilization"]
-            if utilization > self.overload_threshold:
-                triggers.append(Trigger(
-                    "overload", name,
-                    f"utilization {utilization:.2f} > "
-                    f"{self.overload_threshold}"))
-            elif utilization < self.underload_threshold and \
-                    sample["queue_length"] == 0:
-                triggers.append(Trigger(
-                    "underload", name,
-                    f"utilization {utilization:.2f} < "
-                    f"{self.underload_threshold}"))
+                        "overload", name,
+                        f"utilization {utilization:.2f} > "
+                        f"{self.overload_threshold}"))
+                elif utilization < self.underload_threshold and \
+                        sample["queue_length"] == 0:
+                    triggers.append(Trigger(
+                        "underload", name,
+                        f"utilization {utilization:.2f} < "
+                        f"{self.underload_threshold}"))
         for name in self.infrastructure.devices:
             trust = self.manager.security.trust.trust(name)
             if trust < self.trust_threshold:

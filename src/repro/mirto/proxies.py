@@ -65,10 +65,6 @@ def container_to_pod_spec(service: ServiceTemplate,
     """TOSCA container template -> kube pod spec."""
     template = service.node_templates[template_name]
     props = template.properties
-    min_level = "low"
-    for policy in service.policies_for(template_name):
-        if policy.type == "myrtus.policies.Security":
-            min_level = policy.properties.get("min_level", min_level)
     return PodSpec(
         name=f"{service.name}-{template_name}",
         request=ResourceRequest(
@@ -76,7 +72,7 @@ def container_to_pod_spec(service: ServiceTemplate,
             memory_bytes=int(props.get("memory_bytes", 64 * 1024**2)),
         ),
         labels={"app": service.name, "component": template_name},
-        min_security_level=min_level,
+        min_security_level=service.security_floor(template_name),
     )
 
 

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 from repro.core.errors import SecurityError
-from repro.security.primitives.sha2 import hmac
+from repro.security.primitives.sha2 import constant_time_eq, hmac
 
 
 # Permission vocabulary for orchestration actions.
@@ -57,6 +57,8 @@ class Token:
 
     @staticmethod
     def decode(wire: bytes) -> "Token":
+        if not isinstance(wire, bytes):
+            raise SecurityError("malformed token")
         try:
             body, tag_hex = wire.rsplit(b".", 1)
             return Token(json.loads(body), bytes.fromhex(tag_hex.decode()))
@@ -120,7 +122,7 @@ class AuthModule:
         token = Token.decode(wire_token)
         body = json.dumps(token.payload, sort_keys=True).encode()
         expected = hmac(self._secret, body)[:16]
-        if token.tag != expected:
+        if not constant_time_eq(token.tag, expected):
             self.auth_failures += 1
             raise SecurityError("token signature invalid")
         if token.payload.get("exp", 0) < self._now():

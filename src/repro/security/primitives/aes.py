@@ -9,7 +9,7 @@ provides the authenticated-encryption interface used by secure channels.
 from __future__ import annotations
 
 from repro.core.errors import SecurityError
-from repro.security.primitives.sha2 import hmac
+from repro.security.primitives.sha2 import constant_time_eq, hmac
 
 _SBOX: list[int] = []
 _INV_SBOX: list[int] = []
@@ -199,15 +199,6 @@ def aes_decrypt(key: bytes, nonce: bytes, sealed: bytes,
         raise SecurityError("ciphertext too short to carry a tag")
     ciphertext, tag = sealed[:-16], sealed[-16:]
     expected = hmac(key, nonce + associated_data + ciphertext)[:16]
-    if not _constant_time_eq(tag, expected):
+    if not constant_time_eq(tag, expected):
         raise SecurityError("AEAD tag verification failed")
     return aes_ctr(key, nonce, ciphertext)
-
-
-def _constant_time_eq(a: bytes, b: bytes) -> bool:
-    if len(a) != len(b):
-        return False
-    acc = 0
-    for x, y in zip(a, b):
-        acc |= x ^ y
-    return acc == 0

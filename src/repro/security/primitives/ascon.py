@@ -11,6 +11,7 @@ per-word linear diffusion rotations.
 from __future__ import annotations
 
 from repro.core.errors import SecurityError
+from repro.security.primitives.sha2 import constant_time_eq
 
 _MASK64 = (1 << 64) - 1
 _ROUND_CONSTANTS = [0xF0, 0xE1, 0xD2, 0xC3, 0xB4, 0xA5, 0x96, 0x87,
@@ -144,7 +145,7 @@ def ascon128_decrypt(key: bytes, nonce: bytes, sealed: bytes,
     state = permutation(state, 12)
     expected = ((state[3] ^ k0).to_bytes(8, "big")
                 + (state[4] ^ k1).to_bytes(8, "big"))
-    if not _constant_time_eq(tag, expected):
+    if not constant_time_eq(tag, expected):
         raise SecurityError("ASCON tag verification failed")
     return bytes(plaintext)
 
@@ -183,12 +184,3 @@ def lightweight_sponge_hash(data: bytes, out_bytes: int = 20,
         digest.extend(state[0].to_bytes(8, "big")[:4])
         state = permutation(state, rounds)
     return bytes(digest[:out_bytes])
-
-
-def _constant_time_eq(a: bytes, b: bytes) -> bool:
-    if len(a) != len(b):
-        return False
-    acc = 0
-    for x, y in zip(a, b):
-        acc |= x ^ y
-    return acc == 0

@@ -165,6 +165,16 @@ def hmac(key: bytes, message: bytes, hash_fn=sha256,
     return hash_fn(o_pad + hash_fn(i_pad + message))
 
 
+def constant_time_eq(a: bytes, b: bytes) -> bool:
+    """Compare two tags without an early exit on the first mismatch."""
+    if len(a) != len(b):
+        return False
+    acc = 0
+    for x, y in zip(a, b):
+        acc |= x ^ y
+    return acc == 0
+
+
 def hkdf(ikm: bytes, length: int, salt: bytes = b"",
          info: bytes = b"") -> bytes:
     """HKDF-SHA256 (RFC 5869) extract-and-expand key derivation."""

@@ -7,7 +7,8 @@ in all TOSCA-compatible environments" (paper Sec. V). A CSAR is a zip
 with a ``TOSCA-Metadata/TOSCA.meta`` manifest naming the entry template;
 this module writes and reads such archives fully in memory, including
 deployment artifacts (bitstreams, executables, operating-point
-meta-information).
+meta-information), and declares the artifact layout the DPE writes and
+the static checker resolves against.
 """
 
 from __future__ import annotations
@@ -23,6 +24,31 @@ from repro.tosca.parser import dump_service_template, parse_service_template
 
 _META_PATH = "TOSCA-Metadata/TOSCA.meta"
 _TEMPLATE_PATH = "Definitions/service-template.yaml"
+
+# The artifact layout. A node's ``bitstream`` property names a file
+# under BITSTREAM_DIR; the DSE's Pareto points and the synthesized
+# countermeasures sit at fixed paths; each component may carry a C
+# fallback, Verilog and an HLS report (``str.format`` of its name).
+BITSTREAM_DIR = "bitstreams/"
+OPERATING_POINTS_PATH = "meta/operating-points.json"
+COUNTERMEASURES_PATH = "security/countermeasures.txt"
+COMPONENT_PATHS = ("src/{}.c", "verilog/{}.v", "reports/{}_hls.json")
+
+
+def bitstream_paths(service: ServiceTemplate) -> dict[str, str]:
+    """Each node naming a bitstream, with the archive path it names."""
+    return {name: BITSTREAM_DIR + template.properties["bitstream"]
+            for name, template in service.node_templates.items()
+            if isinstance(template.properties.get("bitstream"), str)}
+
+
+def layout_paths(service: ServiceTemplate) -> set[str]:
+    """Every artifact path the layout allows in *service*'s archive."""
+    paths = {OPERATING_POINTS_PATH, COUNTERMEASURES_PATH,
+             *bitstream_paths(service).values()}
+    for name in service.node_templates:
+        paths.update(path.format(name) for path in COMPONENT_PATHS)
+    return paths
 
 
 @dataclass
@@ -58,6 +84,8 @@ class CsarArchive:
     @staticmethod
     def from_bytes(data: bytes) -> "CsarArchive":
         """Parse CSAR bytes back into an archive object."""
+        if not isinstance(data, bytes):
+            raise ValidationError("not a CSAR (expected bytes)")
         try:
             archive = zipfile.ZipFile(io.BytesIO(data))
         except zipfile.BadZipFile as exc:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.errors import ValidationError
+from repro.core.levels import SECURITY_RANK
 
 
 @dataclass(frozen=True)
@@ -135,8 +136,10 @@ for rel in ("tosca.relationships.Root", "tosca.relationships.HostedOn",
     STANDARD_RELATIONSHIP_TYPES[rel] = RelationshipType(rel)
 
 
+SECURITY_POLICY = "myrtus.policies.Security"
+
 POLICY_TYPES: dict[str, dict[str, PropertyDef]] = {
-    "myrtus.policies.Security": dict([
+    SECURITY_POLICY: dict([
         _prop("min_level", "string", required=True),
         _prop("encrypted_storage", "boolean", default=False),
     ]),
@@ -234,6 +237,21 @@ class ServiceTemplate:
         """Policies targeting one template (or everything, via '*')."""
         return [p for p in self.policies
                 if template_name in p.targets or "*" in p.targets]
+
+    def security_floor(self, template_name: str | None = None) -> str:
+        """The strictest Security ``min_level`` among the policies
+        targeting *template_name* (``*`` included), or among all of them
+        when no template is given; ``low`` when none applies.
+
+        A level off the Table II ladder ranks above ``high``: it is
+        never dropped, so the reader that parses it rejects it.
+        """
+        policies = (self.policies if template_name is None
+                    else self.policies_for(template_name))
+        levels = [p.properties.get("min_level", "low") for p in policies
+                  if p.type == SECURITY_POLICY]
+        return max(levels, default="low", key=lambda level:
+                   SECURITY_RANK.get(level, len(SECURITY_RANK)))
 
 
 def resolve_type(name: str) -> NodeType:

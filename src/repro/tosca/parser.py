@@ -52,6 +52,8 @@ def parse_service_template(text: str, name: str = "service"
     Structural errors raise :class:`ValidationError`; semantic checks
     are the validator's job (:mod:`repro.tosca.validator`).
     """
+    if not isinstance(text, (str, bytes)):
+        raise ValidationError("TOSCA document must be str or bytes")
     try:
         doc = yaml.load(text, Loader=_LOADER)
     except (yaml.YAMLError, UnicodeEncodeError) as exc:

@@ -1,8 +1,12 @@
 """The TOSCA Validation Processor (paper Fig. 3).
 
-Semantic validation of a parsed service template: type existence,
-property schema conformance, requirement resolution, HostedOn cycle
-detection, and policy well-formedness. Returns all problems at once.
+The one home of every template rule, each problem under the rule id
+the static checker (:mod:`repro.analysis.tosca_check`) reports:
+``schema`` (types, property schemas, requirement targets, policies),
+``dependency-cycle`` (over every requirement kind), ``security-level``
+(policies, nodes and metadata against the Table II ladder) and
+``operating-points`` (the Pareto points the DPE embeds and the MIRTO
+Node Manager consumes). Returns all problems at once.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from repro.core.graph import simple_cycles
 from repro.core.levels import SECURITY_LEVELS
 from repro.tosca.model import (
     POLICY_TYPES,
+    SECURITY_POLICY,
     STANDARD_NODE_TYPES,
     STANDARD_RELATIONSHIP_TYPES,
     ServiceTemplate,
@@ -20,18 +25,21 @@ from repro.tosca.model import (
 
 _LAYERS = ("edge", "fog", "cloud")
 
+#: keys every exported operating point carries (dse.export_operating_points)
+_POINT_KEYS = ("name", "latency_s", "energy_j")
+
 
 class ToscaValidator:
     """Collects problems; ``validate`` raises when any exist."""
 
+    def problems(self, service: ServiceTemplate) -> list[tuple[str, str]]:
+        """Every problem as ``(rule, message)``, in rule order."""
+        return [(rule, message) for rule, check in _RULES
+                for message in check(service)]
+
     def check(self, service: ServiceTemplate) -> list[str]:
         """Return the list of problems (empty when valid)."""
-        problems: list[str] = []
-        problems += self._check_templates(service)
-        problems += self._check_requirements(service)
-        problems += self._check_hosting_cycles(service)
-        problems += self._check_policies(service)
-        return problems
+        return [message for _rule, message in self.problems(service)]
 
     def validate(self, service: ServiceTemplate) -> None:
         """Raise :class:`ValidationError` listing every problem found."""
@@ -40,112 +48,149 @@ class ToscaValidator:
             raise ValidationError(
                 f"service template {service.name!r} invalid", problems)
 
-    # -- individual passes -------------------------------------------------------
 
-    def _check_templates(self, service: ServiceTemplate) -> list[str]:
-        problems = []
-        for template in service.node_templates.values():
-            if template.type not in STANDARD_NODE_TYPES:
-                problems.append(
-                    f"node {template.name}: unknown type {template.type}")
-                continue
-            schema = effective_properties(template.type)
-            for prop_name, value in template.properties.items():
-                if prop_name not in schema:
-                    problems.append(
-                        f"node {template.name}: unknown property "
-                        f"{prop_name}")
-                elif value is not None and not schema[prop_name].check(value):
-                    problems.append(
-                        f"node {template.name}: property {prop_name} is "
-                        f"not a {schema[prop_name].type}")
-            for prop_name, definition in schema.items():
-                if definition.required and \
-                        template.properties.get(prop_name) is None:
-                    problems.append(
-                        f"node {template.name}: missing required property "
-                        f"{prop_name}")
-        return problems
+# -- the rules: each yields its problems' messages ---------------------------
 
-    def _check_requirements(self, service: ServiceTemplate) -> list[str]:
-        problems = []
-        for template in service.node_templates.values():
-            for req in template.requirements:
-                if req.target not in service.node_templates:
-                    problems.append(
-                        f"node {template.name}: requirement {req.name} "
-                        f"targets unknown template {req.target}")
-                if req.relationship not in STANDARD_RELATIONSHIP_TYPES:
-                    problems.append(
-                        f"node {template.name}: unknown relationship "
-                        f"{req.relationship}")
-                if req.target == template.name:
-                    problems.append(
-                        f"node {template.name}: requirement {req.name} "
-                        "targets itself")
-        return problems
 
-    def _check_hosting_cycles(self, service: ServiceTemplate) -> list[str]:
-        """One problem per HostedOn cycle, in template order."""
-        hosts: dict[str, dict[str, None]] = {
-            name: {} for name in service.node_templates}
-        for template in service.node_templates.values():
-            for req in template.requirements:
-                if req.name == "host" and req.target in hosts:
-                    hosts[template.name][req.target] = None
-        return [f"hosting cycle: {' -> '.join(cycle)}"
-                for cycle in simple_cycles(hosts)]
+def _template_problems(service: ServiceTemplate):
+    for template in service.node_templates.values():
+        if template.type not in STANDARD_NODE_TYPES:
+            yield f"node {template.name}: unknown type {template.type}"
+        else:
+            yield from _property_problems(
+                f"node {template.name}", template.properties,
+                effective_properties(template.type))
 
-    def _check_policies(self, service: ServiceTemplate) -> list[str]:
-        problems = []
-        for policy in service.policies:
-            if policy.type not in POLICY_TYPES:
-                problems.append(f"policy {policy.name}: unknown type "
-                                f"{policy.type}")
-                continue
-            schema = POLICY_TYPES[policy.type]
-            for target in policy.targets:
-                if target != "*" and target not in service.node_templates:
-                    problems.append(
-                        f"policy {policy.name}: unknown target {target}")
-            for prop_name, value in policy.properties.items():
-                if prop_name not in schema:
-                    problems.append(
-                        f"policy {policy.name}: unknown property "
-                        f"{prop_name}")
-                elif value is not None and not schema[prop_name].check(value):
-                    problems.append(
-                        f"policy {policy.name}: property {prop_name} is "
-                        f"not a {schema[prop_name].type}")
-            for prop_name, definition in schema.items():
-                if definition.required and \
-                        policy.properties.get(prop_name) is None:
-                    problems.append(
-                        f"policy {policy.name}: missing required property "
-                        f"{prop_name}")
-            problems += self._check_policy_values(policy)
-        return problems
 
-    def _check_policy_values(self, policy) -> list[str]:
-        problems = self._check_security_level(policy)
+def _requirement_problems(service: ServiceTemplate):
+    for template in service.node_templates.values():
+        for req in template.requirements:
+            if req.target not in service.node_templates:
+                yield (f"node {template.name}: requirement {req.name} "
+                       f"targets unknown template {req.target}")
+            if req.relationship not in STANDARD_RELATIONSHIP_TYPES:
+                yield (f"node {template.name}: unknown relationship "
+                       f"{req.relationship}")
+            if req.target == template.name:
+                yield (f"node {template.name}: requirement {req.name} "
+                       "targets itself")
+
+
+def _policy_problems(service: ServiceTemplate):
+    for policy in service.policies:
+        if policy.type not in POLICY_TYPES:
+            yield f"policy {policy.name}: unknown type {policy.type}"
+            continue
+        for target in policy.targets:
+            if target != "*" and target not in service.node_templates:
+                yield f"policy {policy.name}: unknown target {target}"
+        yield from _property_problems(
+            f"policy {policy.name}", policy.properties,
+            POLICY_TYPES[policy.type])
         if policy.type == "myrtus.policies.Latency":
             budget = policy.properties.get("end_to_end_budget_s")
             if isinstance(budget, (int, float)) and budget <= 0:
-                problems.append(
-                    f"policy {policy.name}: latency budget must be positive")
+                yield f"policy {policy.name}: latency budget must be positive"
         if policy.type == "myrtus.policies.Privacy":
             layer = policy.properties.get("max_layer")
             if layer is not None and layer not in _LAYERS:
-                problems.append(
-                    f"policy {policy.name}: max_layer must be one of "
-                    f"{_LAYERS}")
-        return problems
+                yield (f"policy {policy.name}: max_layer must be one of "
+                       f"{_LAYERS}")
 
-    @staticmethod
-    def _check_security_level(policy) -> list[str]:
-        if policy.type == "myrtus.policies.Security":
-            level = policy.properties.get("min_level")
-            if level is not None and level not in SECURITY_LEVELS:
-                return [f"policy {policy.name}: min_level must be one of "
-                        f"{SECURITY_LEVELS}"]
-        return []
+
+def _property_problems(where: str, properties: dict, schema: dict):
+    """Unknown, ill-typed and missing required properties."""
+    for prop_name, value in properties.items():
+        if prop_name not in schema:
+            yield f"{where}: unknown property {prop_name}"
+        elif value is not None and not schema[prop_name].check(value):
+            yield (f"{where}: property {prop_name} is not a "
+                   f"{schema[prop_name].type}")
+    for prop_name, definition in schema.items():
+        if definition.required and properties.get(prop_name) is None:
+            yield f"{where}: missing required property {prop_name}"
+
+
+def _cycle_problems(service: ServiceTemplate):
+    """One problem per elementary cycle over every requirement kind.
+
+    A ConnectsTo cycle deadlocks startup ordering as surely as a
+    HostedOn one. Cycles come in template order, each starting where a
+    depth-first walk over the templates first meets it, whatever the
+    hash seed. A template requiring itself is the schema problem
+    "targets itself", not a cycle.
+    """
+    graph: dict[str, dict[str, None]] = {
+        name: {} for name in service.node_templates}
+    for template in service.node_templates.values():
+        for req in template.requirements:
+            if req.target in graph and req.target != template.name:
+                graph[template.name][req.target] = None
+    for cycle in simple_cycles(graph):
+        yield f"requirement cycle: {' -> '.join(cycle + cycle[:1])}"
+
+
+def _security_level_problems(service: ServiceTemplate):
+    levels = [(f"node {template.name}: max_security_level",
+               template.properties.get("max_security_level"))
+              for template in service.node_templates.values()]
+    levels += [(f"policy {policy.name}: min_level",
+                policy.properties.get("min_level"))
+               for policy in service.policies_of_type(SECURITY_POLICY)]
+    levels.append(("metadata security_level",
+                   service.metadata.get("security_level")))
+    for where, level in levels:
+        if level is not None and level not in SECURITY_LEVELS:
+            yield f"{where} {level!r} is not one of {SECURITY_LEVELS}"
+
+
+def _node_operating_point_problems(service: ServiceTemplate):
+    for template in service.node_templates.values():
+        points = template.properties.get("operating_points")
+        if points is not None:
+            yield from operating_point_problems(
+                points, f"node {template.name}")
+
+
+def operating_point_problems(points, where: str):
+    """Yield the shape problems of one operating-point list.
+
+    Each point is a mapping with a unique ``name`` and non-negative
+    ``latency_s`` and ``energy_j``: the contract between
+    ``dse.export_operating_points`` and the MIRTO Node Manager. *where*
+    (a node, or a CSAR artifact) prefixes every message.
+    """
+    if not isinstance(points, list):
+        yield f"{where}: operating points must be a list of point mappings"
+        return
+    names: set[str] = set()
+    for index, point in enumerate(points):
+        at = f"{where}: operating point #{index}"
+        if not isinstance(point, dict):
+            yield f"{at} is not a mapping"
+            continue
+        for key in _POINT_KEYS:
+            if key not in point:
+                yield f"{at} lacks required key {key!r}"
+        for key in ("latency_s", "energy_j"):
+            value = point.get(key)
+            if value is not None and (
+                    not isinstance(value, (int, float))
+                    or isinstance(value, bool) or value < 0):
+                yield f"{at}: {key} must be a non-negative number"
+        name = point.get("name")
+        if isinstance(name, str):
+            if name in names:
+                yield f"{at}: duplicate point name {name!r}"
+            names.add(name)
+
+
+#: The rule table: each rule id with a check that yields its problems.
+_RULES = (
+    ("schema", _template_problems),
+    ("schema", _requirement_problems),
+    ("schema", _policy_problems),
+    ("dependency-cycle", _cycle_problems),
+    ("security-level", _security_level_problems),
+    ("operating-points", _node_operating_point_problems),
+)

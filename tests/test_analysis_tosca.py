@@ -6,12 +6,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from repro.analysis.cli import main as analysis_main
 from repro.analysis.findings import Severity
 from repro.analysis.tosca_check import (
     check_csar,
     check_csar_bytes,
     check_service,
 )
+from repro.core.errors import ValidationError
+from repro.dpe import DesignFlow
 from repro.tosca.csar import CsarArchive
 from repro.tosca.model import (
     NodeTemplate,
@@ -19,6 +24,8 @@ from repro.tosca.model import (
     Requirement,
     ServiceTemplate,
 )
+from repro.tosca.validator import ToscaValidator
+from repro.usecases import mobility, telerehab
 
 
 def container(name, **overrides):
@@ -43,6 +50,68 @@ def valid_service():
 
 def rules_of(findings):
     return sorted(f.rule for f in findings)
+
+
+def pairs_of(findings):
+    return sorted((f.rule, f.message) for f in findings)
+
+
+def ring(service, kind, names):
+    """Add containers requiring each other around a *kind* ring."""
+    for name, target in zip(names, names[1:] + names[:1]):
+        service.add_node(container(name))
+        service.node_templates[name].requirements.append(
+            Requirement(kind, target))
+
+
+_LADDER = "('low', 'medium', 'high')"
+
+#: One planted defect per template rule: (id, plant, rule, message).
+DEFECTS = [
+    ("unknown-type",
+     lambda s: s.add_node(NodeTemplate("ghost", "nope.Type")),
+     "schema", "node ghost: unknown type nope.Type"),
+    ("bad-property",
+     lambda s: s.node_templates["app"].properties.update(color="red"),
+     "schema", "node app: unknown property color"),
+    ("dangling-target",
+     lambda s: s.node_templates["app"].requirements.append(Requirement(
+         "connection", "missing-db", "tosca.relationships.ConnectsTo")),
+     "schema",
+     "node app: requirement connection targets unknown template "
+     "missing-db"),
+    ("self-target",
+     lambda s: s.node_templates["app"].requirements.append(Requirement(
+         "connection", "app", "tosca.relationships.ConnectsTo")),
+     "schema", "node app: requirement connection targets itself"),
+    ("hosted-on-cycle", lambda s: ring(s, "host", ["h1", "h2"]),
+     "dependency-cycle", "requirement cycle: h1 -> h2 -> h1"),
+    ("connects-to-cycle", lambda s: ring(s, "connection", ["c1", "c2"]),
+     "dependency-cycle", "requirement cycle: c1 -> c2 -> c1"),
+    ("unknown-policy",
+     lambda s: s.add_policy(Policy("mystery", "nope.Policy", ["app"])),
+     "schema", "policy mystery: unknown type nope.Policy"),
+    ("bad-min-level",
+     lambda s: s.add_policy(Policy("sec", "myrtus.policies.Security",
+                                   ["app"], {"min_level": "ultra"})),
+     "security-level",
+     f"policy sec: min_level 'ultra' is not one of {_LADDER}"),
+    ("bad-node-level",
+     lambda s: s.node_templates["edge1"].properties.update(
+         max_security_level="ultra"),
+     "security-level",
+     f"node edge1: max_security_level 'ultra' is not one of {_LADDER}"),
+    ("bad-metadata-level",
+     lambda s: s.metadata.update(security_level="max"),
+     "security-level",
+     f"metadata security_level 'max' is not one of {_LADDER}"),
+    ("malformed-operating-points",
+     lambda s: s.node_templates["app"].properties.update(operating_points=[
+         {"name": "op-0", "latency_s": -1.0, "energy_j": 1.0}]),
+     "operating-points",
+     "node app: operating point #0: latency_s must be a non-negative "
+     "number"),
+]
 
 
 #: Prints the dependency-cycle findings of a ConnectsTo ring and of two
@@ -97,15 +166,12 @@ class TestServiceChecks:
         service.add_node(a)
         service.add_node(b)
         findings = check_service(service)
-        # the runtime validator only rejects HostedOn cycles; the
-        # static checker must catch this one
         assert any(f.rule == "dependency-cycle" for f in findings)
         assert rules_of(findings) == ["dependency-cycle"]
 
     def test_each_problem_reported_once(self):
-        """The static passes and the runtime validator both look at
-        HostedOn cycles and Security ``min_level``; each problem must
-        surface as one finding, under the static checker's rule."""
+        """A HostedOn cycle and a bad Security ``min_level`` are one
+        finding each, under their own rule, and the level is named."""
         service = ServiceTemplate(name="twice")
         a, b = container("a"), container("b")
         a.requirements.append(Requirement(
@@ -256,9 +322,8 @@ class TestCsarChecks:
                         "bitstream": "kern.bit"})
         service.add_node(kernel)
         archive = CsarArchive(service=service)
-        archive.add_artifact("kern.bit", b"\x00" * 16)
-        assert [f for f in check_csar(archive)
-                if f.severity == Severity.ERROR] == []
+        archive.add_artifact("bitstreams/kern.bit", b"\x00" * 16)
+        assert check_csar(archive) == []
 
     def test_orphan_artifact_warns(self):
         archive = CsarArchive(service=valid_service())
@@ -270,18 +335,18 @@ class TestCsarChecks:
 
     def test_malformed_operating_points_artifact(self):
         archive = CsarArchive(service=valid_service())
-        archive.add_artifact("app/operating_points.json", b"not-json")
+        archive.add_artifact("meta/operating-points.json", b"not-json")
         findings = check_csar(archive)
-        assert any("not valid JSON" in f.message for f in findings)
+        assert [(f.rule, f.message) for f in findings] == [(
+            "artifact-ref",
+            "artifact meta/operating-points.json: not valid JSON")]
 
     def test_well_formed_operating_points_artifact(self):
-        import json
         archive = CsarArchive(service=valid_service())
-        archive.add_artifact("app/operating_points.json", json.dumps([
+        archive.add_artifact("meta/operating-points.json", json.dumps([
             {"name": "op-0", "latency_s": 0.1, "energy_j": 1.0},
         ]).encode())
-        assert [f for f in check_csar(archive)
-                if f.severity == Severity.ERROR] == []
+        assert check_csar(archive) == []
 
     def test_bad_zip_reported_not_raised(self):
         findings = check_csar_bytes(b"definitely not a zip")
@@ -304,3 +369,113 @@ class TestCsarChecks:
         rebuilt = CsarArchive.from_bytes(archive.to_bytes())
         assert [f for f in check_csar(rebuilt)
                 if f.severity == Severity.ERROR] == []
+
+
+class TestOneRuleTable:
+    """The validator owns every rule; the checker only renders it."""
+
+    @pytest.mark.parametrize("plant, rule, message",
+                             [d[1:] for d in DEFECTS],
+                             ids=[d[0] for d in DEFECTS])
+    def test_planted_defect_is_one_problem(self, plant, rule, message):
+        service = valid_service()
+        plant(service)
+        assert ToscaValidator().problems(service) == [(rule, message)]
+        assert ToscaValidator().check(service) == [message]
+        assert pairs_of(check_service(service)) == [(rule, message)]
+
+    def test_all_planted_defects_each_once(self):
+        service = valid_service()
+        for _name, plant, _rule, _message in DEFECTS:
+            plant(service)
+        expected = sorted((rule, message)
+                          for _name, _plant, rule, message in DEFECTS)
+        assert sorted(ToscaValidator().problems(service)) == expected
+        assert pairs_of(check_service(service)) == expected
+
+    def test_validate_rejects_a_connects_to_cycle(self):
+        service = valid_service()
+        ring(service, "connection", ["a", "b", "c"])
+        with pytest.raises(ValidationError) as excinfo:
+            ToscaValidator().validate(service)
+        assert excinfo.value.problems == [
+            "requirement cycle: a -> b -> c -> a"]
+
+    def test_self_hosting_node_is_one_problem(self):
+        service = valid_service()
+        service.node_templates["app"].requirements.append(
+            Requirement("host", "app", "tosca.relationships.HostedOn"))
+        assert ToscaValidator().check(service) == [
+            "node app: requirement host targets itself"]
+
+
+@pytest.fixture(scope="module")
+def dpe_csars():
+    """Both use cases' CSARs as ``DesignFlow.run`` writes them."""
+    return {case.__name__.rsplit(".", 1)[-1]: DesignFlow(seed=0).run(
+        case.build_scenario(), case.build_adt(),
+        defence_budget=8.0).csar_bytes for case in (mobility, telerehab)}
+
+
+def _drop_bitstream(archive):
+    del archive.artifacts["bitstreams/perception.bit"]
+
+
+def _set_points(content):
+    def plant(archive):
+        archive.artifacts["meta/operating-points.json"] = content
+    return plant
+
+
+#: One damage to the DPE's mobility CSAR per artifact check:
+#: (id, damage, rule, severity, message).
+CSAR_DEFECTS = [
+    ("missing-bitstream", _drop_bitstream, "artifact-ref", Severity.ERROR,
+     "node perception: bitstream bitstreams/perception.bit is not "
+     "packaged in the archive"),
+    ("unnamed-bitstream",
+     lambda a: a.add_artifact("bitstreams/ghost.bit", b"XLNX"),
+     "artifact-ref", Severity.WARNING,
+     "artifact bitstreams/ghost.bit is referenced by no template and "
+     "lies outside the CSAR layout"),
+    ("points-not-json", _set_points(b"[{"), "artifact-ref", Severity.ERROR,
+     "artifact meta/operating-points.json: not valid JSON"),
+    ("bad-point",
+     _set_points(json.dumps([{"name": "op-0", "latency_s": 0.1}]).encode()),
+     "operating-points", Severity.ERROR,
+     "artifact meta/operating-points.json: operating point #0 lacks "
+     "required key 'energy_j'"),
+    ("outside-layout",
+     lambda a: a.add_artifact("notes/readme.txt", b"hello"),
+     "artifact-ref", Severity.WARNING,
+     "artifact notes/readme.txt is referenced by no template and lies "
+     "outside the CSAR layout"),
+]
+
+
+class TestDpeCsars:
+    """The checker resolves artifacts against the layout the DPE writes."""
+
+    def test_design_flow_csars_check_clean(self, dpe_csars):
+        for name, data in dpe_csars.items():
+            assert check_csar_bytes(data, name) == []
+
+    def test_cli_passes_design_flow_csars(self, dpe_csars, tmp_path,
+                                          capsys):
+        paths = []
+        for name, data in dpe_csars.items():
+            paths.append(tmp_path / f"{name}.csar")
+            paths[-1].write_bytes(data)
+        assert analysis_main(["tosca", *map(str, paths)]) == 0
+        assert capsys.readouterr().out == "0 finding(s)\n"
+
+    @pytest.mark.parametrize("damage, rule, severity, message",
+                             [d[1:] for d in CSAR_DEFECTS],
+                             ids=[d[0] for d in CSAR_DEFECTS])
+    def test_damage_is_one_finding(self, dpe_csars, damage, rule,
+                                   severity, message):
+        archive = CsarArchive.from_bytes(dpe_csars["mobility"])
+        damage(archive)
+        findings = check_csar(archive)
+        assert [(f.rule, f.severity, f.message) for f in findings] == [
+            (rule, severity, message)]

@@ -25,6 +25,7 @@ from repro.mirto import (
 )
 from repro.kb.store import KnowledgeBase
 from repro.security.levels import SecurityLevel
+from repro.tosca.model import NodeTemplate, Policy, ServiceTemplate
 
 GIB = 1024**3
 
@@ -70,6 +71,27 @@ class TestServiceTranslation:
         service = mobility_scenario().to_service_template()
         app = service_to_application(service)
         assert app.predecessors("fusion") == ["perception"]
+
+    def test_strictest_security_floor_everywhere(self, engine):
+        """With ``*: high`` and ``x: low``, tasks, the placement
+        requirement and pods all read the floor as ``high``."""
+        service = ServiceTemplate("floor")
+        for name in ("x", "y"):
+            service.add_node(NodeTemplate(name, "myrtus.nodes.Container", {
+                "image": f"{name}:1", "cpu_millicores": 100,
+                "memory_bytes": 64 << 20}))
+        for name, target, level in (("all", "*", "high"),
+                                    ("x-only", "x", "low")):
+            service.add_policy(Policy(name, "myrtus.policies.Security",
+                                      [target], {"min_level": level}))
+        app = service_to_application(service)
+        assert {t.name: t.requirements.min_security_level
+                for t in app.tasks} == {"x": "high", "y": "high"}
+        assert engine.manager.security.required_level(service) \
+            is SecurityLevel.HIGH
+        assert {name: container_to_pod_spec(service, name)
+                .min_security_level for name in ("x", "y")} \
+            == {"x": "high", "y": "high"}
 
 
 class TestMirtoManager:
@@ -239,6 +261,21 @@ topology_template:
         response = engine.agent().handle(self.make_request(
             engine, {"csar": archive.to_bytes()}))
         assert response.status == 201
+
+    @pytest.mark.parametrize("token, body, status", [
+        (lambda engine: engine.operator_token().decode(), {}, 401),
+        (lambda engine: None, {}, 401),
+        (lambda engine: engine.operator_token(), {"tosca": 123}, 422),
+        (lambda engine: engine.operator_token(), {"tosca": None}, 422),
+        (lambda engine: engine.operator_token(), {"csar": "a string"}, 422),
+    ], ids=["str-token", "none-token", "int-tosca", "none-tosca",
+            "str-csar"])
+    def test_wrong_typed_input_is_answered(self, engine, token, body,
+                                           status):
+        """Outside input of the wrong type gets 401/422, never raises."""
+        response = engine.agent().handle(ApiRequest(
+            "POST", "/deployments", token=token(engine), body=body))
+        assert response.status == status
 
     def test_malformed_tosca_and_csar_are_422(self, engine):
         import io

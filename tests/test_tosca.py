@@ -293,11 +293,11 @@ class TestValidator:
         svc.node_templates["detector"].requirements.append(
             Requirement("host", "feed", "tosca.relationships.HostedOn"))
         problems = ToscaValidator().check(svc)
-        assert any("hosting cycle" in p for p in problems)
+        assert "requirement cycle: feed -> detector -> feed" in problems
 
     def test_every_hosting_cycle_named(self):
         """Two disjoint HostedOn cycles are two problems, in template
-        order, each reading as a lone cycle always did."""
+        order, each closed on its first member."""
         svc = ServiceTemplate(name="hosts")
         for name, host in (("a", "b"), ("b", "a"), ("c", "d"), ("d", "c")):
             template = NodeTemplate(name, "myrtus.nodes.Container",
@@ -305,8 +305,8 @@ class TestValidator:
             template.requirements.append(Requirement("host", host))
             svc.add_node(template)
         assert [p for p in ToscaValidator().check(svc)
-                if "cycle" in p] == ["hosting cycle: a -> b",
-                                     "hosting cycle: c -> d"]
+                if "cycle" in p] == ["requirement cycle: a -> b -> a",
+                                     "requirement cycle: c -> d -> c"]
 
     def test_unknown_policy_type(self):
         svc = valid_service()
@@ -355,6 +355,20 @@ class TestServiceTemplateApi:
         svc = valid_service()
         names = {c.name for c in svc.containers()}
         assert names == {"feed", "detector"}  # AcceleratedKernel derives
+
+    def test_security_floor_is_the_strictest_level(self):
+        svc = valid_service()  # one Security policy: "*" at medium
+        assert svc.security_floor() == svc.security_floor("feed") \
+            == "medium"
+        for name, level in (("feed-high", "high"), ("feed-low", "low")):
+            svc.add_policy(Policy(name, "myrtus.policies.Security",
+                                  ["feed"], {"min_level": level}))
+        assert svc.security_floor("feed") == "high"
+        assert svc.security_floor("detector") == "medium"
+        assert svc.security_floor() == "high"
+        svc.policies = [p for p in svc.policies
+                        if p.type != "myrtus.policies.Security"]
+        assert svc.security_floor() == svc.security_floor("feed") == "low"
 
     def test_policies_for_wildcard(self):
         svc = valid_service()
