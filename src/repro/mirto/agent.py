@@ -19,6 +19,7 @@ from repro.core.errors import (
     ValidationError,
 )
 from repro.mirto.manager import DeploymentOutcome, MirtoManager
+from repro.mirto.placement import STRATEGY_NAMES
 from repro.security.auth import AuthModule
 from repro.tosca.csar import CsarArchive
 from repro.tosca.parser import parse_service_template
@@ -94,7 +95,9 @@ class MirtoAgent:
             user = self.auth.authenticate(request.token)
         except SecurityError as exc:
             return ApiResponse(401, {"error": str(exc)})
-        route = (request.method.upper(), request.path)
+        method = request.method
+        route = (method.upper() if isinstance(method, str) else method,
+                 request.path)
         try:
             if route == ("POST", "/deployments"):
                 self.auth.authorize(user, "deploy")
@@ -122,15 +125,17 @@ class MirtoAgent:
 
     def _post_deployment(self, body: Any) -> ApiResponse:
         if isinstance(body, dict) and "csar" in body:
-            archive = CsarArchive.from_bytes(body["csar"])
-            service = archive.service
-            strategy = body.get("strategy")
+            service = CsarArchive.from_bytes(body["csar"]).service
         elif isinstance(body, dict) and "tosca" in body:
             service = parse_service_template(body["tosca"])
-            strategy = body.get("strategy")
         else:
             raise ValidationError(
                 "deployment body needs a 'tosca' document or 'csar' bytes")
+        strategy = body.get("strategy")
+        if strategy is not None and strategy not in STRATEGY_NAMES:
+            raise ValidationError(
+                f"unknown placement strategy {strategy!r}",
+                [f"strategy must be one of {STRATEGY_NAMES}"])
         self.validator.validate(service)
         outcome = self.deploy_or_negotiate(service, strategy)
         return ApiResponse(201, {

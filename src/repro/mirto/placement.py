@@ -885,34 +885,41 @@ def execute_placement(application: Application, placement: Placement,
     )
 
 
+def _swarm_rule(rng: random.Random) -> PlacementStrategy:
+    from repro.mirto.swarm_rules import RuleBasedPlacement
+    return RuleBasedPlacement(rng=rng)
+
+
+def _exact(rng: random.Random) -> PlacementStrategy:
+    from repro.mirto.exact import ExactPlacement
+    return ExactPlacement()
+
+
+def _portfolio(rng: random.Random) -> PlacementStrategy:
+    from repro.mirto.portfolio import PortfolioPlacement
+    return PortfolioPlacement(seed=rng.getrandbits(32))
+
+
+#: name -> factory(rng) of every strategy :func:`make_strategy` builds.
+_STRATEGIES: dict[str, Callable[[random.Random], PlacementStrategy]] = {
+    "random": RandomPlacement,
+    "round-robin": lambda rng: RoundRobinPlacement(),
+    "greedy": lambda rng: GreedyPlacement(),
+    "pso": PsoPlacement,
+    "aco": AcoPlacement,
+    "firefly": FireflyPlacement,
+    "swarm-rule": _swarm_rule,
+    "exact": _exact,
+    "portfolio": _portfolio,
+}
+
+#: Every name :func:`make_strategy` accepts.
+STRATEGY_NAMES = tuple(_STRATEGIES)
+
+
 def make_strategy(name: str, rng: random.Random | None = None
                   ) -> PlacementStrategy:
     """Factory used by benchmarks and the WL Manager."""
-    rng = rng or random.Random(0)
-
-    def swarm_rule():
-        from repro.mirto.swarm_rules import RuleBasedPlacement
-        return RuleBasedPlacement(rng=rng)
-
-    def exact():
-        from repro.mirto.exact import ExactPlacement
-        return ExactPlacement()
-
-    def portfolio():
-        from repro.mirto.portfolio import PortfolioPlacement
-        return PortfolioPlacement(seed=rng.getrandbits(32))
-
-    strategies = {
-        "random": lambda: RandomPlacement(rng),
-        "round-robin": RoundRobinPlacement,
-        "greedy": GreedyPlacement,
-        "pso": lambda: PsoPlacement(rng),
-        "aco": lambda: AcoPlacement(rng),
-        "firefly": lambda: FireflyPlacement(rng),
-        "swarm-rule": swarm_rule,
-        "exact": exact,
-        "portfolio": portfolio,
-    }
-    if name not in strategies:
+    if name not in STRATEGY_NAMES:
         raise OrchestrationError(f"unknown placement strategy {name!r}")
-    return strategies[name]()
+    return _STRATEGIES[name](rng or random.Random(0))

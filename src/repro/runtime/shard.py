@@ -36,10 +36,15 @@ the minimum cross-zone link latency. Any message published in epoch k
 (send time t) physically arrives no earlier than ``t + lookahead >=
 barrier(k)``, so shards can drain epoch k without seeing each other's
 traffic; at the barrier each buffered message is injected into its
-destination shard as a DES event at its true arrival time ``t +
-link_latency``. Injection iterates destination zones in rank order,
-source zones in rank order and messages in send order — the
-deterministic ``(epoch, zone_rank, seq)`` delivery order.
+destination shard at its true arrival time ``t + link_latency``.
+Injection iterates destination zones in rank order, source zones in
+rank order and messages in send order, and each message takes the next
+NORMAL heap key in that order — the deterministic ``(epoch, zone_rank,
+seq)`` delivery order. A zone's messages from one barrier ride one
+:class:`~repro.continuum.simulator.TimeoutRun`, a single heap entry
+that walks them in ``(time, key)`` order and delivers same-instant
+arrivals back to back while they precede the heap top: the order one
+timeout per message would give, without one heap step per message.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from repro.core.events import _DISPATCH_CACHE_MAX, topic_matches
 from repro.core.rng import derive_seed
 from repro.obs.metrics import METRICS_TOPIC, MetricsRegistry, payload_delta
 from repro.obs.profiler import SHARD_PROFILE_TOPIC, ShardProfiler
-from repro.obs.spans import SPAN_TOPIC, SpanContext, _RelayScope
+from repro.obs.spans import SPAN_TOPIC, _RelayScope
 from repro.runtime.context import RuntimeContext
 from repro.runtime.trace import TraceRecord, canonical_json
 
@@ -134,9 +139,10 @@ class _ZoneRelay:
     zone's trace record holds, so every destination zone's record
     shares it, equal to the origin record even when a handler or the
     publisher later mutates *payload*; handlers still receive
-    *payload*. *span* is the publisher's span context, ambient again
-    once the handlers have returned, shipped as a picklable
-    ``(trace_id, span_id)`` tuple (with workers, buffers cross pipes)
+    *payload*. *span* is the envelope of the publisher's span, ambient
+    again once the handlers have returned: the ``{"trace_id",
+    "span_id", "parent_id"}`` dict the span already holds for its own
+    publishes, shipped by reference (with workers, buffers cross pipes)
     and resumed in the destination zone by :func:`relay_deliver`: that
     is how one fault's causal tree crosses zones and worker processes.
     """
@@ -164,12 +170,8 @@ class _ZoneRelay:
         if not outboxes:
             return
         stack = self._stack
-        if stack:
-            context = stack[-1].context
-            span = (context.trace_id, context.span_id)
-        else:
-            span = None
-        msg = (self._sim.now, topic, payload, span, recorded)
+        msg = (self._sim.now, topic, payload,
+               stack[-1].envelope if stack else None, recorded)
         for outbox in outboxes:
             outbox.append(msg)
 
@@ -197,7 +199,7 @@ _RELAY_SPAN_TEMPLATE = {
 
 
 def relay_deliver(dest: ZoneRuntime, topic: str, payload: Any,
-                  span: tuple | None = None,
+                  span: dict | None = None,
                   recorded: Any = None) -> None:
     """Publish a relayed message on *dest*'s bus without re-forwarding:
     the publish is traced, counted and delivered as usual but never
@@ -211,9 +213,10 @@ def relay_deliver(dest: ZoneRuntime, topic: str, payload: Any,
     one payload object. Without *recorded* (a direct call), *payload*
     is normalized here.
 
-    When the buffered publish carried a span context, the delivery
-    resumes it and opens a ``shard.relay.deliver`` child span around the
-    publish — its id minted from the *destination* zone's ``obs.tracer``
+    When the buffered publish carried a span envelope (its ``trace_id``
+    and ``span_id`` name the publisher's span), the delivery resumes it
+    and opens a ``shard.relay.deliver`` child span around the publish —
+    its id minted from the *destination* zone's ``obs.tracer``
     stream, so the span tree is a pure function of zone streams and
     stays byte-identical for any shard/worker count. Handlers react
     inside the relay span, nesting their own spans (and any further
@@ -225,7 +228,8 @@ def relay_deliver(dest: ZoneRuntime, topic: str, payload: Any,
         bus.publish_relayed(topic, payload, recorded)
         return
     # Hand-inlined equivalent of
-    #     with tracer.resume(SpanContext(span[0], span[1])):
+    #     with tracer.resume(SpanContext(span["trace_id"],
+    #                                    span["span_id"])):
     #         with tracer.start_span("shard.relay.deliver",
     #                                layer="runtime", topic=topic,
     #                                zone=dest.name):
@@ -234,7 +238,8 @@ def relay_deliver(dest: ZoneRuntime, topic: str, payload: Any,
     # record (pinned by a test). This runs once per relayed message;
     # the generic context managers would cost more than the relay, and
     # the perf gate holds span propagation at <= 1.3x the bare relay.
-    trace_id, parent_id = span
+    trace_id = span["trace_id"]
+    parent_id = span["span_id"]
     # Same RNG stream and rendering as Tracer._new_id, minus the call;
     # same clock as Tracer._clock (the context wires the tracer to
     # ``sim.now``), minus the lambda hop.
@@ -266,41 +271,44 @@ def relay_deliver(dest: ZoneRuntime, topic: str, payload: Any,
         tracer._trace.record_normalized(now, SPAN_TOPIC, rec)
 
 
-def _relay_arrival(event: Any) -> None:
-    """The one callback of every relay arrival event: deliver the
-    ``(dest, topic, payload, span, recorded)`` message the event
-    carries."""
-    relay_deliver(*event._value)
-
-
 def flush_zone_inbox(dest: ZoneRuntime, batches: Iterable[list],
                      latency: float, epoch: int, t_barrier: float,
                      record_barrier: bool) -> int:
     """Barrier injection for one destination zone: schedule every
     buffered ``(send_s, topic, payload, span, recorded)`` message
-    (batches already in source-rank order, messages in send order) as a
-    DES event at its true arrival time, then publish the relay/barrier
-    bookkeeping records. The event carries the origin record's
-    normalized copy *recorded* on to :func:`relay_deliver`, so every
-    destination's record shares it. Returns messages injected."""
-    timeout = dest.ctx.sim.timeout
-    now = dest.ctx.sim.now
-    count = 0
+    (batches already in source-rank order, messages in send order) at
+    its true arrival time, then publish the relay/barrier bookkeeping
+    records. The messages ride one
+    :class:`~repro.continuum.simulator.TimeoutRun`: they take the heap
+    keys one timeout each would have taken, in this order, and arrive
+    in ``(time, key)`` order, same-instant arrivals back to back.
+    Each arrival calls :func:`relay_deliver`, looked up when it
+    arrives, with the origin record's normalized copy *recorded*, so
+    every destination's record shares it. Returns messages injected."""
+    sim = dest.ctx.sim
+    now = sim.now
+    messages: list[tuple] = []
+    times: list[float] = []
     spans = 0
     for batch in batches:
-        for send_s, topic, payload, span, recorded in batch:
+        messages += batch
+        for msg in batch:
             # Mathematically send + latency >= barrier; clamp the
             # one-ulp float shortfall when the sum rounds below
             # the epoch-grid boundary (same clamp on every shard
-            # count — the grid is computed identically).
-            delay = send_s + latency - now
-            timeout(delay if delay > 0.0 else 0.0,
-                    (dest, topic, payload, span, recorded)
-                    ).callbacks.append(_relay_arrival)
-            count += 1
-            if span is not None:
+            # count — the grid is computed identically). The time is
+            # the one ``timeout(delay)`` fires at, bit for bit.
+            delay = msg[0] + latency - now
+            times.append(now + delay if delay > 0.0 else now)
+            if msg[3] is not None:
                 spans += 1
+    count = len(messages)
     if count:
+
+        def deliver(msg: tuple) -> None:
+            relay_deliver(dest, msg[1], msg[2], msg[3], msg[4])
+
+        sim.timeout_run(times, messages, deliver)
         dest.ctx.publish(RELAY_TOPIC, {
             "epoch": epoch, "zone": dest.name, "count": count,
             "spans": spans, "time_s": t_barrier})

@@ -26,6 +26,8 @@ class PropertyDef:
     type: str  # "string" | "integer" | "float" | "boolean" | "map" | "list"
     required: bool = False
     default: Any = None
+    #: The allowed values, when the property is an enumeration.
+    choices: tuple[str, ...] | None = None
 
     _CHECKS = {
         "string": lambda v: isinstance(v, str),
@@ -61,8 +63,18 @@ class RelationshipType:
 
 
 def _prop(name: str, type_: str, required: bool = False,
-          default: Any = None) -> tuple[str, PropertyDef]:
-    return name, PropertyDef(name, type_, required, default)
+          default: Any = None,
+          choices: tuple[str, ...] | None = None) -> tuple[str, PropertyDef]:
+    return name, PropertyDef(name, type_, required, default, choices)
+
+
+#: Allowed values of the enumerated properties: the values of
+#: ``Layer``, ``PrivacyClass`` and ``KernelClass`` (``repro.continuum``),
+#: which the MIRTO Manager builds from them. ``repro.tosca`` does not
+#: import ``repro.continuum``, so a test pins them equal.
+LAYERS = ("edge", "fog", "cloud")
+DATA_CLASSES = ("public", "aggregated", "raw_personal")
+KERNEL_CLASSES = ("general", "dsp", "neural", "crypto", "analytics")
 
 
 # The MYRTUS type library: base TOSCA compute plus continuum-specific
@@ -113,7 +125,8 @@ _register(NodeType(
         _prop("image", "string", required=True),
         _prop("cpu_millicores", "integer", required=True),
         _prop("memory_bytes", "integer", required=True),
-        _prop("kernel_class", "string", default="general"),
+        _prop("kernel_class", "string", default="general",
+              choices=KERNEL_CLASSES),
         _prop("megaops", "float", default=0.0),
         _prop("input_bytes", "integer", default=0),
         _prop("output_bytes", "integer", default=0),
@@ -151,8 +164,8 @@ POLICY_TYPES: dict[str, dict[str, PropertyDef]] = {
         _prop("prefer_low_power", "boolean", default=True),
     ]),
     "myrtus.policies.Privacy": dict([
-        _prop("data_class", "string", required=True),
-        _prop("max_layer", "string", default="cloud"),
+        _prop("data_class", "string", required=True, choices=DATA_CLASSES),
+        _prop("max_layer", "string", default="cloud", choices=LAYERS),
     ]),
     "myrtus.policies.Placement": dict([
         _prop("preferred_layer", "string"),

@@ -23,8 +23,6 @@ from repro.tosca.model import (
     effective_properties,
 )
 
-_LAYERS = ("edge", "fog", "cloud")
-
 #: keys every exported operating point carries (dse.export_operating_points)
 _POINT_KEYS = ("name", "latency_s", "energy_j")
 
@@ -91,21 +89,23 @@ def _policy_problems(service: ServiceTemplate):
             budget = policy.properties.get("end_to_end_budget_s")
             if isinstance(budget, (int, float)) and budget <= 0:
                 yield f"policy {policy.name}: latency budget must be positive"
-        if policy.type == "myrtus.policies.Privacy":
-            layer = policy.properties.get("max_layer")
-            if layer is not None and layer not in _LAYERS:
-                yield (f"policy {policy.name}: max_layer must be one of "
-                       f"{_LAYERS}")
 
 
 def _property_problems(where: str, properties: dict, schema: dict):
-    """Unknown, ill-typed and missing required properties."""
+    """Unknown, ill-typed, off-enumeration and missing required
+    properties."""
     for prop_name, value in properties.items():
-        if prop_name not in schema:
+        definition = schema.get(prop_name)
+        if definition is None:
             yield f"{where}: unknown property {prop_name}"
-        elif value is not None and not schema[prop_name].check(value):
+        elif value is None:
+            continue
+        elif not definition.check(value):
             yield (f"{where}: property {prop_name} is not a "
-                   f"{schema[prop_name].type}")
+                   f"{definition.type}")
+        elif definition.choices and value not in definition.choices:
+            yield (f"{where}: property {prop_name} {value!r} is not one "
+                   f"of {definition.choices}")
     for prop_name, definition in schema.items():
         if definition.required and properties.get(prop_name) is None:
             yield f"{where}: missing required property {prop_name}"

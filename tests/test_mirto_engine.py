@@ -277,6 +277,48 @@ topology_template:
             "POST", "/deployments", token=token(engine), body=body))
         assert response.status == status
 
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda svc: svc.policies[-1].properties.update(
+            data_class="secret"), "data_class 'secret'"),
+        (lambda svc: svc.node_templates["fusion"].properties.update(
+            kernel_class="quantum"), "kernel_class 'quantum'"),
+    ], ids=["data_class", "kernel_class"])
+    def test_enum_property_off_its_values_is_422(self, engine, edit,
+                                                 problem):
+        """An enumerated property off its values is a validation
+        problem, not a ``ValueError`` out of the service translation."""
+        from repro.tosca.parser import dump_service_template
+        service = mobility_scenario().to_service_template()
+        assert service.policies[-1].type == "myrtus.policies.Privacy"
+        edit(service)
+        response = engine.agent().handle(self.make_request(
+            engine, {"tosca": dump_service_template(service)}))
+        assert response.status == 422
+        assert any(problem in p for p in response.body["problems"])
+        assert engine.manager.workload.deployments == []
+
+    @pytest.mark.parametrize("strategy", ["nope", 123, ["greedy"]])
+    def test_unknown_strategy_is_422_before_any_placement(self, engine,
+                                                          strategy):
+        agent = engine.agent()
+        service = mobility_scenario().to_service_template()
+        from repro.tosca.parser import dump_service_template
+        response = agent.handle(self.make_request(engine, {
+            "tosca": dump_service_template(service),
+            "strategy": strategy}))
+        assert response.status == 422
+        assert "unknown placement strategy" in response.body["error"]
+        assert agent.negotiations == []
+        for peer in [agent] + agent.peers:
+            assert peer.manager.workload.deployments == []
+
+    @pytest.mark.parametrize("method", [None, 7, b"POST"])
+    def test_non_string_method_is_no_route(self, engine, method):
+        response = engine.agent().handle(ApiRequest(
+            method, "/deployments", token=engine.operator_token()))
+        assert response.status == 404
+        assert "no route" in response.body["error"]
+
     def test_malformed_tosca_and_csar_are_422(self, engine):
         import io
         import zipfile

@@ -191,6 +191,12 @@ class TestOneFaultOneTree:
         assert repairs[0]["parent_id"] == fault["span_id"]
 
 
+def _envelope(trace_id: str, span_id: str) -> dict:
+    """The span envelope a relayed publish ships: the publisher span's
+    own ``{"trace_id", "span_id", "parent_id"}`` dict."""
+    return {"trace_id": trace_id, "span_id": span_id, "parent_id": None}
+
+
 class TestRelayFastPathByteIdentity:
     """relay_deliver hand-inlines ``resume + start_span``; the comment
     in shard.py promises byte-identical records, pinned here."""
@@ -205,7 +211,8 @@ class TestRelayFastPathByteIdentity:
         payload = {"zone": "solo", "up": 9, "time_s": 0.0}
 
         fast, dest, fast_ctx = self._solo(11)
-        relay_deliver(dest, "relay.test.msg", payload, span=(tid, sid))
+        relay_deliver(dest, "relay.test.msg", payload,
+                      span=_envelope(tid, sid))
         relay_deliver(dest, "relay.test.msg", {"up": 8}, span=None)
 
         ref, _, ref_ctx = self._solo(11)
@@ -230,7 +237,7 @@ class TestRelayFastPathByteIdentity:
         fast_ctx.subscribe("relay.err.msg", boom)
         with pytest.raises(RuntimeError, match="handler exploded"):
             relay_deliver(dest, "relay.err.msg", {"n": 1},
-                          span=(tid, sid))
+                          span=_envelope(tid, sid))
         span_rows = [r for r in fast_ctx.trace if r.topic == "obs.span"]
         assert span_rows[-1].payload["status"] == "error"
 
@@ -249,7 +256,7 @@ class TestRelayFastPathByteIdentity:
         ctx.tracer.enabled = False
         before = len(ctx.trace)
         relay_deliver(dest, "relay.test.msg", {"n": 1},
-                      span=("ab" * 8, "cd" * 8))
+                      span=_envelope("ab" * 8, "cd" * 8))
         topics = [r.topic for r in ctx.trace][before:]
         assert topics == ["relay.test.msg"]
 

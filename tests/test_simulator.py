@@ -336,6 +336,77 @@ class TestFailureDelivery:
         assert sim.now == 5
 
 
+class TestTimeoutRun:
+    def _log_run(self, sim, times, log):
+        return sim.timeout_run(times, list(range(len(times))),
+                               lambda value: log.append((sim.now, value)))
+
+    def test_same_instant_deliveries_take_one_heap_step(self):
+        sim = Simulator()
+        log = []
+        self._log_run(sim, [2.0, 1.0, 2.0, 1.0], log)
+        steps = 0
+        while sim.peek() != float("inf"):
+            sim.step()
+            steps += 1
+        assert log == [(1.0, 1), (1.0, 3), (2.0, 0), (2.0, 2)]
+        assert steps == 2
+        assert sim.processed_events == 4
+
+    def test_urgent_event_scheduled_mid_run_goes_first(self):
+        sim = Simulator()
+        log = []
+
+        def deliver(value):
+            log.append(value)
+            if value == 0:
+                def proc():
+                    log.append("init")
+                    yield sim.timeout(0)
+                    log.append("after")
+
+                sim.process(proc())
+
+        sim.timeout_run([1.0, 1.0, 1.0], [0, 1, 2], deliver)
+        sim.run()
+        assert log == [0, "init", 1, 2, "after"]
+
+    def test_keys_are_reserved_in_list_order(self):
+        """A timeout made after the run, at the same instant, fires
+        after every run entry at that instant."""
+        sim = Simulator()
+        log = []
+        self._log_run(sim, [1.0, 1.0], log)
+        sim.timeout(1.0).callbacks.append(lambda e: log.append("later"))
+        sim.run()
+        assert log == [(1.0, 0), (1.0, 1), "later"]
+
+    def test_raise_leaves_the_rest_pending(self):
+        sim = Simulator()
+        log = []
+
+        def deliver(value):
+            if value == 1:
+                raise RuntimeError("boom")
+            log.append(value)
+
+        sim.timeout_run([1.0, 1.0, 1.0, 2.0], [0, 1, 2, 3], deliver)
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert sim.processed_events == 1
+        assert sim.peek() == 1.0
+        sim.run()
+        assert log == [0, 2, 3]
+        assert sim.processed_events == 3
+
+    def test_entry_in_the_past_rejected(self):
+        sim = Simulator(start_time=5.0)
+        with pytest.raises(SimulationError, match="past"):
+            sim.timeout_run([4.0], [None], lambda value: None)
+        sim.timeout_run([], [], lambda value: None)
+        assert sim.peek() == float("inf")
+
+
 class TestResource:
     def test_capacity_enforced(self):
         sim = Simulator()

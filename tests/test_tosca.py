@@ -335,6 +335,40 @@ class TestValidator:
         problems = ToscaValidator().check(svc)
         assert any("must be positive" in p for p in problems)
 
+    @pytest.mark.parametrize("where, properties, message", [
+        ("node", {"kernel_class": "quantum"},
+         "node feed: property kernel_class 'quantum' is not one of "
+         "('general', 'dsp', 'neural', 'crypto', 'analytics')"),
+        ("policy", {"data_class": "secret"},
+         "policy priv: property data_class 'secret' is not one of "
+         "('public', 'aggregated', 'raw_personal')"),
+        ("policy", {"data_class": "public", "max_layer": "moon"},
+         "policy priv: property max_layer 'moon' is not one of "
+         "('edge', 'fog', 'cloud')"),
+    ], ids=["kernel_class", "data_class", "max_layer"])
+    def test_enumerated_property_off_its_values(self, where, properties,
+                                                message):
+        """A value off an enumerated property's list is one schema
+        problem, naming the allowed values."""
+        svc = valid_service()
+        if where == "node":
+            svc.node_templates["feed"].properties.update(properties)
+        else:
+            svc.add_policy(Policy("priv", "myrtus.policies.Privacy",
+                                  ["feed"], properties))
+        assert ToscaValidator().problems(svc) == [("schema", message)]
+
+    def test_enumerated_values_are_the_continuum_enums(self):
+        """The TOSCA schema's allowed values are exactly the members the
+        MIRTO Manager builds ``Layer``/``PrivacyClass``/``KernelClass``
+        from."""
+        from repro.continuum.devices import Layer
+        from repro.continuum.workload import KernelClass, PrivacyClass
+        from repro.tosca.model import DATA_CLASSES, KERNEL_CLASSES, LAYERS
+        assert LAYERS == tuple(m.value for m in Layer)
+        assert DATA_CLASSES == tuple(m.value for m in PrivacyClass)
+        assert KERNEL_CLASSES == tuple(m.value for m in KernelClass)
+
     def test_validate_raises_with_all_problems(self):
         svc = valid_service()
         svc.add_node(NodeTemplate("bad", type="nope.Type"))
