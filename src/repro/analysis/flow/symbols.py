@@ -64,16 +64,8 @@ def _is_abstract(node: ast.FunctionDef) -> bool:
 
 def _is_generator(node: ast.FunctionDef) -> bool:
     """Contains yield/yield-from in its own scope (nested defs pruned)."""
-    stack: list[ast.AST] = list(node.body)
-    while stack:
-        current = stack.pop()
-        if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                ast.Lambda)):
-            continue
-        if isinstance(current, (ast.Yield, ast.YieldFrom)):
-            return True
-        stack.extend(ast.iter_child_nodes(current))
-    return False
+    return any(isinstance(current, (ast.Yield, ast.YieldFrom))
+               for current in function_body_nodes(node))
 
 
 @dataclass

@@ -12,6 +12,7 @@ from __future__ import annotations
 import ast
 
 from repro.analysis.findings import Severity
+from repro.analysis.flow.symbols import function_body_nodes
 from repro.analysis.lint.engine import LintContext, Rule, register_rule
 
 # Module-level functions on `random` that consume the global stream.
@@ -230,7 +231,10 @@ class HotPathAllocationRule(Rule):
     def on_node(self, node: ast.FunctionDef, ctx: LintContext) -> None:
         if not self._is_hot(node, ctx):
             return
-        for inner in self._own_nodes(node):
+        # Nested defs are dispatched to this rule as their own nodes
+        # (and comprehensions/lambdas inside them run in the nested
+        # scope), so they are not this function's per-call cost.
+        for inner in function_body_nodes(node):
             kind = self._COMPREHENSIONS.get(type(inner))
             if kind is not None:
                 ctx.report(self, inner,
@@ -253,23 +257,6 @@ class HotPathAllocationRule(Rule):
             else node.lineno + 1
         return any("# perf: hot" in ctx.source_line(line)
                    for line in range(node.lineno, first_body_line))
-
-    @staticmethod
-    def _own_nodes(func: ast.FunctionDef):
-        """Walk the function body, pruning nested scopes.
-
-        Nested defs are dispatched to this rule as their own nodes (and
-        comprehensions/lambdas inside them run in the nested scope), so
-        they are not this function's per-call cost.
-        """
-        stack: list[ast.AST] = list(func.body)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.Lambda, ast.ClassDef)):
-                continue
-            yield node
-            stack.extend(ast.iter_child_nodes(node))
 
 
 @register_rule

@@ -38,44 +38,28 @@ from repro.mirto.placement import (
     PlacementResult,
     PlacementStrategy,
     SolveSession,
-    _DEFAULT_ENERGY_WEIGHT,
     _objective,
-    _warm_incumbent,
 )
 
+#: Node allowance of an unbudgeted request, so an unlimited
+#: :class:`~repro.mirto.placement.SolveBudget` cannot detonate on a
+#: large instance; an explicit request budget always wins.
+NODE_BUDGET = 200_000
 
-class ExactPlacement(PlacementStrategy):
-    """Branch-and-bound over task->device assignments.
-
-    Proves optimality on small instances (roughly <= 8 services x 20
-    devices) and behaves as an anytime solver beyond that: best
-    incumbent at budget exhaustion, with the root lower bound reported.
-    ``node_budget`` caps unbudgeted requests so an unlimited
-    :class:`SolveBudget` cannot detonate on a large instance; an
-    explicit request budget always wins.
-    """
-
-    name = "exact"
-
-    def __init__(self, energy_weight: float = _DEFAULT_ENERGY_WEIGHT,
-                 node_budget: int = 200_000, batch: int = 64):
-        self.energy_weight = energy_weight
-        self.node_budget = node_budget
-        self.batch = batch
-
-    def session(self, request: PlacementRequest) -> SolveSession:
-        return _ExactSession(self, request)
+#: Search nodes per ``step()`` slice.
+BATCH = 64
 
 
 class _ExactSession(SolveSession):
-    """One branch-and-bound run, steppable in ``batch``-node slices."""
+    """One branch-and-bound run, steppable in :data:`BATCH`-node
+    slices."""
 
-    def __init__(self, strategy: ExactPlacement,
-                 request: PlacementRequest):
-        super().__init__(strategy, request)
-        self._w = strategy.energy_weight
+    def __init__(self, strategy: PlacementStrategy,
+                 request: PlacementRequest,
+                 warm: tuple[Placement, float] | None):
+        super().__init__(strategy, request, warm)
         limit = request.budget.node_limit()
-        self._limit = strategy.node_budget if limit is None else limit
+        self._limit = NODE_BUDGET if limit is None else limit
         app = request.application
         infra = request.infrastructure
         #: The current DFS path's assignments, scheduled in task order
@@ -85,7 +69,6 @@ class _ExactSession(SolveSession):
         tasks = self._prefix.tasks
         self._n = len(tasks)
         self._preds = {t.name: app.predecessors(t.name) for t in tasks}
-        w = self._w
         # Children ordered by myopic per-task score so the first dive
         # is greedy-ish and the incumbent tightens the bound early.
         self._options = []
@@ -93,7 +76,7 @@ class _ExactSession(SolveSession):
             devices = strategy._eligible_or_raise(task, infra,
                                                   request.constraints)
             devices.sort(key=lambda d: (_objective(
-                d.estimate_duration(task), d.estimate_energy(task), w),
+                d.estimate_duration(task), d.estimate_energy(task)),
                 d.name))
             self._options.append(devices)
         self._min_dur = [
@@ -110,7 +93,6 @@ class _ExactSession(SolveSession):
         self._complete = self._n == 0
         self._done = self._complete
         self._root_lb = self._lower_bound(0)
-        warm = _warm_incumbent(request, self._w)
         if warm is not None:
             self.tighten(warm[1])
             self._offer(*warm)
@@ -146,8 +128,7 @@ class _ExactSession(SolveSession):
             if end > lb_makespan:
                 lb_makespan = end
         return _objective(lb_makespan,
-                          prefix.energy + self._suffix_energy[scheduled],
-                          self._w)
+                          prefix.energy + self._suffix_energy[scheduled])
 
     def _leaf(self) -> None:
         # The prefix is the whole schedule now: the same pushes, in the
@@ -155,7 +136,7 @@ class _ExactSession(SolveSession):
         # the cost is bit-identical to every other backend's.
         self._stats.evaluations += 1
         prefix = self._prefix
-        cost = _objective(prefix.makespan, prefix.energy, self._w)
+        cost = _objective(prefix.makespan, prefix.energy)
         if cost < self._bound or self._best is None:
             self.tighten(cost)
             self._offer(Placement(dict(prefix.assignment),
@@ -196,7 +177,6 @@ class _ExactSession(SolveSession):
             return False
         self._stats.steps += 1
         start = self._stats.nodes
-        batch = self._strategy.batch
         while True:
             # The first dive always completes (an anytime solver must
             # hold an incumbent); after that the node budget rules.
@@ -208,7 +188,7 @@ class _ExactSession(SolveSession):
                 self._complete = True
                 self._done = True
                 return False
-            if self._stats.nodes - start >= batch:
+            if self._stats.nodes - start >= BATCH:
                 return True
 
     def result(self) -> PlacementResult:
@@ -230,3 +210,16 @@ class _ExactSession(SolveSession):
             placement=placement, cost=cost, optimal=optimal,
             lower_bound=lower_bound, provenance=self._strategy.name,
             stats=(self._stats,))
+
+
+class ExactPlacement(PlacementStrategy):
+    """Branch-and-bound over task->device assignments.
+
+    Proves optimality on small instances (roughly <= 8 services x 20
+    devices) and behaves as an anytime solver beyond that: best
+    incumbent at budget exhaustion, with the root lower bound reported.
+    An unbudgeted request gets :data:`NODE_BUDGET` nodes.
+    """
+
+    name = "exact"
+    _session_type = _ExactSession

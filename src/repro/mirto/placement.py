@@ -214,37 +214,39 @@ def estimate_placement_kpis(application: Application,  # perf: hot
     return schedule.makespan, schedule.energy
 
 
-#: Objective weight on energy shared by every solver backend; the
-#: complement weights latency. Kept in one place so exact bounds and
+#: The objective's weight on energy; the complement weights latency.
+#: Every solver backend uses this one value, so exact bounds and
 #: metaheuristic scores stay comparable to the last bit.
-_DEFAULT_ENERGY_WEIGHT = 0.3
+ENERGY_WEIGHT = 0.3
+
+#: Modeled cost of one search node / objective evaluation: the DES-clock
+#: rate at which a :class:`SolveBudget` deadline becomes a node count.
+NODE_COST_S = 25e-6
 
 
-def _objective(latency: float, energy: float, energy_weight: float
-               ) -> float:
-    """``latency * (1 - w) + w * energy / 100``: the one formula behind
-    every solver's cost, the exact search's child order and its lower
-    bound, so all of them round alike."""
-    return latency * (1 - energy_weight) + energy_weight * energy / 100.0
+def _objective(latency: float, energy: float) -> float:
+    """``latency * (1 - w) + w * energy / 100`` with ``w =``
+    :data:`ENERGY_WEIGHT`: the one formula behind every solver's cost,
+    the exact search's child order and its lower bound, so all of them
+    round alike."""
+    return latency * (1 - ENERGY_WEIGHT) + ENERGY_WEIGHT * energy / 100.0
 
 
 def placement_cost(application: Application,
                    infrastructure: Infrastructure,
                    assignment: dict[str, str], *,
-                   source_device: str | None = None,
-                   energy_weight: float = _DEFAULT_ENERGY_WEIGHT
-                   ) -> float:
+                   source_device: str | None = None) -> float:
     """Scalar objective every solver minimizes.
 
-    ``latency * (1 - w) + w * energy / 100`` over the analytic KPI
-    model — the single definition all backends (baselines, swarms, the
-    exact branch-and-bound, the portfolio) share, so their reported
-    costs are directly comparable bit for bit.
+    :func:`_objective` over the analytic KPI model — the single
+    definition all backends (baselines, swarms, the exact
+    branch-and-bound, the portfolio) share, so their reported costs are
+    directly comparable bit for bit.
     """
     latency, energy = estimate_placement_kpis(
         application, Placement(assignment, "candidate"),
         infrastructure, source_device)
-    return _objective(latency, energy, energy_weight)
+    return _objective(latency, energy)
 
 
 @dataclass(frozen=True)
@@ -252,24 +254,20 @@ class SolveBudget:
     """Deterministic work budget for one anytime solve.
 
     Budgets are expressed on the DES clock, never the wall clock: a
-    ``deadline_s`` (modeled seconds) converts to a node allowance
-    through ``node_cost_s``, the modeled cost of one search node /
-    objective evaluation. The default budget is unlimited — solvers
-    run to their natural termination (configured iterations, or an
-    exhausted search tree).
+    ``deadline_s`` (modeled seconds) converts to a node allowance at
+    :data:`NODE_COST_S` per node. The default budget is unlimited —
+    solvers run to their natural termination (configured iterations, or
+    an exhausted search tree).
     """
 
     max_nodes: int | None = None
     deadline_s: float | None = None
-    node_cost_s: float = 25e-6
 
     def __post_init__(self):
         if self.max_nodes is not None and self.max_nodes < 1:
             raise ConfigurationError("max_nodes must be >= 1")
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ConfigurationError("deadline_s must be > 0")
-        if self.node_cost_s <= 0:
-            raise ConfigurationError("node_cost_s must be > 0")
 
     @property
     def unlimited(self) -> bool:
@@ -281,7 +279,7 @@ class SolveBudget:
         if self.max_nodes is not None:
             limits.append(self.max_nodes)
         if self.deadline_s is not None:
-            limits.append(max(1, int(self.deadline_s / self.node_cost_s)))
+            limits.append(max(1, int(self.deadline_s / NODE_COST_S)))
         return min(limits) if limits else None
 
 
@@ -372,13 +370,18 @@ class SolveSession:
     self-starts if no step ran yet). The portfolio round-robins
     ``step()`` across backends — no threads, so interleaving is
     deterministic. The session owns the incumbent: backends hand every
-    candidate to :meth:`_offer`.
+    candidate to :meth:`_offer`. *warm* is the request's warm start as
+    :meth:`PlacementStrategy.session` priced it, once per solve (None
+    when there is none or it is infeasible); each session adopts it
+    itself.
     """
 
     def __init__(self, strategy: "PlacementStrategy",
-                 request: PlacementRequest):
+                 request: PlacementRequest,
+                 warm: tuple[Placement, float] | None):
         self._strategy = strategy
         self._request = request
+        self._warm = warm
         self._stats = SolveStats(backend=strategy.name)
         self._best: tuple[Placement, float] | None = None
 
@@ -406,7 +409,7 @@ class SolveSession:
             stats=(self._stats,))
 
 
-def _warm_incumbent(request: PlacementRequest, energy_weight: float
+def _warm_incumbent(request: PlacementRequest
                     ) -> tuple[Placement, float] | None:
     """Validate and cost the request's warm start (None if it leaves a
     task unplaced or names an unknown or ineligible device)."""
@@ -424,8 +427,7 @@ def _warm_incumbent(request: PlacementRequest, energy_weight: float
         assignment[task.name] = device
     cost = placement_cost(
         request.application, request.infrastructure, assignment,
-        source_device=request.constraints.source_device,
-        energy_weight=energy_weight)
+        source_device=request.constraints.source_device)
     return Placement(assignment, warm.strategy), cost
 
 
@@ -452,7 +454,7 @@ class _OneShotSession(SolveSession):
         stats.nodes += 1
         stats.evaluations += 1
         stats.steps += 1
-        warm = _warm_incumbent(request, _DEFAULT_ENERGY_WEIGHT)
+        warm = self._warm
         if warm is not None and warm[1] < cost:
             placement, cost = warm
         self._offer(placement, cost)
@@ -488,8 +490,9 @@ class _SwarmSession(SolveSession):
     """
 
     def __init__(self, strategy: "_CognitiveBase",
-                 request: PlacementRequest):
-        super().__init__(strategy, request)
+                 request: PlacementRequest,
+                 warm: tuple[Placement, float] | None):
+        super().__init__(strategy, request, warm)
         self._limit = request.budget.node_limit()
         self._iterations_left = strategy.iterations
         self._gen = None
@@ -517,9 +520,8 @@ class _SwarmSession(SolveSession):
         optimizer, objective, decode = strategy._build(
             request, self._count_eval)
         self._decode = decode
-        warm = _warm_incumbent(request, strategy.energy_weight)
-        if warm is not None:
-            self._offer(*warm)
+        if self._warm is not None:
+            self._offer(*self._warm)
         self._gen = optimizer.steps(objective)
         self._record(*next(self._gen))  # init population
         self._stats.steps += 1
@@ -552,16 +554,18 @@ class _SwarmSession(SolveSession):
 class PlacementStrategy:
     """Base class: anytime solvers implementing :meth:`solve`.
 
-    Subclasses either override :meth:`session` (stepping backends:
-    swarms, exact, portfolio) or :meth:`_place` (one-shot heuristics,
-    adapted by :class:`_OneShotSession`).
+    Stepping backends (swarms, exact, portfolio) name their session
+    class in ``_session_type``; one-shot heuristics implement
+    :meth:`_place`, adapted by :class:`_OneShotSession`.
     """
 
     name = "abstract"
+    _session_type: type[SolveSession] = _OneShotSession
 
     def session(self, request: PlacementRequest) -> SolveSession:
-        """Start an anytime solve; callers drive ``step()``."""
-        return _OneShotSession(self, request)
+        """Start an anytime solve, pricing its warm start once; callers
+        drive ``step()``."""
+        return self._session_type(self, request, _warm_incumbent(request))
 
     def solve(self, request: PlacementRequest) -> PlacementResult:
         """Run the solve to budget exhaustion or completion."""
@@ -678,15 +682,11 @@ class GreedyPlacement(PlacementStrategy):
 class _CognitiveBase(PlacementStrategy):
     """Shared machinery for optimizer-backed strategies."""
 
-    def __init__(self, rng: random.Random,
-                 energy_weight: float = _DEFAULT_ENERGY_WEIGHT,
-                 iterations: int = 30):
-        self.rng = rng
-        self.energy_weight = energy_weight
-        self.iterations = iterations
+    _session_type = _SwarmSession
 
-    def session(self, request: PlacementRequest) -> SolveSession:
-        return _SwarmSession(self, request)
+    def __init__(self, rng: random.Random, iterations: int = 30):
+        self.rng = rng
+        self.iterations = iterations
 
     def _build(self, request: PlacementRequest,
                on_evaluate: Callable[[], None]):
@@ -716,7 +716,6 @@ class _CognitiveBase(PlacementStrategy):
         (memo hits are free by design).
         """
         names = [task.name for task in tasks]
-        energy_weight = self.energy_weight
         memo: dict[tuple[int, ...], float] = {}
 
         def objective(choices) -> float:  # perf: hot
@@ -730,8 +729,7 @@ class _CognitiveBase(PlacementStrategy):
                     assignment[names[i]] = options[i][choice].name
                 score = placement_cost(
                     application, infrastructure, assignment,
-                    source_device=source_device,
-                    energy_weight=energy_weight)
+                    source_device=source_device)
                 memo[key] = score
             return score
 

@@ -17,6 +17,9 @@ break the equal-budget dominance argument; tightening a bound only
 ever discards provably-dominated subtrees, so it is safe. When the
 exact lane finishes its tree, the race stops early: the shared best at
 that point is provably optimal.
+
+The request's warm start is priced once per solve and that one
+``(placement, cost)`` goes to every lane, which adopts it itself.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from repro.mirto.placement import (
     PsoPlacement,
     SolveBudget,
     SolveSession,
-    _DEFAULT_ENERGY_WEIGHT,
 )
 
 _SWARM_BACKENDS = {
@@ -45,47 +47,12 @@ _SWARM_BACKENDS = {
     "firefly": FireflyPlacement,
 }
 
+#: The race's lanes, in stepping order.
+BACKENDS = ("exact", *_SWARM_BACKENDS)
 
-class PortfolioPlacement(PlacementStrategy):
-    """Anytime portfolio racing exact and metaheuristic backends."""
-
-    name = "portfolio"
-
-    DEFAULT_BACKENDS = ("exact", "pso", "aco", "firefly")
-
-    def __init__(self, seed: int = 0,
-                 backends: tuple[str, ...] = DEFAULT_BACKENDS,
-                 energy_weight: float = _DEFAULT_ENERGY_WEIGHT,
-                 iterations: int = 30,
-                 default_budget: SolveBudget | None = None):
-        if not backends:
-            raise OrchestrationError("portfolio needs >= 1 backend")
-        self.seed = seed
-        self.backends = tuple(backends)
-        self.energy_weight = energy_weight
-        self.iterations = iterations
-        #: Applied when the request's budget is unlimited — a race
-        #: needs a finish line (50ms-equivalent on the DES clock).
-        self.default_budget = default_budget \
-            or SolveBudget(deadline_s=0.050)
-
-    def backend(self, name: str) -> PlacementStrategy:
-        """A lane's backend, freshly seeded from the portfolio's seed
-        tree — also how tests build the standalone baseline a raced
-        lane is compared against."""
-        if name == "exact":
-            return ExactPlacement(energy_weight=self.energy_weight)
-        cls = _SWARM_BACKENDS.get(name)
-        if cls is None:
-            raise OrchestrationError(
-                f"unknown portfolio backend {name!r}")
-        rng = random.Random(
-            derive_seed(self.seed, f"mirto.placement.{name}"))
-        return cls(rng, energy_weight=self.energy_weight,
-                   iterations=self.iterations)
-
-    def session(self, request: PlacementRequest) -> SolveSession:
-        return _PortfolioSession(self, request)
+#: Applied when the request's budget is unlimited — a race needs a
+#: finish line (50ms-equivalent on the DES clock).
+RACE_BUDGET = SolveBudget(deadline_s=0.050)
 
 
 class _Lane:
@@ -104,25 +71,26 @@ class _PortfolioSession(SolveSession):
     """The race. Its incumbent carries the winning lane's label, so it
     keeps its own ``_offer`` rather than the base session's."""
 
-    def __init__(self, strategy: PortfolioPlacement,
-                 request: PlacementRequest):
+    def __init__(self, strategy: "PortfolioPlacement",
+                 request: PlacementRequest,
+                 warm: tuple[Placement, float] | None):
         self._strategy = strategy
         self._request = request
         self._best: tuple[Placement, float, str] | None = None
         budget = request.budget if not request.budget.unlimited \
-            else strategy.default_budget
+            else RACE_BUDGET
         self._lanes = []
-        for name in strategy.backends:
+        for name in BACKENDS:
+            backend = strategy.backend(name)
             lane_request = PlacementRequest(
                 application=request.application,
                 infrastructure=request.infrastructure,
                 constraints=request.constraints,
                 budget=budget,
-                warm_start=request.warm_start,
                 on_incumbent=self._lane_callback(name),
             )
-            self._lanes.append(_Lane(
-                name, strategy.backend(name).session(lane_request)))
+            self._lanes.append(_Lane(name, backend._session_type(
+                backend, lane_request, warm)))
         self._done = False
 
     def _lane_callback(self, lane_name: str):
@@ -188,3 +156,28 @@ class _PortfolioSession(SolveSession):
                                 self._strategy.name),
             cost=cost, optimal=cost <= lower_bound,
             lower_bound=lower_bound, provenance=backend, stats=stats)
+
+
+class PortfolioPlacement(PlacementStrategy):
+    """Anytime portfolio racing exact and metaheuristic backends."""
+
+    name = "portfolio"
+    _session_type = _PortfolioSession
+
+    def __init__(self, seed: int = 0, iterations: int = 30):
+        self.seed = seed
+        self.iterations = iterations
+
+    def backend(self, name: str) -> PlacementStrategy:
+        """A lane's backend, freshly seeded from the portfolio's seed
+        tree — also how tests build the standalone baseline a raced
+        lane is compared against."""
+        if name == "exact":
+            return ExactPlacement()
+        cls = _SWARM_BACKENDS.get(name)
+        if cls is None:
+            raise OrchestrationError(
+                f"unknown portfolio backend {name!r}")
+        rng = random.Random(
+            derive_seed(self.seed, f"mirto.placement.{name}"))
+        return cls(rng, iterations=self.iterations)

@@ -24,6 +24,15 @@ from typing import Callable, Sequence
 from repro.core.errors import ConfigurationError
 
 
+def _drive(stepper, iterations: int):
+    """Take a ``steps()`` generator's initialization point, then
+    *iterations* iterations; return the last ``(best, best value)``."""
+    best = next(stepper)
+    for _ in range(iterations):
+        best = next(stepper)
+    return best
+
+
 @dataclass
 class OptimizationTrace:
     """Best objective value per iteration (for convergence reporting)."""
@@ -65,11 +74,7 @@ class ParticleSwarmOptimizer:
     def minimize(self, objective: Callable[[list[float]], float],
                  iterations: int = 50) -> tuple[list[float], float]:
         """Run PSO; returns (best position, best value)."""
-        stepper = self.steps(objective)
-        best, value = next(stepper)  # initialization point
-        for _ in range(iterations):
-            best, value = next(stepper)
-        return best, value
+        return _drive(self.steps(objective), iterations)
 
     def steps(self, objective: Callable[[list[float]], float]):
         """Generator form of :meth:`minimize` for anytime callers.
@@ -157,11 +162,7 @@ class FireflyOptimizer:
     def minimize(self, objective: Callable[[list[float]], float],
                  iterations: int = 40) -> tuple[list[float], float]:
         """Run the firefly algorithm; returns (best position, value)."""
-        stepper = self.steps(objective)
-        best, value = next(stepper)  # initialization point
-        for _ in range(iterations):
-            best, value = next(stepper)
-        return best, value
+        return _drive(self.steps(objective), iterations)
 
     def steps(self, objective: Callable[[list[float]], float]):
         """Generator form of :meth:`minimize` for anytime callers.
@@ -260,10 +261,8 @@ class AntColonyOptimizer:
     def minimize(self, objective: Callable[[list[int]], float],
                  iterations: int = 40) -> tuple[list[int], float]:
         """Run ACO; returns (best choice vector, best value)."""
-        stepper = self.steps(objective)
-        global_best, global_value = next(stepper)  # empty init point
-        for _ in range(iterations):
-            global_best, global_value = next(stepper)
+        global_best, global_value = _drive(self.steps(objective),
+                                           iterations)
         assert global_best is not None
         return global_best, global_value
 

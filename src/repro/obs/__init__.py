@@ -38,7 +38,6 @@ from repro.obs.spans import (
     Span,
     SpanContext,
     Tracer,
-    null_span,
 )
 
 __all__ = [
@@ -57,7 +56,6 @@ __all__ = [
     "Span",
     "SpanContext",
     "Tracer",
-    "null_span",
     "payload_delta",
     "render_exposition",
 ]

@@ -115,11 +115,6 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
-def null_span() -> _NullSpan:
-    """A no-op span for call sites without a tracer (bus-only wiring)."""
-    return NULL_SPAN
-
-
 class _ResumedScope:
     """Stack entry for :meth:`Tracer.resume`: an adopted parent context."""
 

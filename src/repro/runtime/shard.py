@@ -632,14 +632,6 @@ class ShardedContext:
         self._closed = False
         self._final: dict[str, Any] | None = None
 
-        # Merged-trace memos, each against its own watermark: --check
-        # twin comparisons call digest()/scorecard() repeatedly, and
-        # re-merging an unchanged trace is pure waste.
-        self._merge_watermark: Any = None
-        self._merged: list[tuple[str, TraceRecord]] = []
-        self._digest_watermark: Any = None
-        self._digest: str | None = None
-
         #: Coordinator-side observability (runtime.shard.*): epoch
         #: progress and relay traffic. Lives on the coordinator, not any
         #: zone context, so reading it never perturbs a zone's trace.
@@ -689,7 +681,6 @@ class ShardedContext:
             self._rings = [deque(maxlen=trace_capacity) for _ in names]
             self._zone_metrics: list[dict] = [{} for _ in names]
             self._events = [0] * self.workers
-            self._streamed = 0
             from repro.runtime.parallel import WorkerFleet
             self._fleet = WorkerFleet([
                 ((self.seed, names, self._shard_of, (shard,)),
@@ -793,7 +784,6 @@ class ShardedContext:
         records, deltas, events = stream
         for rank, rows in records:
             self._rings[rank].extend(rows)
-            self._streamed += len(rows)
             self._trace_batches.inc()
         for rank, delta in deltas.items():
             self._zone_metrics[rank].update(delta)
@@ -897,15 +887,6 @@ class ShardedContext:
             return sum(sim.processed_events for sim in self._host.sims)
         return sum(self._events)
 
-    def _watermark(self) -> Any:
-        """Changes whenever a zone's retained records do: per live ring
-        its sequence counter and length, or the replicas' streamed row
-        count."""
-        if self._host is not None:
-            return tuple((zone.ctx.trace._seq, len(zone.ctx.trace))
-                         for zone in self._host.zones)
-        return self._streamed
-
     def _merged_stream(self) -> Iterator[tuple[str, TraceRecord]]:
         """Every zone's retained records as ``(zone, record)`` in
         ``(time_s, zone_rank, zone_seq)`` order, one at a time.
@@ -939,16 +920,11 @@ class ShardedContext:
         is a pure function of the per-zone record streams, hence
         shard- and worker-count-invariant. In process the live zone
         rings are read in place; with workers, their streamed replicas.
-        Memoized until the next record lands; treat the returned list as
-        read-only. The renderers (:meth:`digest`, :meth:`to_jsonl`,
+        The renderers (:meth:`digest`, :meth:`to_jsonl`,
         :meth:`export_jsonl`) never build this list: they stream the
         same order.
         """
-        watermark = self._watermark()
-        if watermark != self._merge_watermark:
-            self._merged = list(self._merged_stream())
-            self._merge_watermark = watermark
-        return self._merged
+        return list(self._merged_stream())
 
     def _jsonl_lines(self) -> Iterator[str]:
         """The merged trace's JSONL lines (global seq, zone tag), one at
@@ -998,19 +974,14 @@ class ShardedContext:
         """SHA-256 over the merged trace bytes — the replay fingerprint
         the scale example and CI pin. Equal to hashing
         ``to_jsonl().encode()``, but streamed line by line: neither the
-        JSONL text nor the merged order is ever held whole. Memoized
-        until the next record lands.
+        JSONL text nor the merged order is ever held whole.
         """
-        watermark = self._watermark()
-        if watermark != self._digest_watermark:
-            sha = hashlib.sha256()
-            sep = b""
-            for line in self._jsonl_lines():
-                sha.update(sep + line.encode())
-                sep = b"\n"
-            self._digest = sha.hexdigest()
-            self._digest_watermark = watermark
-        return self._digest
+        sha = hashlib.sha256()
+        sep = b""
+        for line in self._jsonl_lines():
+            sha.update(sep + line.encode())
+            sep = b"\n"
+        return sha.hexdigest()
 
     # -- aggregated observability ------------------------------------------
 

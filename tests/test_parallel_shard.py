@@ -305,8 +305,9 @@ class TestParallelContextShape:
 
 
 class TestSequentialMemoization:
-    """merged_records()/digest() memoized across repeated calls,
-    invalidated when run() lands new records — on both executors."""
+    """merged_records(), digest() and to_jsonl() render the same trace
+    alike on repeated calls, and see the records a later run() lands —
+    on both executors. Nothing is memoized: each call renders afresh."""
 
     def test_repeat_calls_hit_the_cache(self):
         for workers in EXECUTORS:
@@ -315,9 +316,8 @@ class TestSequentialMemoization:
                 assert sharded.epoch == 40
                 assert sharded.now == 20.0
             # Closed: the trace cannot change anymore.
-            assert sharded.merged_records() is sharded.merged_records()
-            assert sharded.digest() is sharded.digest()
-            # Rendered afresh each call (only the digest is memoized).
+            assert sharded.merged_records() == sharded.merged_records()
+            assert sharded.digest() == sharded.digest()
             assert sharded.to_jsonl() == sharded.to_jsonl()
 
     def test_new_records_invalidate(self):
@@ -327,7 +327,7 @@ class TestSequentialMemoization:
                 first_merged = sharded.merged_records()
                 first_digest = sharded.digest()
                 sharded.run(until=20.0)
-                assert sharded.merged_records() is not first_merged
+                assert sharded.merged_records() != first_merged
                 assert len(sharded.merged_records()) > len(first_merged)
                 assert sharded.digest() != first_digest
 

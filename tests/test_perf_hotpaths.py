@@ -20,6 +20,7 @@ from repro.continuum import Simulator, Task, TaskRequirements, \
 from repro.continuum.workload import Application, KernelClass
 from repro.core.events import EventBus, topic_matches
 from repro.mirto.placement import (
+    ENERGY_WEIGHT,
     Placement,
     PlacementConstraints,
     PlacementRequest,
@@ -129,7 +130,7 @@ def _objective(strategy, application, infrastructure, tasks, options,
                choices: list[int], source_device: str | None = None
                ) -> float:
     """Reference scoring of one discrete choice vector: direct KPIs,
-    blended with *strategy*'s energy weight. The compiled, memoized
+    blended with the objective's energy weight. The compiled, memoized
     objective the swarms search must return exactly this."""
     assignment = {
         task.name: options[i][choice].name
@@ -138,8 +139,7 @@ def _objective(strategy, application, infrastructure, tasks, options,
     latency, energy = estimate_placement_kpis(
         application, Placement(assignment, strategy.name), infrastructure,
         source_device)
-    return latency * (1 - strategy.energy_weight) \
-        + strategy.energy_weight * energy / 100.0
+    return latency * (1 - ENERGY_WEIGHT) + ENERGY_WEIGHT * energy / 100.0
 
 def _app():
     app = Application("hot")
