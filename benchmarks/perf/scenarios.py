@@ -179,10 +179,10 @@ def _span_publish_disabled(quick: bool):
 
 @scenario("mape.tick")
 def _mape_tick(quick: bool):
-    from repro.mirto import CognitiveEngine, EngineConfig
+    from repro.mirto import CognitiveEngine
 
     n_ops = 3 if quick else 15
-    engine = CognitiveEngine(EngineConfig(seed=1))
+    engine = CognitiveEngine(seed=1)
 
     def run():
         engine.mape_iterate(n_ops)

@@ -12,7 +12,7 @@ the best of both.
 
 import pytest
 
-from repro.mirto import CognitiveEngine, EngineConfig
+from repro.mirto import CognitiveEngine
 from repro.usecases import mobility, run_sessions
 
 from _report import emit, table
@@ -20,7 +20,7 @@ from _report import emit, table
 
 def run_policy(policy: str, sessions: int = 5):
     """One engine per policy so device state does not leak across."""
-    engine = CognitiveEngine(EngineConfig(seed=51))
+    engine = CognitiveEngine(seed=51)
     scenario = mobility.build_scenario(vehicles=2)
     if policy in ("performance", "low-power"):
         # Pin every device and disable the Node Manager's choices by
@@ -107,7 +107,7 @@ def test_mape_drives_points_with_load(benchmark):
     up — the runtime half of the operating-point story."""
 
     def probe():
-        engine = CognitiveEngine(EngineConfig(seed=53))
+        engine = CognitiveEngine(seed=53)
         engine.mape_iterate(1)
         idle_points = {
             d.name: d.operating_point.name

@@ -11,7 +11,7 @@ collapse first for random/round-robin as load grows.
 
 import pytest
 
-from repro.mirto import CognitiveEngine, EngineConfig
+from repro.mirto import CognitiveEngine
 from repro.usecases import mobility, run_sessions, telerehab
 
 from _report import emit, table
@@ -22,7 +22,7 @@ STRATEGIES = ("random", "round-robin", "greedy", "pso", "aco")
 def sweep_mobility():
     results = {}
     for vehicles in mobility.fleet_scales():
-        engine = CognitiveEngine(EngineConfig(seed=31))
+        engine = CognitiveEngine(seed=31)
         scenario = mobility.build_scenario(vehicles=vehicles)
         for strategy in STRATEGIES:
             stats = run_sessions(engine, scenario, strategy, sessions=4)
@@ -68,7 +68,7 @@ def test_orchestration_load_sweep_mobility(benchmark):
 def sweep_telerehab():
     results = {}
     for minutes in telerehab.session_lengths():
-        engine = CognitiveEngine(EngineConfig(seed=33))
+        engine = CognitiveEngine(seed=33)
         scenario = telerehab.build_scenario(session_minutes=minutes)
         for strategy in STRATEGIES:
             results[(minutes, strategy)] = run_sessions(
@@ -112,7 +112,7 @@ def test_cognitive_energy_advantage(benchmark):
     placement, because they avoid needlessly powerful devices."""
 
     def measure():
-        engine = CognitiveEngine(EngineConfig(seed=35))
+        engine = CognitiveEngine(seed=35)
         scenario = mobility.build_scenario(vehicles=1)
         return {
             strategy: run_sessions(engine, scenario, strategy,

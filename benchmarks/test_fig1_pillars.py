@@ -12,7 +12,7 @@ shared KB) demonstrated live.
 import pytest
 
 from repro.dpe import DesignFlow
-from repro.mirto import CognitiveEngine, EngineConfig
+from repro.mirto import CognitiveEngine
 from repro.tosca import CsarArchive
 from repro.usecases import mobility
 
@@ -61,7 +61,7 @@ def round_trip():
     """Pillar 3 designs -> Pillar 2 orchestrates -> Pillar 1 executes."""
     scenario = mobility.build_scenario(vehicles=2)
     spec = DesignFlow(seed=5).run(scenario, mobility.build_adt())
-    engine = CognitiveEngine(EngineConfig(seed=5))
+    engine = CognitiveEngine(seed=5)
     # Hand-off Pillar 3 -> 2 is the CSAR deployment specification.
     archive = CsarArchive.from_bytes(spec.csar_bytes)
     from repro.mirto import ApiRequest

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.mirto import ApiRequest, CognitiveEngine, EngineConfig
+from repro.mirto import ApiRequest, CognitiveEngine
 from repro.tosca.parser import dump_service_template, parse_service_template
 from repro.tosca.validator import ToscaValidator
 from repro.usecases import mobility, run_sessions
@@ -23,7 +23,7 @@ from _report import emit, emit_timing, table
 
 @pytest.fixture(scope="module")
 def engine():
-    return CognitiveEngine(EngineConfig(seed=13))
+    return CognitiveEngine(seed=13)
 
 
 def stage_timings(engine):

@@ -11,7 +11,7 @@ import pytest
 
 from repro.continuum.workload import KernelClass
 from repro.dpe import ComponentModel, ScenarioModel
-from repro.mirto import CognitiveEngine, EngineConfig
+from repro.mirto import CognitiveEngine
 from repro.security import (
     Identity,
     InteractionOutcome,
@@ -25,7 +25,7 @@ from _report import emit, table
 
 @pytest.fixture(scope="module")
 def engine():
-    return CognitiveEngine(EngineConfig(seed=21))
+    return CognitiveEngine(seed=21)
 
 
 def demo_scenario():

@@ -26,7 +26,7 @@ from repro.continuum.faults import FaultInjector
 from repro.continuum.workload import KernelClass
 from repro.dpe import ComponentModel, ScenarioModel
 from repro.kube import KubeCluster, Node, PodSpec, ResourceRequest
-from repro.mirto import CognitiveEngine, EngineConfig
+from repro.mirto import CognitiveEngine
 from repro.monitoring import InfrastructureMonitor
 from repro.obs import DesProfiler
 from repro.runtime import RuntimeContext
@@ -60,8 +60,7 @@ def main(argv=None) -> int:
     profiler = DesProfiler().install(ctx.sim)
 
     infrastructure = build_reference_infrastructure(ctx)
-    engine = CognitiveEngine(EngineConfig(seed=args.seed),
-                             infrastructure=infrastructure)
+    engine = CognitiveEngine(seed=args.seed, infrastructure=infrastructure)
     target = "mc-00-0"
     cluster = KubeCluster("edge", ctx=ctx)
     cluster.add_node(Node(name=target,

@@ -12,14 +12,14 @@ Run:  python examples/quickstart.py
 
 from repro.continuum.workload import KernelClass
 from repro.dpe import ComponentModel, ScenarioModel
-from repro.mirto import CognitiveEngine, EngineConfig
+from repro.mirto import CognitiveEngine
 
 
 def main() -> None:
     # 1. A fully wired cognitive engine over the reference continuum:
     #    2 edge sites (multicore + FPGA + RISC-V behind a gateway),
     #    1 fog micro data center, 2 cloud servers, Raft-replicated KB.
-    engine = CognitiveEngine(EngineConfig(edge_sites=2, seed=42))
+    engine = CognitiveEngine(seed=42)
     print(f"continuum devices: {len(engine.infrastructure)}")
 
     # 2. Describe an application: a 3-stage video analytics pipeline.

@@ -13,7 +13,7 @@ Run:  python examples/smart_mobility.py
 """
 
 from repro.dpe import DesignFlow
-from repro.mirto import CognitiveEngine, EngineConfig
+from repro.mirto import CognitiveEngine
 from repro.usecases import mobility, run_sessions
 
 
@@ -37,7 +37,7 @@ def main() -> None:
 
     # -- Pillar 2: runtime orchestration ----------------------------------
     print("\n== MIRTO (runtime) ==")
-    engine = CognitiveEngine(EngineConfig(edge_sites=2, seed=7))
+    engine = CognitiveEngine(seed=7)
     response = engine.deploy(spec.service, strategy="pso")
     assert response.ok, response.body
     print(f"cognitive placement: {response.body['placement']}")

@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.mirto import (
     CognitiveEngine,
-    EngineConfig,
     FederatedClient,
     FederatedTrainer,
     LinearModel,
@@ -25,7 +24,7 @@ from repro.usecases import telerehab
 
 
 def main() -> None:
-    engine = CognitiveEngine(EngineConfig(edge_sites=2, seed=11))
+    engine = CognitiveEngine(seed=11)
     scenario = telerehab.build_scenario(session_minutes=20)
 
     # -- privacy-constrained placement --------------------------------------

@@ -39,7 +39,7 @@ from repro.kube import (
     PodSpec,
     ResourceRequest,
 )
-from repro.mirto import CognitiveEngine, EngineConfig
+from repro.mirto import CognitiveEngine
 from repro.runtime import RuntimeContext
 
 
@@ -90,8 +90,7 @@ def run_scenario(seed: int, campaign_name: str = "smoke",
     scored metrics plus the context (for trace inspection)."""
     ctx = RuntimeContext(seed=seed)
     infra = build_reference_infrastructure(ctx)
-    engine = CognitiveEngine(EngineConfig(seed=seed),
-                             infrastructure=infra)
+    engine = CognitiveEngine(seed=seed, infrastructure=infra)
 
     cluster = KubeCluster("edge", ctx=ctx)
     for node_name in ("mc-00-0", "fpga-00-0", "mc-01-0", "fpga-01-0"):

@@ -3,10 +3,11 @@
 Table I commits the orchestration to "improved reliability"; proving
 that requires a substrate where components actually fail. A
 :class:`FaultInjector` drives exponential failure/repair processes per
-device; failed devices reject new work and interrupt what they are
-running. The placement layer filters failed devices automatically, and
-:class:`ReliabilityTracker` accounts availability, MTTF/MTTR and the
-tasks lost to failures.
+device; a failed device admits no new work, while the tasks already
+holding its cores run to completion (:meth:`Device.execute` checks
+``failed`` only at admission). The placement layer filters failed
+devices automatically, and :class:`ReliabilityTracker` accounts
+availability, MTTF/MTTR and the tasks running when a device failed.
 """
 
 from __future__ import annotations
@@ -135,12 +136,10 @@ class FaultInjector:
                 device=device.name):
             device.failed = True
             self.tracker.record(FaultEvent(device.name, "fail", now))
-            # Interrupt in-flight work: waiting requests and running
-            # tasks both lose their slot (the executing processes see
-            # Interrupt).
-            interrupted = 0
-            for request in list(device.cores.users):
-                interrupted += 1
+            # Count the tasks holding a core at the failure instant.
+            # Nothing interrupts them: they run to completion, and only
+            # new work is refused.
+            interrupted = len(device.cores.users)
             self.tracker.tasks_interrupted += interrupted
             self._failures.inc()
             self.ctx.publish("continuum.fault.fail", {

@@ -72,7 +72,7 @@ from repro.mirto.proxies import (
     KbProxy,
     container_to_pod_spec,
 )
-from repro.mirto.engine import CognitiveEngine, EngineConfig
+from repro.mirto.engine import CognitiveEngine
 from repro.mirto.continuous import (
     ContinuousDeployment,
     MigrationPolicy,
@@ -103,7 +103,7 @@ __all__ = [
     "LoopRecord", "MapeLoop", "PlannedAction", "Trigger",
     "ApiRequest", "ApiResponse", "MirtoAgent", "NegotiationRecord",
     "DeploymentProxy", "KbProxy", "container_to_pod_spec",
-    "CognitiveEngine", "EngineConfig",
+    "CognitiveEngine",
     "ContinuousDeployment", "MigrationPolicy", "PeriodRecord",
     "run_with_interference", "DEFAULT_RULE", "RuleBasedPlacement",
     "evolve_placement_rule",

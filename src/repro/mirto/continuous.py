@@ -14,19 +14,18 @@ a cost, so flapping must not pay).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from repro.continuum.infrastructure import Infrastructure
 from repro.continuum.workload import Application
 from repro.mirto.placement import (
     ExecutionReport,
+    GreedyPlacement,
     Placement,
     PlacementConstraints,
     PlacementRequest,
     estimate_placement_kpis,
     execute_placement,
-    make_strategy,
 )
 
 
@@ -52,38 +51,32 @@ class MigrationPolicy:
 
     improvement_threshold: float = 0.15
     migration_cost_s: float = 0.020
-    replan_strategy: str = "greedy"
 
 
 class ContinuousDeployment:
-    """One long-running service under execution-time orchestration."""
+    """One long-running service under execution-time orchestration,
+    placed and re-placed by the greedy list scheduler."""
 
     def __init__(self, application: Application,
                  infrastructure: Infrastructure,
                  constraints: PlacementConstraints | None = None,
-                 policy: MigrationPolicy | None = None,
-                 rng: random.Random | None = None):
+                 policy: MigrationPolicy | None = None):
         self.application = application
         self.infrastructure = infrastructure
         self.ctx = infrastructure.ctx
         self.constraints = constraints or PlacementConstraints()
         self.policy = policy or MigrationPolicy()
-        self.rng = rng or self.ctx.rng.python("mirto.continuous")
         self.history: list[PeriodRecord] = []
-        initial = make_strategy(self.policy.replan_strategy, self.rng)
-        self.placement = initial.solve(PlacementRequest(
-            application=application, infrastructure=infrastructure,
-            constraints=self.constraints)).placement
+        self.placement = self._candidate()
         self.migrations = 0
 
     def _candidate(self) -> Placement:
         """Re-optimize against the current infrastructure state."""
-        strategy = make_strategy(self.policy.replan_strategy, self.rng)
         request = PlacementRequest(
             application=self.application,
             infrastructure=self.infrastructure,
             constraints=self.constraints)
-        return strategy.solve(request).placement
+        return GreedyPlacement().solve(request).placement
 
     def run_period(self) -> PeriodRecord:
         """Execute one period, then consider migrating for the next."""

@@ -8,11 +8,11 @@ coordinator:
 * :class:`GossipConsensus` — asynchronous gossip averaging over the
   agent connectivity graph, the primitive agents use to agree on global
   aggregates (mean utilization, total demand) from local observations;
-* :class:`DistributedLoadBalancer` — dual-decomposition load balancing:
-  each site iteratively adjusts a local *price* from its own
-  overload/underload and shifts work towards cheaper neighbours, which
-  provably drives the system towards the balanced allocation without
-  anyone seeing the global state.
+* :class:`DistributedLoadBalancer` — diffusion load balancing: across
+  every link, work flows from the more to the less utilized neighbour
+  in proportion to their utilization difference, which drives the
+  system towards equal utilization without anyone seeing the global
+  state.
 """
 
 from __future__ import annotations
@@ -86,28 +86,28 @@ class SiteState:
     name: str
     capacity: float
     load: float
-    price: float = 0.0
+
+
+#: Share of a link's utilization difference that moves per round.
+FLOW_GAIN = 0.5
 
 
 class DistributedLoadBalancer:
-    """Dual-decomposition load balancing between neighbouring sites.
+    """Diffusion load balancing between neighbouring sites.
 
-    Each site keeps a price ``lambda = max(0, lambda + step * (load -
-    capacity_target))``; work flows across each edge proportionally to
-    the price difference. Only neighbour prices are exchanged — no
-    global state. *graph* is as for :class:`GossipConsensus`.
+    Each round, work flows across each edge from the more to the less
+    utilized site, ``FLOW_GAIN * |u_a - u_b| * min(c_a, c_b) / 2`` of
+    it (``u`` utilization, ``c`` capacity), capped at the donor's load.
+    Only neighbour utilizations are exchanged — no global state.
+    *graph* is as for :class:`GossipConsensus`.
     """
 
-    def __init__(self, graph, rng: random.Random,
-                 step: float = 0.05, flow_gain: float = 0.5):
+    def __init__(self, graph):
         if len(graph.nodes) < 2 or not is_connected(graph.nodes,
                                                     graph.edges):
             raise ConfigurationError(
                 "balancer needs a connected graph of >=2 sites")
         self.graph = graph
-        self.rng = rng
-        self.step = step
-        self.flow_gain = flow_gain
         self.sites: dict[str, SiteState] = {}
         self.rounds_run = 0
 
@@ -132,15 +132,7 @@ class DistributedLoadBalancer:
         return max(utils) - min(utils)
 
     def round(self) -> float:
-        """One price-update + flow exchange round; returns imbalance."""
-        # Price update from purely local pressure (utilization - mean
-        # target is unknown; each site targets its own capacity share).
-        for site in self.sites.values():
-            pressure = site.load / site.capacity
-            site.price = max(0.0, site.price
-                             + self.step * (pressure - 1.0))
-        # Work flows along edges towards the lower-price side, scaled by
-        # the receiving site's capacity so big sites absorb more.
+        """One flow exchange over every edge; returns the imbalance."""
         for a, b in self.graph.edges:
             site_a, site_b = self.sites[a], self.sites[b]
             gradient = (site_a.load / site_a.capacity
@@ -149,7 +141,7 @@ class DistributedLoadBalancer:
                 continue
             donor, receiver = (site_a, site_b) if gradient > 0 \
                 else (site_b, site_a)
-            flow = self.flow_gain * abs(gradient) \
+            flow = FLOW_GAIN * abs(gradient) \
                 * min(donor.capacity, receiver.capacity) / 2
             flow = min(flow, donor.load)
             donor.load -= flow

@@ -9,8 +9,6 @@ TOSCA validation, manager, execution) and :meth:`CognitiveEngine.mape_iterate`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.continuum.devices import Layer
 from repro.continuum.infrastructure import (
     Infrastructure,
@@ -22,62 +20,34 @@ from repro.kb.store import KnowledgeBase
 from repro.mirto.agent import ApiRequest, ApiResponse, MirtoAgent
 from repro.mirto.manager import MirtoManager
 from repro.mirto.mape import MapeLoop
-from repro.mirto.placement import SolveBudget, make_strategy
 from repro.tosca.parser import dump_service_template
 from repro.tosca.model import ServiceTemplate
-
-
-@dataclass
-class EngineConfig:
-    """Knobs for building a cognitive engine."""
-
-    edge_sites: int = 2
-    fmdcs: int = 1
-    cloud_servers: int = 2
-    kb_replicas: int = 3
-    default_strategy: str = "greedy"
-    #: Anytime solver MAPE's Plan stage races for replanning advice
-    #: after faults ("portfolio" by default; None disables replanning).
-    plan_strategy: str | None = "portfolio"
-    #: DES-clock deadline for each Plan-stage solve (50ms-equivalent
-    #: would be a deploy-time budget; Plan runs on the loop cadence).
-    plan_deadline_s: float = 0.010
-    seed: int = 0
 
 
 class CognitiveEngine:
     """One fully wired MIRTO deployment over a simulated continuum.
 
-    The engine no longer self-wires a private simulator: it runs on a
-    :class:`~repro.runtime.RuntimeContext` (the infrastructure's when
-    one is supplied, else a fresh context seeded from the config), so
-    MAPE transitions, placement decisions and KB consensus all share
-    one clock, one bus and one seed tree with the rest of the system.
+    The engine runs on the infrastructure's
+    :class:`~repro.runtime.RuntimeContext` (without an infrastructure
+    it builds the reference continuum on a fresh context seeded from
+    *seed*), so MAPE transitions, placement decisions and KB consensus
+    all share one clock, one bus and one seed tree with the rest of
+    the system.
     """
 
-    def __init__(self, config: EngineConfig | None = None,
-                 infrastructure: Infrastructure | None = None,
-                 ctx: RuntimeContext | None = None):
-        self.config = config or EngineConfig()
-        if infrastructure is not None:
-            self.ctx = infrastructure.ctx
-            self.infrastructure = infrastructure
-        else:
-            self.ctx = ctx or RuntimeContext(seed=self.config.seed)
-            self.infrastructure = build_reference_infrastructure(
-                self.ctx,
-                edge_sites=self.config.edge_sites,
-                fmdcs=self.config.fmdcs,
-                cloud_servers=self.config.cloud_servers)
+    def __init__(self, seed: int = 0,
+                 infrastructure: Infrastructure | None = None):
+        if infrastructure is None:
+            infrastructure = build_reference_infrastructure(
+                RuntimeContext(seed=seed))
+        self.infrastructure = infrastructure
+        self.ctx = infrastructure.ctx
         self.sim = self.ctx.sim
-        self.kb = KnowledgeBase(replicas=self.config.kb_replicas,
-                                seed=self.config.seed, ctx=self.ctx)
+        self.kb = KnowledgeBase(seed=seed, ctx=self.ctx)
         self.registry = ResourceRegistry(self.kb)
         self._register_components()
-        self.manager = MirtoManager(
-            self.infrastructure, self.registry,
-            default_strategy=self.config.default_strategy,
-            seed=self.config.seed)
+        self.manager = MirtoManager(self.infrastructure, self.registry,
+                                    seed=seed)
         # One agent per layer, all peered (the Fig. 2 agent mesh).
         self.agents: dict[str, MirtoAgent] = {}
         for layer in Layer:
@@ -89,16 +59,8 @@ class CognitiveEngine:
         for i, a in enumerate(agents):
             for b in agents[i + 1:]:
                 a.peer_with(b)
-        planner = None
-        if self.config.plan_strategy is not None:
-            planner = make_strategy(
-                self.config.plan_strategy,
-                self.ctx.rng.python("mirto.mape.plan"))
-        self.mape = MapeLoop(
-            self.infrastructure, self.registry, self.manager,
-            planner=planner,
-            plan_budget=SolveBudget(
-                deadline_s=self.config.plan_deadline_s))
+        self.mape = MapeLoop(self.infrastructure, self.registry,
+                             self.manager)
 
     def _register_components(self) -> None:
         for device in self.infrastructure.devices.values():

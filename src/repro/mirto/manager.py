@@ -43,6 +43,14 @@ from repro.security.levels import SecurityLevel
 from repro.security.trust import InteractionOutcome, TrustEngine
 from repro.tosca.model import ServiceTemplate
 
+#: Trust below which a device is not used: placement filters it out
+#: (:meth:`PrivacySecurityManager.constraints_for`) and MAPE's Analyze
+#: stage raises a ``trust-drop`` trigger for it.
+TRUST_THRESHOLD = 0.3
+
+#: Placement strategy of a deploy that names none.
+DEFAULT_STRATEGY = "greedy"
+
 
 def service_to_application(service: ServiceTemplate) -> Application:
     """Translate a TOSCA service's containers into a task DAG.
@@ -92,12 +100,10 @@ def service_to_application(service: ServiceTemplate) -> Application:
 class PrivacySecurityManager:
     """Driver 4: security-level negotiation and trust filtering."""
 
-    def __init__(self, infrastructure: Infrastructure,
-                 trust_threshold: float = 0.3, now_fn=None):
+    def __init__(self, infrastructure: Infrastructure):
         self.infrastructure = infrastructure
-        self.trust_threshold = trust_threshold
-        self.trust = TrustEngine("mirto", now_fn=now_fn
-                                 or (lambda: infrastructure.sim.now))
+        self.trust = TrustEngine("mirto",
+                                 now_fn=lambda: infrastructure.sim.now)
 
     def required_level(self, service: ServiceTemplate) -> SecurityLevel:
         return SecurityLevel.parse(service.security_floor())
@@ -109,7 +115,7 @@ class PrivacySecurityManager:
                    for name in self.infrastructure.devices}
         return PlacementConstraints(
             min_security_level=required.value,
-            trust_threshold=self.trust_threshold,
+            trust_threshold=TRUST_THRESHOLD,
             trusted=trusted,
         )
 
@@ -124,10 +130,10 @@ class NetworkManager:
     """Driver 3: network costs, slices, and RL-based congestion advice."""
 
     def __init__(self, infrastructure: Infrastructure,
-                 rng: random.Random | None = None):
+                 rng: random.Random):
         self.infrastructure = infrastructure
         self.slices = SliceManager(infrastructure.network)
-        self.rng = rng or infrastructure.ctx.rng.python("mirto.network")
+        self.rng = rng
         # RL: states = discretized max-link congestion (5 bins),
         # actions = {keep-local, offload-to-fog, offload-to-cloud}.
         self.agent = QLearningAgent(n_states=5, n_actions=3, rng=self.rng)
@@ -237,16 +243,14 @@ class WorkloadManager:
                  security: PrivacySecurityManager,
                  network: NetworkManager,
                  node_manager: NodeManager,
-                 registry: ResourceRegistry | None = None,
-                 default_strategy: str = "greedy",
-                 rng: random.Random | None = None):
+                 registry: ResourceRegistry | None,
+                 rng: random.Random):
         self.infrastructure = infrastructure
         self.security = security
         self.network = network
         self.node_manager = node_manager
         self.registry = registry
-        self.default_strategy = default_strategy
-        self.rng = rng or infrastructure.ctx.rng.python("mirto.workload")
+        self.rng = rng
         self.deployments: list[DeploymentOutcome] = []
         #: Deployed service templates by name — what MAPE's Plan phase
         #: replans against when triggers fire.
@@ -264,16 +268,22 @@ class WorkloadManager:
         prefix = "status/reallocation/"
         for key, value in self.registry.kb.range(prefix).items():
             if value.get("advice") in ("avoid", "offload"):
-                device_name = key[len(prefix):]
-                constraints.trusted[device_name] = 0.0
-                constraints.trust_threshold = max(
-                    constraints.trust_threshold, 0.05)
+                constraints.trusted[key[len(prefix):]] = 0.0
 
-    def _data_source(self) -> str | None:
-        """Where application input data originates: the first edge
-        device (sensors live at the edge in both use cases)."""
+    def placement_problem(self, service: ServiceTemplate
+                          ) -> tuple[Application, PlacementConstraints]:
+        """The placement problem *service* poses: its task DAG, and its
+        security and trust constraints with application input data
+        originating at the first edge device (sensors live at the edge
+        in both use cases)."""
+        app = service_to_application(service)
+        if len(app) == 0:
+            raise OrchestrationError(
+                f"service {service.name!r} has no deployable containers")
+        constraints = self.security.constraints_for(service)
         edge = self.infrastructure.layer_devices(Layer.EDGE)
-        return edge[0].name if edge else None
+        constraints.source_device = edge[0].name if edge else None
+        return app, constraints
 
     def _placement_advice(self, service_name: str) -> Placement | None:
         """MAPE's last suggest-placement advice, as a warm start."""
@@ -303,12 +313,7 @@ class WorkloadManager:
 
     def _deploy(self, service: ServiceTemplate,
                 strategy: str | None) -> DeploymentOutcome:
-        app = service_to_application(service)
-        if len(app) == 0:
-            raise OrchestrationError(
-                f"service {service.name!r} has no deployable containers")
-        constraints = self.security.constraints_for(service)
-        constraints.source_device = self._data_source()
+        app, constraints = self.placement_problem(service)
         self._apply_reallocation_advice(constraints)
         # Place against nominal device configurations; the Node Manager
         # tunes operating points afterwards. Otherwise a device left in
@@ -318,7 +323,7 @@ class WorkloadManager:
             if "balanced" in device.operating_points and \
                     device.operating_point.name != "balanced":
                 device.set_operating_point("balanced")
-        placer = make_strategy(strategy or self.default_strategy, self.rng)
+        placer = make_strategy(strategy or DEFAULT_STRATEGY, self.rng)
         request = PlacementRequest(
             application=app, infrastructure=self.infrastructure,
             constraints=constraints,
@@ -386,7 +391,6 @@ class MirtoManager:
 
     infrastructure: Infrastructure
     registry: ResourceRegistry | None = None
-    default_strategy: str = "greedy"
     seed: int = 0
 
     def __post_init__(self):
@@ -402,8 +406,7 @@ class MirtoManager:
         self.workload = WorkloadManager(
             self.infrastructure, self.security, self.network,
             self.node_manager, self.registry,
-            default_strategy=self.default_strategy,
-            rng=rng_tree.python(f"mirto.workload.{self.seed}"))
+            rng_tree.python(f"mirto.workload.{self.seed}"))
 
     def deploy(self, service: ServiceTemplate,
                strategy: str | None = None) -> DeploymentOutcome:

@@ -18,15 +18,26 @@ from dataclasses import dataclass, field
 from repro.core.errors import OrchestrationError
 from repro.continuum.infrastructure import Infrastructure
 from repro.kb.registry import ResourceRegistry
-from repro.mirto.manager import MirtoManager, service_to_application
+from repro.mirto.manager import TRUST_THRESHOLD, MirtoManager
 from repro.mirto.placement import (
     PlacementRequest,
-    PlacementStrategy,
     SolveBudget,
+    make_strategy,
     solve_traced,
 )
 from repro.monitoring.monitors import InfrastructureMonitor
-from repro.runtime import RuntimeContext
+
+#: Utilization above which Analyze raises an ``overload`` trigger.
+OVERLOAD_UTILIZATION = 0.85
+#: Utilization below which an idle device raises ``underload``.
+UNDERLOAD_UTILIZATION = 0.15
+#: Anytime solver the Plan stage races for replanning advice after
+#: faults.
+PLAN_STRATEGY = "portfolio"
+#: Budget per replanning solve — tight by design: Plan shares the
+#: control loop's cadence, so advice must come from an anytime
+#: incumbent, not an exhaustive search.
+PLAN_BUDGET = SolveBudget(deadline_s=0.010)
 
 
 @dataclass
@@ -79,28 +90,14 @@ class MapeLoop:
 
     def __init__(self, infrastructure: Infrastructure,
                  registry: ResourceRegistry,
-                 manager: MirtoManager,
-                 overload_threshold: float = 0.85,
-                 underload_threshold: float = 0.15,
-                 trust_threshold: float = 0.3,
-                 ctx: RuntimeContext | None = None,
-                 planner: PlacementStrategy | None = None,
-                 plan_budget: SolveBudget | None = None):
+                 manager: MirtoManager):
         self.infrastructure = infrastructure
         self.registry = registry
         self.manager = manager
-        #: Anytime solver the Plan stage races for replanning advice
-        #: when a fault trigger fires (None disables replanning).
-        self.planner = planner
-        #: Budget per replanning solve — tight by design: Plan shares
-        #: the control loop's cadence, so advice must come from an
-        #: anytime incumbent, not an exhaustive search.
-        self.plan_budget = plan_budget or SolveBudget(deadline_s=0.010)
-        self.ctx = ctx or infrastructure.ctx
+        self.ctx = infrastructure.ctx
+        self.planner = make_strategy(
+            PLAN_STRATEGY, self.ctx.rng.python("mirto.mape.plan"))
         self.monitor = InfrastructureMonitor("mape", ctx=self.ctx)
-        self.overload_threshold = overload_threshold
-        self.underload_threshold = underload_threshold
-        self.trust_threshold = trust_threshold
         self.records: list[LoopRecord] = []
         #: (time_s, device, "fail"|"repair") for every fault seen on
         #: the shared bus, stamped with the canonical clock.
@@ -216,20 +213,20 @@ class MapeLoop:
         else:
             for name, sample in samples.items():
                 utilization = sample["utilization"]
-                if utilization > self.overload_threshold:
+                if utilization > OVERLOAD_UTILIZATION:
                     triggers.append(Trigger(
                         "overload", name,
                         f"utilization {utilization:.2f} > "
-                        f"{self.overload_threshold}"))
-                elif utilization < self.underload_threshold and \
+                        f"{OVERLOAD_UTILIZATION}"))
+                elif utilization < UNDERLOAD_UTILIZATION and \
                         sample["queue_length"] == 0:
                     triggers.append(Trigger(
                         "underload", name,
                         f"utilization {utilization:.2f} < "
-                        f"{self.underload_threshold}"))
+                        f"{UNDERLOAD_UTILIZATION}"))
         for name in self.infrastructure.devices:
             trust = self.manager.security.trust.trust(name)
-            if trust < self.trust_threshold:
+            if trust < TRUST_THRESHOLD:
                 triggers.append(Trigger(
                     "trust-drop", name, f"trust {trust:.2f}"))
         return triggers
@@ -263,8 +260,7 @@ class MapeLoop:
             elif trigger.kind in ("trust-drop", "fault"):
                 actions.append(PlannedAction(
                     "flag-reallocation", trigger.component, "avoid"))
-        if self.planner is not None \
-                and any(t.kind == "fault" for t in triggers):
+        if any(t.kind == "fault" for t in triggers):
             actions.extend(self._replan())
         return actions
 
@@ -280,16 +276,14 @@ class MapeLoop:
         workload = self.manager.workload
         actions = []
         for service_name in sorted(workload.services):
-            service = workload.services[service_name]
-            app = service_to_application(service)
-            constraints = self.manager.security.constraints_for(service)
-            constraints.source_device = workload._data_source()
+            app, constraints = workload.placement_problem(
+                workload.services[service_name])
             outcome = next(
                 (d for d in reversed(workload.deployments)
                  if d.service_name == service_name), None)
             request = PlacementRequest(
                 application=app, infrastructure=self.infrastructure,
-                constraints=constraints, budget=self.plan_budget,
+                constraints=constraints, budget=PLAN_BUDGET,
                 warm_start=outcome.placement if outcome else None)
             try:
                 result = solve_traced(self.planner, request, service_name)

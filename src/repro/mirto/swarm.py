@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.core.errors import ConfigurationError
 
@@ -212,15 +212,14 @@ class AntColonyOptimizer:
 
     Each of ``n_decisions`` positions picks one of ``n_options``;
     ``objective(choices)`` scores a complete assignment (lower is
-    better). Pheromones reinforce good assignments; evaporation keeps
-    exploration alive.
+    better). Each ant picks every option with probability proportional
+    to its pheromone; pheromones reinforce good assignments, and
+    evaporation keeps exploration alive.
     """
 
     def __init__(self, n_decisions: int, n_options: int,
                  rng: random.Random, ants: int = 20,
-                 evaporation: float = 0.3, alpha: float = 1.0,
-                 beta: float = 0.0,
-                 heuristic: Sequence[Sequence[float]] | None = None):
+                 evaporation: float = 0.3):
         if n_decisions < 1 or n_options < 1:
             raise ConfigurationError("ACO needs decisions and options")
         if not 0 < evaporation < 1:
@@ -230,29 +229,15 @@ class AntColonyOptimizer:
         self.rng = rng
         self.ants = ants
         self.evaporation = evaporation
-        self.alpha = alpha
-        self.beta = beta
-        self.heuristic = heuristic
         self.pheromone = [[1.0] * n_options for _ in range(n_decisions)]
         self.trace = OptimizationTrace()
 
     def _pick(self, decision: int) -> int:
+        """Roulette wheel over the decision's pheromone row."""
         row = self.pheromone[decision]
-        alpha = self.alpha
-        if self.heuristic is not None and self.beta > 0:
-            heuristic = self.heuristic[decision]
-            beta = self.beta
-            weights = [row[option] ** alpha
-                       * max(heuristic[option], 1e-12) ** beta
-                       for option in range(self.n_options)]
-        elif alpha == 1.0:
-            weights = row  # x ** 1.0 == x: pheromones are the weights
-        else:
-            weights = [w ** alpha for w in row]
-        total = sum(weights)
-        threshold = self.rng.random() * total
+        threshold = self.rng.random() * sum(row)
         cumulative = 0.0
-        for option, weight in enumerate(weights):
+        for option, weight in enumerate(row):
             cumulative += weight
             if cumulative >= threshold:
                 return option

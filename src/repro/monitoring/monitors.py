@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.errors import ConfigurationError
-from repro.core.events import EventBus
 from repro.continuum.devices import Device
 from repro.monitoring.metrics import Alert, MetricSeries
 from repro.net.topology import Network
@@ -15,44 +14,28 @@ from repro.runtime import RuntimeContext
 class _MonitorBase:
     """Shared plumbing: named series registry + bus publication.
 
-    Monitors read the canonical clock of an injected
-    :class:`~repro.runtime.RuntimeContext`: every ``time_s`` parameter
-    is optional and defaults to ``ctx.now``. Passing an explicit
-    ``time_s`` (e.g. for replaying historical samples) still works; a
-    monitor with neither a context nor an explicit time raises.
+    Monitors run on a :class:`~repro.runtime.RuntimeContext` (the
+    injected one, else a fresh context): they publish on its bus, count
+    on its metrics, and every ``time_s`` parameter is optional and
+    defaults to its clock, ``ctx.now``. Passing an explicit ``time_s``
+    (e.g. for replaying historical samples) still works.
     """
 
     kind = "abstract"
 
-    def __init__(self, name: str, bus: EventBus | None = None,
-                 retention: int = 1024,
+    def __init__(self, name: str, retention: int = 1024, *,
                  ctx: RuntimeContext | None = None):
         self.name = name
-        self.ctx = ctx
-        self.bus = bus if bus is not None else (
-            ctx.bus if ctx is not None else None)
+        self.ctx = RuntimeContext.adopt(ctx)
         self.retention = retention
         self.series: dict[str, MetricSeries] = {}
-        if ctx is not None:
-            metrics = ctx.metrics
-            self._samples_ctr = metrics.counter(
-                f"monitoring.{self.kind}.samples",
-                "samples recorded", label_key="monitor")
-            self._alerts_ctr = metrics.counter(
-                f"monitoring.{self.kind}.alerts",
-                "threshold alerts raised", label_key="monitor")
-        else:
-            self._samples_ctr = None
-            self._alerts_ctr = None
-
-    def _now(self, time_s: float | None) -> float:
-        if time_s is not None:
-            return time_s
-        if self.ctx is not None:
-            return self.ctx.now
-        raise ConfigurationError(
-            f"monitor {self.name!r} has no RuntimeContext; pass time_s "
-            "explicitly or inject ctx=")
+        metrics = self.ctx.metrics
+        self._samples_ctr = metrics.counter(
+            f"monitoring.{self.kind}.samples",
+            "samples recorded", label_key="monitor")
+        self._alerts_ctr = metrics.counter(
+            f"monitoring.{self.kind}.alerts",
+            "threshold alerts raised", label_key="monitor")
 
     def metric(self, metric_name: str, alert_above: float | None = None,
                alert_below: float | None = None) -> MetricSeries:
@@ -77,24 +60,23 @@ class _MonitorBase:
     def _record(self, metric_name: str, time_s: float | None,
                 value: float, alert_above: float | None = None,
                 alert_below: float | None = None) -> Alert | None:
-        time_s = self._now(time_s)
+        if time_s is None:
+            time_s = self.ctx.now
         series = self.metric(metric_name, alert_above=alert_above,
                              alert_below=alert_below)
         alert = series.record(time_s, value)
-        if self._samples_ctr is not None:
-            self._samples_ctr.inc(label=self.name)
-            if alert is not None:
-                self._alerts_ctr.inc(label=self.name)
-        if self.bus is not None:
-            # Topic segments must stay dot-free (metric names such as
-            # "webcam-0.utilization" would otherwise add segments).
-            metric_seg = metric_name.replace(".", "-")
-            self.bus.publish(
-                f"monitor.metrics.{self.kind}.{self.name}.{metric_seg}",
-                {"time_s": time_s, "value": value})
-            if alert is not None:
-                self.bus.publish(
-                    f"monitor.alerts.{self.kind}.{self.name}", alert)
+        self._samples_ctr.inc(label=self.name)
+        if alert is not None:
+            self._alerts_ctr.inc(label=self.name)
+        # Topic segments must stay dot-free (metric names such as
+        # "webcam-0.utilization" would otherwise add segments).
+        metric_seg = metric_name.replace(".", "-")
+        self.ctx.publish(
+            f"monitor.metrics.{self.kind}.{self.name}.{metric_seg}",
+            {"time_s": time_s, "value": value})
+        if alert is not None:
+            self.ctx.publish(
+                f"monitor.alerts.{self.kind}.{self.name}", alert)
         return alert
 
 
@@ -190,9 +172,6 @@ class InfrastructureMonitor(_MonitorBase):
         the canonical clock — so the monitor sees a fault at the same
         simulated instant as every other subscriber.
         """
-        if self.ctx is None:
-            raise ConfigurationError(
-                "watch_device_faults() needs an injected RuntimeContext")
 
         def _on_fault(topic: str, payload) -> None:
             device = (payload or {}).get("device")

@@ -203,11 +203,10 @@ class TestMapeDegradation:
     and restores them afterwards."""
 
     def _engine(self, seed=3):
-        from repro.mirto import CognitiveEngine, EngineConfig
+        from repro.mirto import CognitiveEngine
         ctx = RuntimeContext(seed=seed)
         infra = build_reference_infrastructure(ctx)
-        engine = CognitiveEngine(EngineConfig(seed=seed),
-                                 infrastructure=infra)
+        engine = CognitiveEngine(seed=seed, infrastructure=infra)
         return ctx, infra, engine
 
     def test_degrades_during_campaign_and_restores(self):

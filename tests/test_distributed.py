@@ -96,9 +96,9 @@ class TestGossipConsensus:
 
 
 class TestDistributedLoadBalancer:
-    def make(self, loads=None, capacities=None, n=4, seed=0):
+    def make(self, loads=None, capacities=None, n=4):
         graph = nx.cycle_graph([f"site-{i}" for i in range(n)])
-        balancer = DistributedLoadBalancer(graph, random.Random(seed))
+        balancer = DistributedLoadBalancer(graph)
         balancer.set_sites(
             capacities or {f"site-{i}": 10.0 for i in range(n)},
             loads or {f"site-{i}": (40.0 if i == 0 else 0.0)
@@ -150,7 +150,7 @@ class TestDistributedLoadBalancer:
     def test_bad_configuration_rejected(self):
         graph = nx.path_graph(["a"])
         with pytest.raises(ConfigurationError):
-            DistributedLoadBalancer(graph, random.Random(0))
+            DistributedLoadBalancer(graph)
         balancer = self.make()
         with pytest.raises(ConfigurationError):
             balancer.set_sites({"site-0": 0.0}, {"site-0": 1.0})

@@ -115,9 +115,9 @@ class TestReliabilityUnderOrchestration:
     def test_sessions_succeed_despite_failures(self):
         """With placement filtering failed devices, deployments keep
         succeeding through a lossy period (reliability claim)."""
-        from repro.mirto import CognitiveEngine, EngineConfig
+        from repro.mirto import CognitiveEngine
         from repro.usecases import mobility
-        engine = CognitiveEngine(EngineConfig(seed=71))
+        engine = CognitiveEngine(seed=71)
         injector = FaultInjector(
             engine.infrastructure, random.Random(5),
             mtbf_s=3.0, mttr_s=1.0,

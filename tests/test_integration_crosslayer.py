@@ -13,7 +13,7 @@ from repro.continuum.faults import FaultInjector
 from repro.continuum.workload import KernelClass
 from repro.dpe import ComponentModel, ScenarioModel
 from repro.kube import KubeCluster, Node, PodSpec, ResourceRequest
-from repro.mirto import CognitiveEngine, EngineConfig
+from repro.mirto import CognitiveEngine
 from repro.monitoring import InfrastructureMonitor
 from repro.runtime import RuntimeContext
 
@@ -33,8 +33,7 @@ def _scenario():
 def _run_scenario(seed: int):
     ctx = RuntimeContext(seed=seed)
     infrastructure = build_reference_infrastructure(ctx)
-    engine = CognitiveEngine(EngineConfig(seed=seed),
-                             infrastructure=infrastructure)
+    engine = CognitiveEngine(seed=seed, infrastructure=infrastructure)
     # A kube cluster whose nodes mirror continuum devices, watching the
     # shared bus for device faults.
     target = "mc-00-0"

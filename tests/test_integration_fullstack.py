@@ -13,14 +13,14 @@ import pytest
 
 from repro.continuum.devices import Layer
 from repro.dpe import DesignFlow
-from repro.mirto import ApiRequest, CognitiveEngine, EngineConfig
+from repro.mirto import ApiRequest, CognitiveEngine
 from repro.tosca import CsarArchive
 from repro.usecases import mobility, telerehab
 
 
 @pytest.fixture(scope="module")
 def engine():
-    return CognitiveEngine(EngineConfig(edge_sites=2, seed=77))
+    return CognitiveEngine(seed=77)
 
 
 @pytest.mark.parametrize("case", [mobility, telerehab],

@@ -292,8 +292,8 @@ class TestBatchedStatuses:
         assert kb.revision == revision and events == []
 
     def test_mape_sense_is_one_proposal(self, monkeypatch):
-        from repro.mirto.engine import CognitiveEngine, EngineConfig
-        engine = CognitiveEngine(EngineConfig(seed=3))
+        from repro.mirto.engine import CognitiveEngine
+        engine = CognitiveEngine(seed=3)
         proposals = []
         propose = KnowledgeBase._propose
 

@@ -1,10 +1,13 @@
 """Tests for the MIRTO Manager, MAPE loop, agent API and proxies."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core.errors import NotFoundError, OrchestrationError
 from repro.continuum import Simulator, build_reference_infrastructure
-from repro.continuum.workload import KernelClass, PrivacyClass
+from repro.continuum.workload import KernelClass, PrivacyClass, Task
 from repro.dpe import ComponentModel, ScenarioModel
 from repro.kube import (
     ContinuumFederation,
@@ -17,12 +20,12 @@ from repro.mirto import (
     ApiRequest,
     CognitiveEngine,
     DeploymentProxy,
-    EngineConfig,
     KbProxy,
     MirtoManager,
     container_to_pod_spec,
     service_to_application,
 )
+from repro.mirto.placement import is_eligible
 from repro.kb.store import KnowledgeBase
 from repro.security.levels import SecurityLevel
 from repro.tosca.model import NodeTemplate, Policy, ServiceTemplate
@@ -47,7 +50,7 @@ def mobility_scenario():
 
 @pytest.fixture
 def engine():
-    return CognitiveEngine(EngineConfig(seed=1))
+    return CognitiveEngine(seed=1)
 
 
 class TestServiceTranslation:
@@ -186,11 +189,48 @@ class TestMapeLoop:
         assert ("trust-drop", "cloud-00") in kinds
         advice = engine.registry.status("reallocation/cloud-00")
         assert advice["advice"] == "avoid"
+        # Placement reads the same threshold: the device MAPE flags is
+        # one no deploy may use.
+        service = mobility_scenario().to_service_template()
+        constraints = engine.manager.security.constraints_for(service)
+        task = Task("t", megaops=1.0)
+        device = engine.infrastructure.device
+        assert not is_eligible(device("cloud-00"), task, constraints)
+        assert is_eligible(device("cloud-01"), task, constraints)
 
     def test_repeated_iterations_stable(self, engine):
         records = engine.mape_iterate(3)
         # Second pass should execute fewer actions (already configured).
         assert records[1].executed <= records[0].executed
+
+
+class TestPinnedEngine:
+    """The seed-only engine, pinned: for seeds 0-9 the engine builds its
+    own infrastructure, KB, agents and planner, deploys the mobility
+    template through the agent API, loses ``cloud-01``, runs three MAPE
+    cycles (the fault one replans with the portfolio) and redeploys
+    with the portfolio. Hashes both responses and the trace JSONL."""
+
+    PINNED = ("3d1564ebd46e7a2fdc43242cd8c33d45"
+              "d47d6405173582cb57cebe7a8901972e")
+
+    def test_engine_wiring_matches_pin(self):
+        from repro.continuum.faults import FaultInjector
+        from repro.usecases import mobility
+        digest = hashlib.sha256()
+        for seed in range(10):
+            engine = CognitiveEngine(seed=seed)
+            service = mobility.build_scenario().to_service_template()
+            first = engine.deploy(service)
+            FaultInjector(engine.infrastructure).inject_now("cloud-01")
+            engine.mape_iterate(3)
+            second = engine.deploy(service, strategy="portfolio")
+            for response in (first, second):
+                digest.update(json.dumps(
+                    {"status": response.status, "body": response.body},
+                    sort_keys=True).encode())
+            digest.update(engine.ctx.trace.to_jsonl().encode())
+        assert digest.hexdigest() == self.PINNED
 
 
 class TestAgentApi:
@@ -439,7 +479,7 @@ class TestNegotiation:
         lone = Infrastructure(ctx=sim)
         lone.add_device(DeviceKind.RISCV_CGRA, name="riscv")
         lone_manager = MirtoManager(lone)
-        full_engine = CognitiveEngine(EngineConfig(seed=2))
+        full_engine = CognitiveEngine(seed=2)
         from repro.mirto.agent import MirtoAgent
         weak_agent = MirtoAgent("weak-edge", "edge", lone_manager)
         weak_agent.peer_with(full_engine.agent("cloud"))

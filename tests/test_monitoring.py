@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.errors import ConfigurationError
-from repro.core.events import EventBus
 from repro.continuum import DeviceKind, Simulator, Task, make_device
 from repro.monitoring import (
     ApplicationMonitor,
@@ -12,6 +11,7 @@ from repro.monitoring import (
     TelemetryMonitor,
 )
 from repro.net.topology import Network
+from repro.runtime import RuntimeContext
 
 
 class TestMetricSeries:
@@ -118,11 +118,11 @@ class TestApplicationMonitor:
         assert ApplicationMonitor("app").miss_rate() == 0.0
 
     def test_bus_publication(self):
-        bus = EventBus()
+        ctx = RuntimeContext()
         seen = []
-        bus.subscribe("monitor.metrics.application.**",
+        ctx.subscribe("monitor.metrics.application.**",
                       lambda t, p: seen.append(t))
-        mon = ApplicationMonitor("app", bus=bus)
+        mon = ApplicationMonitor("app", ctx=ctx)
         mon.record_completion(0, 0.05)
         assert seen
 
@@ -180,10 +180,10 @@ class TestInfrastructureMonitor:
         assert mon.overloaded_devices(threshold=0.9) == ["busy"]
 
     def test_alert_flows_to_bus(self):
-        bus = EventBus()
+        ctx = RuntimeContext()
         alerts = []
-        bus.subscribe("monitor.alerts.**", lambda t, p: alerts.append(p))
-        mon = InfrastructureMonitor("infra", bus=bus)
+        ctx.subscribe("monitor.alerts.**", lambda t, p: alerts.append(p))
+        mon = InfrastructureMonitor("infra", ctx=ctx)
         mon.metric("n.utilization", alert_above=0.8)
         mon._record("n.utilization", 0, 0.9)
         assert len(alerts) == 1
@@ -193,10 +193,10 @@ class TestInfrastructureMonitor:
         # Regression: thresholds passed through _record used to be
         # dropped when the series already existed — arming alerts after
         # the first sample silently did nothing.
-        bus = EventBus()
+        ctx = RuntimeContext()
         alerts = []
-        bus.subscribe("monitor.alerts.**", lambda t, p: alerts.append(p))
-        mon = InfrastructureMonitor("infra", bus=bus)
+        ctx.subscribe("monitor.alerts.**", lambda t, p: alerts.append(p))
+        mon = InfrastructureMonitor("infra", ctx=ctx)
         mon._record("n.utilization", 0, 0.95)  # creates the series
         assert alerts == []
         mon._record("n.utilization", 1, 0.95, alert_above=0.8)
@@ -213,14 +213,16 @@ class TestInfrastructureMonitor:
         assert series.alert_below == 0.1
 
     def test_ctx_clock_default(self):
-        from repro.runtime import RuntimeContext
         ctx = RuntimeContext()
         ctx.run(until=7.0)
         mon = InfrastructureMonitor("infra", ctx=ctx)
         mon._record("n.utilization", None, 0.5)
         assert mon.series["n.utilization"].samples[-1] == (7.0, 0.5)
 
-    def test_no_ctx_no_time_raises(self):
+    def test_without_ctx_runs_on_its_own_context(self):
         mon = InfrastructureMonitor("infra")
-        with pytest.raises(ConfigurationError):
-            mon._record("n.utilization", None, 0.5)
+        seen = []
+        mon.ctx.subscribe("monitor.metrics.**", lambda t, p: seen.append(p))
+        mon._record("n.utilization", None, 0.5)
+        assert mon.series["n.utilization"].samples[-1] == (0.0, 0.5)
+        assert seen == [{"time_s": 0.0, "value": 0.5}]

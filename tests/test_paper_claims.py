@@ -10,14 +10,14 @@ import pytest
 from repro.continuum.devices import Layer
 from repro.continuum.workload import KernelClass, PrivacyClass
 from repro.dpe import ComponentModel, DesignFlow, ScenarioModel
-from repro.mirto import ApiRequest, CognitiveEngine, EngineConfig
+from repro.mirto import ApiRequest, CognitiveEngine
 from repro.tosca import CsarArchive
 from repro.usecases import mobility, telerehab
 
 
 @pytest.fixture(scope="module")
 def engine():
-    return CognitiveEngine(EngineConfig(seed=99))
+    return CognitiveEngine(seed=99)
 
 
 class TestCH1HorizontalAndVerticalOrchestration:

@@ -659,9 +659,9 @@ class TestPinnedSolverOutputs:
 
 class TestMapeReplanning:
     def test_fault_triggers_placement_advice(self):
-        from repro.mirto.engine import CognitiveEngine, EngineConfig
+        from repro.mirto.engine import CognitiveEngine
         from repro.dpe import ComponentModel, ScenarioModel
-        engine = CognitiveEngine(EngineConfig(seed=5))
+        engine = CognitiveEngine(seed=5)
         scenario = ScenarioModel("replanned", latency_budget_s=5.0,
                                  min_security_level="low")
         scenario.add_component(ComponentModel("stage-a", 300,
@@ -696,8 +696,8 @@ class TestMapeReplanning:
         the other services are still replanned."""
         from repro.continuum.faults import FaultInjector
         from repro.dpe import ComponentModel, ScenarioModel
-        from repro.mirto.engine import CognitiveEngine, EngineConfig
-        engine = CognitiveEngine(EngineConfig(seed=5))
+        from repro.mirto.engine import CognitiveEngine
+        engine = CognitiveEngine(seed=5)
         largest = max(d.spec.memory_bytes
                       for d in engine.infrastructure.devices.values())
         hungry = ScenarioModel("hungry", latency_budget_s=5.0,

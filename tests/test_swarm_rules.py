@@ -8,7 +8,7 @@ from repro.continuum import Simulator, build_reference_infrastructure
 from repro.continuum.workload import KernelClass
 from repro.dpe import ComponentModel, ScenarioModel
 from repro.dpe.frevo import SwarmRule
-from repro.mirto import CognitiveEngine, EngineConfig, make_strategy
+from repro.mirto import CognitiveEngine, make_strategy
 from repro.mirto.placement import (
     PlacementConstraints,
     PlacementRequest,
@@ -150,7 +150,7 @@ class TestRuleEvolution:
 
 class TestMapeReallocation:
     def test_avoid_flag_excludes_device_from_new_placements(self):
-        engine = CognitiveEngine(EngineConfig(seed=61))
+        engine = CognitiveEngine(seed=61)
         from repro.security.trust import InteractionOutcome
         # Destroy trust in both cloud servers -> trust-drop triggers.
         for name in ("cloud-00", "cloud-01"):
@@ -165,7 +165,7 @@ class TestMapeReallocation:
                        for d in outcome.placement.assignment.values())
 
     def test_flag_clears_when_condition_recovers(self):
-        engine = CognitiveEngine(EngineConfig(seed=62))
+        engine = CognitiveEngine(seed=62)
         from repro.security.trust import InteractionOutcome
         for _ in range(10):
             engine.manager.security.trust.observe(

@@ -5,14 +5,14 @@ import pytest
 from repro.continuum.devices import Layer
 from repro.continuum.workload import PrivacyClass
 from repro.dpe import DesignFlow, synthesize_countermeasures
-from repro.mirto import CognitiveEngine, EngineConfig
+from repro.mirto import CognitiveEngine
 from repro.tosca import ToscaValidator
 from repro.usecases import mobility, run_sessions, telerehab
 
 
 @pytest.fixture(scope="module")
 def engine():
-    return CognitiveEngine(EngineConfig(seed=3))
+    return CognitiveEngine(seed=3)
 
 
 class TestMobilityScenario:
