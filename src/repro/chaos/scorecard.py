@@ -198,8 +198,7 @@ def score_run(run: dict[str, Any]) -> dict[str, Any]:
     return {
         "availability": availability,
         "mttr_s": _mttr(tracker.events),
-        "tasks_lost": (tracker.tasks_interrupted + hub.dropped
-                       + sensor.lost),
+        "tasks_lost": hub.dropped + sensor.lost,
         "tasks_recovered": recovered,
         "pods_evicted": evictions,
         "slo_violations": sum(1 for o in outcomes if not o.deadline_met),
@@ -212,7 +211,7 @@ def score_run(run: dict[str, Any]) -> dict[str, Any]:
         "fault_events": len(tracker.events),
         "mutations_executed": len(run["runner"].executed),
         "breaker_states": breakers,
-        "trace_records": len(list(ctx.trace)),
+        "trace_records": len(ctx.trace),
     }
 
 

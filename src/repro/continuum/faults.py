@@ -35,7 +35,9 @@ class ReliabilityTracker:
     """Per-device availability accounting."""
 
     events: list[FaultEvent] = field(default_factory=list)
-    tasks_interrupted: int = 0
+    #: Tasks holding a core when their device failed. They run to
+    #: completion, so none of them is lost.
+    tasks_running_at_failure: int = 0
 
     def record(self, event: FaultEvent) -> None:
         self.events.append(event)
@@ -138,13 +140,14 @@ class FaultInjector:
             self.tracker.record(FaultEvent(device.name, "fail", now))
             # Count the tasks holding a core at the failure instant.
             # Nothing interrupts them: they run to completion, and only
-            # new work is refused.
-            interrupted = len(device.cores.users)
-            self.tracker.tasks_interrupted += interrupted
+            # new work is refused. The payload keeps its historical
+            # ``interrupted`` key, which every recorded fault carries.
+            running = len(device.cores.users)
+            self.tracker.tasks_running_at_failure += running
             self._failures.inc()
             self.ctx.publish("continuum.fault.fail", {
                 "device": device.name, "time_s": now,
-                "interrupted": interrupted})
+                "interrupted": running})
 
     def _repair(self, device: Device) -> None:
         now = self.ctx.now

@@ -190,7 +190,10 @@ class TimeoutRun(Event):
     def _arm(self) -> None:
         when, key, _ = self._entries[self._next]
         self.callbacks = [TimeoutRun._fire]
-        heappush(self.sim._queue, (when, key, self))
+        # step() sets the clock from this key, and the traced bus stamps
+        # records with the clock as it stands: a caller's int time must
+        # not become the clock.
+        heappush(self.sim._queue, (float(when), key, self))
 
     def _fire(self) -> None:  # perf: hot
         # Called by step() as the run's one callback, with the run itself.

@@ -147,12 +147,20 @@ class RaftNode:
 
     def _term_at(self, index: int) -> int:
         """Term of the entry at absolute *index* (0 for the empty log
-        origin; snapshot_term at the snapshot boundary)."""
+        origin; snapshot_term at the snapshot boundary). Any other index
+        outside ``[snapshot_index, last_log_index]`` raises
+        :class:`ConsensusError`: compaction dropped its term, or it was
+        never written."""
         if index == 0:
             return 0
-        if index == self.snapshot_index:
+        offset = index - self.snapshot_index
+        if offset == 0:
             return self.snapshot_term
-        return self.log[index - self.snapshot_index - 1].term
+        if not 0 < offset <= len(self.log):
+            raise ConsensusError(
+                f"{self.name}: log index {index} lies outside "
+                f"[{self.snapshot_index}, {self.last_log_index()}]")
+        return self.log[offset - 1].term
 
     def _entry(self, index: int) -> LogEntry:
         return self.log[index - self.snapshot_index - 1]

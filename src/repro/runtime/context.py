@@ -49,10 +49,10 @@ class TracedEventBus(EventBus):
     the per-topic ``runtime.bus.publishes`` counter.
     """
 
-    def __init__(self, clock: Callable[[], float], trace: TraceRecorder,
+    def __init__(self, sim: "Simulator", trace: TraceRecorder,
                  tracer: Tracer, metrics: MetricsRegistry):
         super().__init__()
-        self._clock = clock
+        self._sim = sim
         self._trace = trace
         # Bound once at construction so the hot path below pays plain
         # attribute loads, not registry lookups.
@@ -86,10 +86,11 @@ class TracedEventBus(EventBus):
         *recorded* is the trace's copy of *payload*, normalized once in
         the origin zone and shared by every destination zone's record;
         it is recorded as given. Handlers still receive *payload*.
-        Without it, *payload* is normalized here."""
+        Without it, *payload* is normalized here. The stamp is the
+        simulator's clock as it stands, a float on every path."""
         stack = self._span_stack
         self._trace.record_normalized(
-            float(self._clock()), topic,
+            self._sim._now, topic,
             jsonify(payload) if recorded is None else recorded,
             stack[-1].envelope if stack else None)
         counter = self._publish_counter
@@ -114,7 +115,7 @@ class RuntimeContext:
         self.tracer = Tracer(self.rng.python("obs.tracer"),
                              lambda: self.sim.now, self.trace)
         self.bus: EventBus = TracedEventBus(
-            lambda: self.sim.now, self.trace, self.tracer, self.metrics)
+            self.sim, self.trace, self.tracer, self.metrics)
         self._register_core_metrics()
 
     @classmethod

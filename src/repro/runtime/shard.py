@@ -52,8 +52,8 @@ from __future__ import annotations
 import hashlib
 import heapq
 from collections import deque
-from itertools import repeat, starmap
-from operator import attrgetter, itemgetter
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -64,7 +64,7 @@ from repro.obs.metrics import METRICS_TOPIC, MetricsRegistry, payload_delta
 from repro.obs.profiler import SHARD_PROFILE_TOPIC, ShardProfiler
 from repro.obs.spans import SPAN_TOPIC, _RelayScope
 from repro.runtime.context import RuntimeContext
-from repro.runtime.trace import TraceRecord, canonical_json
+from repro.runtime.trace import TraceRecord, row_json
 
 _INF = float("inf")
 
@@ -374,6 +374,7 @@ class _RelayModel:
 
 
 _by_source = itemgetter(0)
+_time_s = itemgetter(1)
 
 
 class ShardHost:
@@ -523,10 +524,9 @@ class ShardHost:
 
     def stream(self) -> tuple | None:
         """What a streaming host ships to the coordinator's replicas:
-        each zone's records since the last reply, as ``(seq, time_s,
-        topic, payload, span)`` tuples (they pickle several times faster
-        than :class:`TraceRecord` objects); per-zone metric deltas; and
-        the executed-event count. None for an in-process host."""
+        each zone's trace rows since the last reply, as its ring holds
+        them; per-zone metric deltas; and the executed-event count.
+        None for an in-process host."""
         if not self._streaming:
             return None
         records = []
@@ -534,9 +534,7 @@ class ShardHost:
         for zone in self.zones:
             trace = zone.ctx.trace
             if len(trace):
-                records.append((zone.rank, [
-                    (rec.seq, rec.time_s, rec.topic, rec.payload, rec.span)
-                    for rec in trace]))
+                records.append((zone.rank, list(trace._records)))
                 # The sequence counter keeps counting, so the replica
                 # ring evicts exactly like this one would have.
                 trace.clear()
@@ -887,31 +885,27 @@ class ShardedContext:
             return sum(sim.processed_events for sim in self._host.sims)
         return sum(self._events)
 
-    def _merged_stream(self) -> Iterator[tuple[str, TraceRecord]]:
-        """Every zone's retained records as ``(zone, record)`` in
-        ``(time_s, zone_rank, zone_seq)`` order, one at a time.
+    def _merged_stream(self) -> Iterator[tuple[str, tuple]]:
+        """Every zone's retained rows as ``(zone, row)`` in ``(time_s,
+        zone_rank, zone_seq)`` order, one at a time.
 
         Each zone's ring (in process the live ring, with workers its
-        replica) is already in seq order, so a stable sort on
+        replica; both hold the rows ``(seq, time_s, topic, payload,
+        span)``) is already in seq order, so a stable sort on
         ``time_s`` makes it a run in ``(time_s, seq)`` order — one
-        linear pass unless a record was stamped out of time order
+        linear pass unless a row was stamped out of time order
         (``Tracer.record_span`` with an explicit ``end_s``).
         ``heapq.merge`` takes the runs in rank order and breaks equal
         times by run, i.e. by rank. The runs only reference what the
-        rings hold, and the merge holds one pending record per zone:
-        no key tuples, no merged list. Replica rows (``(seq, time_s,
-        topic, payload, span)``) become :class:`TraceRecord` objects
-        one at a time, as the merge pulls them."""
+        rings hold, and the merge holds one pending row per zone: no
+        key tuples, no merged list."""
         if self._host is not None:
-            runs = [zip(repeat(zone.name),
-                        sorted(zone.ctx.trace, key=attrgetter("time_s")))
-                    for zone in self._host.zones]
+            rings = [zone.ctx.trace._records for zone in self._host.zones]
         else:
-            runs = [zip(repeat(name),
-                        starmap(TraceRecord,
-                                sorted(ring, key=itemgetter(1))))
-                    for name, ring in zip(self._names, self._rings)]
-        return heapq.merge(*runs, key=lambda pair: pair[1].time_s)
+            rings = self._rings
+        runs = [zip(repeat(name), sorted(ring, key=_time_s))
+                for name, ring in zip(self._names, rings)]
+        return heapq.merge(*runs, key=lambda pair: pair[1][1])
 
     def merged_records(self) -> list[tuple[str, TraceRecord]]:
         """Every zone's retained records as one globally ordered list.
@@ -924,19 +918,16 @@ class ShardedContext:
         :meth:`export_jsonl`) never build this list: they stream the
         same order.
         """
-        return list(self._merged_stream())
+        return [(name, TraceRecord(*row))
+                for name, row in self._merged_stream()]
 
     def _jsonl_lines(self) -> Iterator[str]:
         """The merged trace's JSONL lines (global seq, zone tag), one at
         a time — the one renderer behind :meth:`to_jsonl`,
         :meth:`export_jsonl` and :meth:`digest`, so the exported bytes
         and the fingerprint cannot drift apart."""
-        for seq, (name, rec) in enumerate(self._merged_stream()):
-            obj = {"seq": seq, "zone": name, "time_s": rec.time_s,
-                   "topic": rec.topic, "payload": rec.payload}
-            if rec.span is not None:
-                obj["span"] = rec.span
-            yield canonical_json(obj)
+        for seq, (name, row) in enumerate(self._merged_stream()):
+            yield row_json(row, seq, name)
 
     def to_jsonl(self) -> str:
         """The merged trace as deterministic JSONL (global seq, zone tag)."""
@@ -964,9 +955,8 @@ class ShardedContext:
                 if "profile" in snapshot:
                     rows.append((SHARD_PROFILE_TOPIC, snapshot["profile"]))
                 for topic, payload in rows:
-                    out.write(canonical_json(
-                        {"seq": seq, "time_s": self._now, "topic": topic,
-                         "payload": payload}) + "\n")
+                    out.write(row_json(
+                        (seq, self._now, topic, payload, None)) + "\n")
                     seq += 1
         return seq
 

@@ -7,6 +7,12 @@ transitions, MAPE phases and monitor samples alike. The recorder is a
 bounded ring buffer (old records fall off the front) and exports JSONL
 whose byte content is deterministic for a given seed — the substrate of
 the deterministic-replay guarantee.
+
+A record is stored as a *row*, the plain tuple ``(seq, time_s, topic,
+payload, span)``: the ring holds rows, a worker process ships them to
+the coordinator as they are, and the sharded merge sorts and renders
+them (:func:`row_json`). :class:`TraceRecord` is the read type, built
+from a row only where someone reads records.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import dataclasses
 import json
 from collections import deque
 from enum import Enum
+from itertools import starmap
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -28,6 +35,21 @@ from repro.core.events import topic_matches
 #: same bytes without the per-row construction.
 canonical_json = json.JSONEncoder(sort_keys=True,
                                   separators=(",", ":")).encode
+
+
+def row_json(row: tuple, seq: int | None = None,
+             zone: str | None = None) -> str:
+    """The one JSON shape of a trace row ``(seq, time_s, topic, payload,
+    span)``: ``span`` only when set. The sharded merge passes its global
+    *seq* in place of the row's zone-local one, and the row's *zone*."""
+    obj = {"seq": row[0] if seq is None else seq, "time_s": row[1],
+           "topic": row[2], "payload": row[3]}
+    if zone is not None:
+        obj["zone"] = zone
+    if row[4] is not None:
+        obj["span"] = row[4]
+    return canonical_json(obj)
+
 
 # Exact types the fast path passes through untouched. Subclasses (bool
 # aside — it IS one of these) deliberately miss: an IntEnum or numpy
@@ -85,23 +107,30 @@ def _jsonify_slow(value: Any) -> Any:
 
 
 class TraceRecord:
-    """One time-stamped, topic-tagged observation.
+    """One time-stamped, topic-tagged observation, as read back.
 
-    The payload is normalized (:func:`jsonify`) when the record is
-    created or earlier, never later — deferring it would let callers
+    The recorder stores rows (see the module docstring); a record is
+    built from one by :meth:`TraceRecorder.__iter__`,
+    :meth:`~TraceRecorder.records`, :meth:`~TraceRecorder.at_time` and
+    :meth:`~repro.runtime.shard.ShardedContext.merged_records`. Two
+    reads of one row give equal records, not the same object.
+
+    The payload is normalized (:func:`jsonify`) when the row is
+    recorded or earlier, never later — deferring it would let callers
     mutate a recorded dict after the fact and break byte-identical
     replay. "Earlier" is the epoch relay: the bus normalizes a publish
-    once, for the origin record, its tap ships that copy, and every
-    destination zone's record holds it too (:meth:`TraceRecorder.
-    record_normalized`), so a payload may be shared between records
-    and must never be mutated. Serialization to JSON text stays lazy:
+    once, for the origin row, its relay ships that copy, and every
+    destination zone's row holds it too (:meth:`TraceRecorder.
+    record_normalized`), so a payload may be shared between rows and
+    must never be mutated. Serialization to JSON text stays lazy:
     :meth:`to_json` renders on demand, so recording costs no string
     formatting unless the trace is exported.
 
-    A plain ``__slots__`` class rather than a (frozen) dataclass: one
-    is constructed per bus publish and per finished span, and the
-    frozen-dataclass ``object.__setattr__`` init costs ~3x a direct
-    attribute store. Treat instances as immutable all the same.
+    A plain ``__slots__`` class rather than a (frozen) dataclass: a
+    read of a whole ring builds one per row (``merged_records()`` on a
+    100k-device run builds ~128k), and the frozen-dataclass
+    ``object.__setattr__`` init costs ~3x a direct attribute store.
+    Treat instances as immutable all the same.
     """
 
     __slots__ = ("seq", "time_s", "topic", "payload", "span")
@@ -132,24 +161,23 @@ class TraceRecord:
                 f"span={self.span!r})")
 
     def to_json(self) -> str:
-        obj = {"seq": self.seq, "time_s": self.time_s, "topic": self.topic,
-               "payload": self.payload}
-        if self.span is not None:
-            obj["span"] = self.span
-        return canonical_json(obj)
+        return row_json((self.seq, self.time_s, self.topic, self.payload,
+                         self.span))
 
 
 class TraceRecorder:
-    """Bounded ring buffer of :class:`TraceRecord` with JSONL export."""
+    """Bounded ring buffer of trace rows with JSONL export; reads
+    return :class:`TraceRecord` objects."""
 
     def __init__(self, capacity: int = 65536):
         if capacity < 1:
             raise ConfigurationError("trace capacity must be >= 1")
         self.capacity = capacity
-        self._records: deque[TraceRecord] = deque(maxlen=capacity)
+        #: Rows ``(seq, time_s, topic, payload, span)``, oldest first.
+        self._records: deque[tuple] = deque(maxlen=capacity)
         self._seq = 0
 
-    def record(self, time_s: float, topic: str,  # perf: hot
+    def record(self, time_s: float, topic: str,
                payload: Any = None, span: Any = None) -> TraceRecord:
         """Append one record; payload is normalized via :func:`jsonify`.
 
@@ -161,19 +189,16 @@ class TraceRecorder:
         :attr:`dropped` to detect that the *retained* window no
         longer starts at seq 0.
         """
-        return self.record_normalized(float(time_s), topic,
-                                      jsonify(payload), span)
+        self.record_normalized(float(time_s), topic, jsonify(payload), span)
+        return TraceRecord(*self._records[-1])
 
     def record_normalized(self, time_s: float, topic: str,  # perf: hot
-                          payload: Any = None,
-                          span: Any = None) -> TraceRecord:
-        """Append one record whose *payload* is already normalized
+                          payload: Any = None, span: Any = None) -> None:
+        """Append one row whose *payload* is already normalized
         (:func:`jsonify` output) and whose *time_s* is already a float,
-        as given: no copy, so records may share one payload object."""
-        rec = TraceRecord(self._seq, time_s, topic, payload, span)
+        as given: no copy, so rows may share one payload object."""
+        self._records.append((self._seq, time_s, topic, payload, span))
         self._seq += 1
-        self._records.append(rec)
-        return rec
 
     @property
     def total_recorded(self) -> int:
@@ -198,24 +223,24 @@ class TraceRecorder:
         segment, ``**`` any remainder).
         """
         out = []
-        for rec in self._records:
-            if since_s is not None and rec.time_s < since_s:
+        for row in self._records:
+            if since_s is not None and row[1] < since_s:
                 continue
             if topic_pattern is not None and \
-                    not topic_matches(topic_pattern, rec.topic):
+                    not topic_matches(topic_pattern, row[2]):
                 continue
-            out.append(rec)
+            out.append(TraceRecord(*row))
         return out
 
     def at_time(self, time_s: float, tolerance: float = 0.0
                 ) -> list[TraceRecord]:
         """Records stamped at *time_s* (within *tolerance*)."""
-        return [r for r in self._records
-                if abs(r.time_s - time_s) <= tolerance]
+        return [TraceRecord(*row) for row in self._records
+                if abs(row[1] - time_s) <= tolerance]
 
     def to_jsonl(self) -> str:
         """The retained trace as a JSONL string (deterministic bytes)."""
-        return "\n".join(rec.to_json() for rec in self._records)
+        return "\n".join(map(row_json, self._records))
 
     def export_jsonl(self, path: str | Path) -> int:
         """Write the retained trace to *path*; returns records written."""
@@ -231,4 +256,4 @@ class TraceRecorder:
         return len(self._records)
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._records)
+        return starmap(TraceRecord, self._records)

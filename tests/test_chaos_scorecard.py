@@ -10,13 +10,18 @@ from pathlib import Path
 
 import pytest
 
+from repro.chaos.controller import ChaosController
 from repro.chaos.scorecard import (
     render_report,
     run_scenario,
     score_run,
     scorecard,
 )
+from repro.continuum.devices import TaskRecord
+from repro.continuum.infrastructure import build_reference_infrastructure
+from repro.continuum.workload import Task
 from repro.kube.cluster import PodPhase
+from repro.runtime import RuntimeContext
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +114,26 @@ class TestScorecardMetrics:
         # open -> half-open -> closed cycle.
         assert states["mc-00-0"][:4] == \
             ["closed", "open", "half-open", "closed"]
+
+    def test_task_running_at_failure_completes_and_is_not_lost(
+            self, full_run):
+        """A task holding a core when its device fails runs to
+        completion (``Device.execute`` checks ``failed`` only at
+        admission), so a tracker that saw it counts no lost task."""
+        ctx = RuntimeContext(seed=0)
+        infra = build_reference_infrastructure(ctx)
+        controller = ChaosController(infra)
+        done = ctx.sim.process(
+            infra.device("cloud-01").execute(Task("long", 50_000)))
+        ctx.sim.timeout(0.001).callbacks.append(
+            lambda _: controller.injector.inject_now("cloud-01"))
+        record = ctx.run(until=done)
+        assert isinstance(record, TaskRecord)
+        assert record.start_s < 0.001 < record.end_s
+        assert controller.tracker.tasks_running_at_failure == 1
+        score = score_run(dict(full_run, controller=controller))
+        assert score["tasks_lost"] == \
+            full_run["hub"].dropped + full_run["sensor"].lost > 0
 
 
 class TestCausalRecoveryTrace:

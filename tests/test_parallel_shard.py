@@ -559,10 +559,9 @@ class TestMergedStreamOrder:
         for name in names:
             _build_drawn_zone(sharded.zone(name), name, drawn)
         expected = _expected_order(sharded)
-        merged = sharded.merged_records()
-        assert len(merged) == len(expected)
-        assert all(got[0] == want[0] and got[1] is want[1]
-                   for got, want in zip(merged, expected))
+        # Records are built from the rings' rows on every read, so two
+        # reads give equal records, not the same objects.
+        assert sharded.merged_records() == expected
         text = _render(expected)
         assert sharded.to_jsonl() == text
         assert sharded.digest() == hashlib.sha256(text.encode()).hexdigest()

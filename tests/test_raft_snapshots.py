@@ -226,3 +226,43 @@ class TestDelayedSnapshot:
         assert (follower.commit_index, follower.last_applied) == (2, 2)
         assert follower.last_log_index() == 2
         assert state[name]["sum"] == 7
+
+
+class TestTermAt:
+    """``_term_at`` answers inside ``[snapshot_index, last_log_index]``
+    and at the log origin, and raises a typed error anywhere else — an
+    index the snapshot swallowed must not read another entry's term."""
+
+    @staticmethod
+    def _node():
+        from repro.kb.raft import LogEntry
+        cluster, _, _ = make_cluster(n=3, seed=0, threshold=None)
+        node = cluster.nodes["n1"]
+        node.snapshot_index, node.snapshot_term = 5, 2
+        node.log = [LogEntry(3, "a"), LogEntry(4, "b"), LogEntry(4, "c")]
+        return node
+
+    def test_in_range_boundaries_and_origin(self):
+        node = self._node()
+        assert node.last_log_index() == 8
+        assert node._term_at(5) == 2
+        assert node._term_at(6) == 3
+        assert node._term_at(8) == 4
+        assert node._term_at(0) == 0
+
+    @pytest.mark.parametrize("index", [1, 3, 4, 9, 12])
+    def test_outside_the_window_raises(self, index):
+        from repro.core.errors import ConsensusError
+        node = self._node()
+        with pytest.raises(ConsensusError,
+                           match=rf"n1: log index {index} lies outside "
+                                 r"\[5, 8\]"):
+            node._term_at(index)
+
+    def test_fresh_node_knows_only_the_origin(self):
+        from repro.core.errors import ConsensusError
+        cluster, _, _ = make_cluster(n=3, seed=0, threshold=None)
+        node = cluster.nodes["n2"]
+        assert node._term_at(0) == 0
+        with pytest.raises(ConsensusError, match=r"outside \[0, 0\]"):
+            node._term_at(1)
